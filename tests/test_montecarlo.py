@@ -199,6 +199,64 @@ class TestSubsampleProtocol:
         )
 
 
+class TestPinnedSeededOutputs:
+    # Exact rates recorded before asymptotic, permutation and oracle outcomes
+    # were moved onto one evaluation path; seeded results must not move.
+    def test_spherical_mixed_study(self):
+        plan = ExperimentPlan(
+            model="spherical-t5",
+            grid=((100, 1.5), (200, 2.5)),
+            m=20,
+            n=20,
+            tests=tuple(
+                (stat, method)
+                for stat in ("wmw", "cq2")
+                for method in ("asymptotic", "permutation", "rsrm-oracle")
+            ),
+            replications=20,
+            n_resamples=50,
+            base_seed=31,
+        )
+        rates = {
+            (p.d, p.stat, p.method): p.rejection_rate for p in run_power_study(plan)
+        }
+        assert rates == {
+            (100, "wmw", "asymptotic"): 0.4,
+            (100, "wmw", "permutation"): 0.25,
+            (100, "wmw", "rsrm-oracle"): 0.4,
+            (100, "cq2", "asymptotic"): 0.25,
+            (100, "cq2", "permutation"): 0.25,
+            (100, "cq2", "rsrm-oracle"): 0.25,
+            (200, "wmw", "asymptotic"): 0.9,
+            (200, "wmw", "permutation"): 0.65,
+            (200, "wmw", "rsrm-oracle"): 0.85,
+            (200, "cq2", "asymptotic"): 0.6,
+            (200, "cq2", "permutation"): 0.5,
+            (200, "cq2", "rsrm-oracle"): 0.65,
+        }
+
+    def test_subsample_protocol(self):
+        rng = np.random.default_rng(32)
+        class_a = rng.standard_normal((30, 40))
+        class_b = rng.standard_normal((20, 40))
+        class_b[:, :5] += 0.8
+        tests = (
+            ("cq2", "asymptotic"),
+            ("wmw", "asymptotic"),
+            ("cq2", "permutation"),
+            ("wmw", "permutation"),
+        )
+        rows = run_subsample_protocol(
+            class_a, class_b, 0.3, 20, tests, n_resamples=50, seed=33
+        )
+        assert [(r.stat, r.method, r.size, r.power) for r in rows] == [
+            ("cq2", "asymptotic", 0.1, 0.3),
+            ("wmw", "asymptotic", 0.075, 0.3),
+            ("cq2", "permutation", 0.075, 0.2),
+            ("wmw", "permutation", 0.075, 0.2),
+        ]
+
+
 class TestPlotData:
     def _points(self):
         return [
