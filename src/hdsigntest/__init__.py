@@ -21,7 +21,6 @@ from .errors import (
 from .statistics import (
     ONE_SAMPLE_STATS,
     TWO_SAMPLE_STATS,
-    compute_statistic,
     spatial_sign,
     t_cq1,
     t_cq2,
@@ -43,7 +42,6 @@ from .inference import (
     METHOD_RSRM_ORACLE,
     METHOD_SIGNFLIP,
     OneSampleOracleTerms,
-    RsrmAuxiliary,
     TestReport,
     TwoSampleOracleTerms,
     asymptotic_one_sample,
@@ -60,6 +58,7 @@ from .inference import (
 from .generators import (
     GeneratorSpec,
     MeanShift,
+    RsrmAuxiliary,
     gen_ar1,
     gen_equicorr_gauss,
     gen_rsrm_custom,

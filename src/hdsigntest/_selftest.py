@@ -7,11 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _naive as naive
-from .inference import (
-    RsrmAuxiliary,
-    one_sample_oracle_terms,
-    two_sample_oracle_terms,
-)
+from .generators import RsrmAuxiliary
+from .inference import one_sample_oracle_terms, two_sample_oracle_terms
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
 from .statistics import t_cq1, t_cq2, t_s, t_sr, t_wmw
 

@@ -14,19 +14,14 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 from . import __version__
 from ._selftest import TOLERANCE, run_selftest, selftest_passed
 from .dataio import read_matrix_csv
 from .errors import HDTestError
-from .inference import (
-    TestReport,
-    asymptotic_one_sample,
-    asymptotic_two_sample,
-    randomization_one_sample,
-    randomization_two_sample,
-)
+from .inference import TestReport, evaluate_one_sample, evaluate_two_sample
 from .montecarlo import ExperimentPlan, run_power_study, summarize_to_plot_data
 
 EXIT_OK = 0
@@ -82,9 +77,27 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _count(text: str) -> int:
+    """argparse type of --perms, --reps and --trials: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _level(text: str) -> float:
+    """argparse type of --alpha: a significance level in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a level in (0, 1), got {text!r}")
+    return value
+
+
 def _add_common_test_flags(sub):
-    sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--perms", type=int, default=500,
+    sub.add_argument("--alpha", type=_level, default=0.05)
+    sub.add_argument("--perms", type=_count, default=500,
                      help="number of resamples for randomization methods")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -121,9 +134,9 @@ def build_parser() -> _Parser:
         "--tests", required=True,
         help='tests as "stat:method,..." with methods asym, perm or oracle',
     )
-    sim.add_argument("--reps", type=int, required=True)
-    sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--perms", type=int, default=500)
+    sim.add_argument("--reps", type=_count, required=True)
+    sim.add_argument("--alpha", type=_level, default=0.05)
+    sim.add_argument("--perms", type=_count, default=500)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--rho", type=float, default=0.7)
     sim.add_argument("--beta", type=float, default=0.7)
@@ -132,7 +145,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--out", required=True, help="plot-data CSV output path")
 
     self_p = subs.add_parser("selftest", help="validate fast paths against oracles")
-    self_p.add_argument("--trials", type=int, default=100)
+    self_p.add_argument("--trials", type=_count, default=100)
     self_p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -173,36 +186,19 @@ def _parse_tests(text: str):
     return tuple(tests)
 
 
-def _cmd_two_sample(args, out) -> int:
-    x = read_matrix_csv(args.x)
-    y = read_matrix_csv(args.y)
-    if args.method == "asymptotic":
-        report = asymptotic_two_sample(x, y, args.stat, args.alpha)
-    else:
-        report = randomization_two_sample(
-            x, y, args.stat, args.alpha, args.perms, args.seed
-        )
-    out.write(_report_lines(report, args.format))
-    return EXIT_OK
-
-
-def _cmd_one_sample(args, out) -> int:
-    x = read_matrix_csv(args.x)
-    if args.method == "asymptotic":
-        report = asymptotic_one_sample(x, args.stat, args.alpha)
-    else:
-        report = randomization_one_sample(
-            x, args.stat, args.alpha, args.perms, args.seed
-        )
+def _cmd_test(args, out) -> int:
+    samples = [read_matrix_csv(args.x)]
+    evaluate = evaluate_one_sample
+    if args.command == "two-sample":
+        samples.append(read_matrix_csv(args.y))
+        evaluate = evaluate_two_sample
+    key = (args.stat, args.method)
+    report = evaluate(*samples, [key], args.alpha, args.perms, args.seed)[key]
     out.write(_report_lines(report, args.format))
     return EXIT_OK
 
 
 def _cmd_simulate(args, out) -> int:
-    if args.reps < 1:
-        raise _UsageError("--reps must be at least 1")
-    if args.perms < 1:
-        raise _UsageError("--perms must be at least 1")
     tests = _parse_tests(args.tests)
     if any(method == "rsrm-oracle" for _, method in tests) and args.model not in (
         "spherical-t5",
@@ -265,8 +261,6 @@ def _echo_flags(args) -> list:
 
 
 def _cmd_selftest(args, out) -> int:
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
     results = run_selftest(args.trials, args.seed)
     width = max(len(name) for name in results)
     for name in sorted(results):
@@ -286,10 +280,8 @@ def main(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "two-sample":
-            return _cmd_two_sample(args, out)
-        if args.command == "one-sample":
-            return _cmd_one_sample(args, out)
+        if args.command in ("two-sample", "one-sample"):
+            return _cmd_test(args, out)
         if args.command == "simulate":
             return _cmd_simulate(args, out)
         return _cmd_selftest(args, out)

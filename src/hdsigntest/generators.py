@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidSpecError, NonpositiveScaleError
-from .inference import RsrmAuxiliary
 
 AR1_GAUSS = "ar1-gauss"
 AR1_T5 = "ar1-t5"
@@ -24,6 +23,25 @@ MODEL_NAMES = (AR1_GAUSS, AR1_T5, SPHERICAL_T5, EQUICORR_GAUSS)
 SHIFT_FIRST = "first-coordinate"
 SHIFT_SPREAD = "spread-equally"
 SHIFT_ZERO = "zero"
+
+
+@dataclass(frozen=True)
+class RsrmAuxiliary:
+    """Latent scale variables and population traces of a randomly scaled
+    sample, known only in simulation.
+
+    ``p_scales`` holds the per-observation scale of the first (or only)
+    sample; ``q_scales`` of the second.  The trace fields are population
+    values of the latent unscaled components.
+    """
+
+    p_scales: np.ndarray
+    sigma_v_sq: float
+    tr_sigma_v_sq: float
+    q_scales: np.ndarray | None = None
+    sigma_w_sq: float | None = None
+    tr_sigma_w_sq: float | None = None
+    tr_sigma_vw: float | None = None
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,15 @@ simulation-only latent-scale oracle.
 
 All tests are one-sided right-tailed: every statistic estimates a
 nonnegative squared-norm quantity, so only large values are evidence
-against the null.  Randomization p-values use the add-one estimator
-(1 + #{resampled >= observed}) / (n_resamples + 1), which is valid at any
-finite resample count and never exactly zero.
+against the null.  One evaluator per sample count, ``evaluate_two_sample``
+and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
+one dataset and builds each shared input once; the ``asymptotic_*``,
+``randomization_*`` and ``rsrm_oracle_*`` functions, the study harness and
+the command line all call it.  Randomization p-values use the add-one
+estimator (1 + #{resampled >= observed}) / (n_resamples + 1), which is
+valid at any finite resample count and never exactly zero.  The observed
+statistic is computed on the resampling path, as the identity relabeling
+or the all-plus flip pattern, so draws that reproduce it tie exactly.
 """
 
 from __future__ import annotations
@@ -21,12 +27,16 @@ from .errors import (
     TooFewObservationsError,
     ZeroVectorError,
 )
+from .generators import RsrmAuxiliary
 from .nuisance import VarianceSnapshot, gamma1_hat, gamma2_hat
 from .statistics import (
     ONE_SAMPLE_STATS,
     TWO_SAMPLE_STATS,
     as_matrix,
+    _pair_sum_signs,
+    _require_rows,
     _require_same_dim,
+    _row_signs,
     t_cq1,
     t_cq2,
     t_s,
@@ -38,6 +48,8 @@ METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_PERMUTATION = "permutation"
 METHOD_SIGNFLIP = "signflip"
 METHOD_RSRM_ORACLE = "rsrm-oracle"
+TWO_SAMPLE_METHODS = (METHOD_ASYMPTOTIC, METHOD_PERMUTATION, METHOD_RSRM_ORACLE)
+ONE_SAMPLE_METHODS = (METHOD_ASYMPTOTIC, METHOD_SIGNFLIP, METHOD_RSRM_ORACLE)
 
 
 @dataclass(frozen=True)
@@ -69,25 +81,6 @@ class TestReport:
             "seed": self.seed,
             "nuisance": None if self.nuisance is None else self.nuisance.to_dict(),
         }
-
-
-@dataclass(frozen=True)
-class RsrmAuxiliary:
-    """Latent scale variables and population traces of a randomly scaled
-    sample, known only in simulation.
-
-    ``p_scales`` holds the per-observation scale of the first (or only)
-    sample; ``q_scales`` of the second.  The trace fields are population
-    values of the latent unscaled components.
-    """
-
-    p_scales: np.ndarray
-    sigma_v_sq: float
-    tr_sigma_v_sq: float
-    q_scales: np.ndarray | None = None
-    sigma_w_sq: float | None = None
-    tr_sigma_w_sq: float | None = None
-    tr_sigma_vw: float | None = None
 
 
 def gaussian_sf(z: float) -> float:
@@ -124,54 +117,20 @@ def two_sample_z(
     raise ValueError(f"unknown two-sample statistic {kind!r}")
 
 
-def _report_from_z(kind, value, z, alpha, method, nuisance=None) -> TestReport:
-    p = gaussian_sf(z)
-    return TestReport(
-        stat_kind=kind,
-        statistic=value,
-        p_value=p,
-        alpha=alpha,
-        reject=p <= alpha,
-        method=method,
-        z=z,
-        nuisance=nuisance,
-    )
-
-
-def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:
-    """Gaussian plug-in test of E(X) = 0 for stat in {cq1, s, sr}."""
-    _check_alpha(alpha)
-    if stat not in ONE_SAMPLE_STATS:
-        raise ValueError(f"one-sample statistic must be one of {ONE_SAMPLE_STATS}")
-    x = as_matrix(x)
-    snap = gamma2_hat(x)
-    value = {"cq1": t_cq1, "s": t_s, "sr": t_sr}[stat](x)
-    z = one_sample_z(stat, value, x.shape[1], snap.sigma1_sq, snap.gamma)
-    return _report_from_z(stat, value, z, alpha, METHOD_ASYMPTOTIC, snap)
-
-
-def asymptotic_two_sample(x, y, stat: str, alpha: float = 0.05) -> TestReport:
-    """Gaussian plug-in test of E(X) = E(Y) for stat in {cq2, wmw}."""
-    _check_alpha(alpha)
-    if stat not in TWO_SAMPLE_STATS:
-        raise ValueError(f"two-sample statistic must be one of {TWO_SAMPLE_STATS}")
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    snap = gamma1_hat(x, y)
-    value = {"cq2": t_cq2, "wmw": t_wmw}[stat](x, y)
-    z = two_sample_z(stat, value, x.shape[1], snap.sigma1_sq, snap.sigma2_sq, snap.gamma)
-    return _report_from_z(stat, value, z, alpha, METHOD_ASYMPTOTIC, snap)
-
-
 # ---------------------------------------------------------------------------
 # Randomization backends.
 #
 # Resampled statistics are evaluated from quantities precomputed on the
 # pooled data (pairwise unit signs, Gram matrices), so one relabeling costs
 # O(mnd) instead of a full recomputation; batches of relabelings are reduced
-# with einsum.  The identity labeling reproduces the observed statistic
-# through the same code path.
+# with einsum.  The identity labeling and the all-plus flip pattern
+# reproduce the observed statistic through the same code path.
 # ---------------------------------------------------------------------------
+
+
+def _add_one_pvalue(obs, draws) -> tuple:
+    p = (1.0 + int(np.sum(draws >= obs))) / (draws.shape[0] + 1.0)
+    return float(obs), float(p)
 
 
 def _pooled_pair_signs(pool: np.ndarray):
@@ -256,13 +215,15 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
             obs = _wmw_from_masks(signs, obs_mask, m, n)[0]
             draws = _wmw_from_masks(signs, masks, m, n)
         elif stat == "cq2":
-            gram = pool @ pool.T
+            # Centred on the pooled mean, as in t_cq2: a raw Gram matrix
+            # loses the statistic to cancellation under a large offset.
+            centred = pool - pool.mean(axis=0)
+            gram = centred @ centred.T
             obs = _cq2_from_masks(gram, obs_mask, m, n)[0]
             draws = _cq2_from_masks(gram, masks, m, n)
         else:
             raise ValueError(f"permutation backend supports cq2 and wmw, not {stat!r}")
-        p = (1.0 + int(np.sum(draws >= obs))) / (n_resamples + 1.0)
-        results[stat] = (float(obs), float(p))
+        results[stat] = _add_one_pvalue(obs, draws)
     return results
 
 
@@ -290,93 +251,40 @@ def signflip_pvalues_one_sample(x, stats, n_resamples, rng):
     Returns {stat: (observed, p_value)}.
     """
     x = as_matrix(x)
+    _require_rows(x, 2, "x")
     n = x.shape[0]
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     flips = rng.integers(0, 2, size=(n_resamples, n)) * 2.0 - 1.0
+    # Row 0, the all-plus pattern, gives the observed statistic.
+    flips = np.vstack([np.ones((1, n)), flips])
 
     results = {}
     for stat in stats:
         if stat == "cq1":
-            obs = t_cq1(x)
             m_mat = flips @ x
             quad = np.einsum("rd,rd->r", m_mat, m_mat) - np.einsum("ij,ij->", x, x)
-            draws = quad / (n * (n - 1))
+            values = quad / (n * (n - 1))
         elif stat == "s":
-            obs = t_s(x)
-            norms = np.linalg.norm(x, axis=1)
-            signs = x / norms[:, None]
-            m_mat = flips @ signs
-            draws = (np.einsum("rd,rd->r", m_mat, m_mat) - n) / (n * (n - 1))
-            draws = np.clip(draws, -1.0, 1.0)
+            m_mat = flips @ _row_signs(x, "observation")
+            values = (np.einsum("rd,rd->r", m_mat, m_mat) - n) / (n * (n - 1))
+            values = np.clip(values, -1.0, 1.0)
         elif stat == "sr":
-            obs = t_sr(x)
-            sums = x[:, None, :] + x[None, :, :]
+            _require_rows(x, 4, "x")
+            wplus = _pair_sum_signs(x)
             diffs = x[:, None, :] - x[None, :, :]
-            snorm = np.linalg.norm(sums, axis=2)
             dnorm = np.linalg.norm(diffs, axis=2)
-            np.fill_diagonal(snorm, 1.0)
             np.fill_diagonal(dnorm, 1.0)
-            if (snorm == 0.0).any():
-                raise ZeroVectorError("a pairwise sum of observations is zero")
             dup = dnorm == 0.0
             dnorm = np.where(dup, 1.0, dnorm)
-            wplus = sums / snorm[:, :, None]
             wminus = diffs / dnorm[:, :, None]
             idx = np.arange(n)
-            wplus[idx, idx, :] = 0.0
             wminus[idx, idx, :] = 0.0
-            draws = _sr_from_flips(wplus, wminus, dup, flips, n)
+            values = _sr_from_flips(wplus, wminus, dup, flips, n)
         else:
             raise ValueError(f"sign-flip backend supports cq1, s and sr, not {stat!r}")
-        p = (1.0 + int(np.sum(draws >= obs))) / (n_resamples + 1.0)
-        results[stat] = (float(obs), float(p))
+        results[stat] = _add_one_pvalue(values[0], values[1:])
     return results
-
-
-def randomization_two_sample(
-    x, y, stat: str, alpha: float = 0.05, n_resamples: int = 500, seed: int = 0
-) -> TestReport:
-    """Permutation test: pooled rows are relabeled into groups of the
-    original sizes, the statistic is recomputed for each relabeling, and
-    the add-one upper-tail p-value is reported.
-    """
-    _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
-    res = permutation_pvalues_two_sample(x, y, [stat], n_resamples, rng)
-    obs, p = res[stat]
-    return TestReport(
-        stat_kind=stat,
-        statistic=obs,
-        p_value=p,
-        alpha=alpha,
-        reject=p <= alpha,
-        method=METHOD_PERMUTATION,
-        n_resamples=n_resamples,
-        seed=seed,
-    )
-
-
-def randomization_one_sample(
-    x, stat: str, alpha: float = 0.05, n_resamples: int = 500, seed: int = 0
-) -> TestReport:
-    """Sign-flip test: each resample multiplies every row by an independent
-    fair +-1 and recomputes the statistic.  Exact under symmetric nulls.
-    """
-    _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
-    res = signflip_pvalues_one_sample(x, [stat], n_resamples, rng)
-    obs, p = res[stat]
-    return TestReport(
-        stat_kind=stat,
-        statistic=obs,
-        p_value=p,
-        alpha=alpha,
-        reject=p <= alpha,
-        method=METHOD_SIGNFLIP,
-        n_resamples=n_resamples,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +400,164 @@ def one_sample_oracle_terms(aux: RsrmAuxiliary, n: int) -> OneSampleOracleTerms:
     return OneSampleOracleTerms(z1=z1, z4=z4, gamma3=gamma3, z2=z2, z3=z3)
 
 
+# ---------------------------------------------------------------------------
+# Evaluators: one per sample count, and the single-test functions on top.
+# ---------------------------------------------------------------------------
+
+
+def _report(kind, value, p, alpha, method, **fields) -> TestReport:
+    return TestReport(
+        stat_kind=kind,
+        statistic=value,
+        p_value=p,
+        alpha=alpha,
+        reject=p <= alpha,
+        method=method,
+        **fields,
+    )
+
+
+def _check_tests(tests, stats, methods, alpha) -> set:
+    _check_alpha(alpha)
+    for stat, method in tests:
+        if stat not in stats:
+            raise ValueError(f"statistic must be one of {stats}, not {stat!r}")
+        if method not in methods:
+            raise ValueError(f"method must be one of {methods}, not {method!r}")
+    return {method for _, method in tests}
+
+
+def _stats_for(tests, *methods) -> list:
+    """Distinct statistics requested with any of ``methods``, in order."""
+    return list(dict.fromkeys(stat for stat, method in tests if method in methods))
+
+
+def evaluate_two_sample(
+    x, y, tests, alpha: float = 0.05, n_resamples: int = 500, rng=None, aux=None
+) -> dict:
+    """{(stat, method): TestReport} for every pair in ``tests`` on the
+    samples x and y, with stat in {cq2, wmw}.
+
+    Only permutation tests draw from ``rng`` (a Generator, or a seed for
+    one, which their reports record), all from one set of relabelings.
+    ``aux`` holds the latent scales that oracle tests need.
+    """
+    methods = _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha)
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    _require_same_dim(x, y)
+    d = x.shape[1]
+    statistic = {"cq2": t_cq2, "wmw": t_wmw}
+    values = {
+        stat: statistic[stat](x, y)
+        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
+    }
+    snap = gamma1_hat(x, y) if METHOD_ASYMPTOTIC in methods else None
+    if METHOD_RSRM_ORACLE in methods:
+        terms = two_sample_oracle_terms(aux, x.shape[0], y.shape[0])
+        # Variances of d * T_WMW and T_CQ2: plug-in z at sigma1^2 + sigma2^2 = 1.
+        oracle_var = {"wmw": terms.s2, "cq2": terms.s3}
+    perm_stats = _stats_for(tests, METHOD_PERMUTATION)
+    if perm_stats:
+        drawn = permutation_pvalues_two_sample(
+            x, y, perm_stats, n_resamples, np.random.default_rng(rng)
+        )
+
+    seed = rng if isinstance(rng, (int, np.integer)) else None
+    reports = {}
+    for stat, method in tests:
+        if method == METHOD_PERMUTATION:
+            report = _report(stat, *drawn[stat], alpha, method,
+                             n_resamples=n_resamples, seed=seed)
+        elif method == METHOD_ASYMPTOTIC:
+            z = two_sample_z(
+                stat, values[stat], d, snap.sigma1_sq, snap.sigma2_sq, snap.gamma
+            )
+            report = _report(stat, values[stat], gaussian_sf(z), alpha, method,
+                             z=z, nuisance=snap)
+        else:
+            z = two_sample_z(stat, values[stat], d, 0.5, 0.5, oracle_var[stat])
+            report = _report(stat, values[stat], gaussian_sf(z), alpha, method, z=z)
+        reports[(stat, method)] = report
+    return reports
+
+
+def evaluate_one_sample(
+    x, tests, alpha: float = 0.05, n_resamples: int = 500, rng=None, aux=None
+) -> dict:
+    """{(stat, method): TestReport} for every pair in ``tests`` on the
+    sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
+    ``evaluate_two_sample``, with one set of flip patterns.
+    """
+    methods = _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha)
+    x = as_matrix(x)
+    n, d = x.shape
+    statistic = {"cq1": t_cq1, "s": t_s, "sr": t_sr}
+    values = {
+        stat: statistic[stat](x)
+        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
+    }
+    snap = gamma2_hat(x) if METHOD_ASYMPTOTIC in methods else None
+    if METHOD_RSRM_ORACLE in methods:
+        terms = one_sample_oracle_terms(aux, n)
+        # Variances of d * T_S, d * T_SR and T_CQ1: plug-in z at sigma^2 = 1.
+        oracle_var = {"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}
+    flip_stats = _stats_for(tests, METHOD_SIGNFLIP)
+    if flip_stats:
+        drawn = signflip_pvalues_one_sample(
+            x, flip_stats, n_resamples, np.random.default_rng(rng)
+        )
+
+    seed = rng if isinstance(rng, (int, np.integer)) else None
+    reports = {}
+    for stat, method in tests:
+        if method == METHOD_SIGNFLIP:
+            report = _report(stat, *drawn[stat], alpha, method,
+                             n_resamples=n_resamples, seed=seed)
+        elif method == METHOD_ASYMPTOTIC:
+            z = one_sample_z(stat, values[stat], d, snap.sigma1_sq, snap.gamma)
+            report = _report(stat, values[stat], gaussian_sf(z), alpha, method,
+                             z=z, nuisance=snap)
+        else:
+            z = one_sample_z(stat, values[stat], d, 1.0, oracle_var[stat])
+            report = _report(stat, values[stat], gaussian_sf(z), alpha, method, z=z)
+        reports[(stat, method)] = report
+    return reports
+
+
+def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:
+    """Gaussian plug-in test of E(X) = 0 for stat in {cq1, s, sr}."""
+    key = (stat, METHOD_ASYMPTOTIC)
+    return evaluate_one_sample(x, [key], alpha)[key]
+
+
+def asymptotic_two_sample(x, y, stat: str, alpha: float = 0.05) -> TestReport:
+    """Gaussian plug-in test of E(X) = E(Y) for stat in {cq2, wmw}."""
+    key = (stat, METHOD_ASYMPTOTIC)
+    return evaluate_two_sample(x, y, [key], alpha)[key]
+
+
+def randomization_two_sample(
+    x, y, stat: str, alpha: float = 0.05, n_resamples: int = 500, seed: int = 0
+) -> TestReport:
+    """Permutation test: pooled rows are relabeled into groups of the
+    original sizes, the statistic is recomputed for each relabeling, and
+    the add-one upper-tail p-value is reported.
+    """
+    key = (stat, METHOD_PERMUTATION)
+    return evaluate_two_sample(x, y, [key], alpha, n_resamples, seed)[key]
+
+
+def randomization_one_sample(
+    x, stat: str, alpha: float = 0.05, n_resamples: int = 500, seed: int = 0
+) -> TestReport:
+    """Sign-flip test: each resample multiplies every row by an independent
+    fair +-1 and recomputes the statistic.  Exact under symmetric nulls.
+    """
+    key = (stat, METHOD_SIGNFLIP)
+    return evaluate_one_sample(x, [key], alpha, n_resamples, seed)[key]
+
+
 def rsrm_oracle_two_sample(
     x, y, aux: RsrmAuxiliary, stat: str, alpha: float = 0.05
 ) -> TestReport:
@@ -499,42 +565,13 @@ def rsrm_oracle_two_sample(
 
     Only usable where the latent scales are known, i.e. in simulation.
     """
-    _check_alpha(alpha)
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    d = x.shape[1]
-    terms = two_sample_oracle_terms(aux, x.shape[0], y.shape[0])
-    if stat == "wmw":
-        value = t_wmw(x, y)
-        z = d * value / math.sqrt(terms.s2)
-    elif stat == "cq2":
-        value = t_cq2(x, y)
-        z = value / math.sqrt(terms.s3)
-    else:
-        raise ValueError(f"oracle backend supports cq2 and wmw, not {stat!r}")
-    return _report_from_z(stat, value, z, alpha, METHOD_RSRM_ORACLE)
+    key = (stat, METHOD_RSRM_ORACLE)
+    return evaluate_two_sample(x, y, [key], alpha, aux=aux)[key]
 
 
 def rsrm_oracle_one_sample(
     x, aux: RsrmAuxiliary, stat: str, alpha: float = 0.05
 ) -> TestReport:
     """One-sample test standardized by the conditional oracle variances."""
-    _check_alpha(alpha)
-    x = as_matrix(x)
-    n, d = x.shape
-    terms = one_sample_oracle_terms(aux, n)
-    if stat == "s":
-        value = t_s(x)
-        z = d * value / math.sqrt(terms.gamma3)
-    elif stat == "sr":
-        if terms.z3 is None:
-            raise TooFewObservationsError("oracle signed-rank test needs at least 4 rows")
-        value = t_sr(x)
-        z = d * value / (2.0 * math.sqrt(terms.z3))
-    elif stat == "cq1":
-        value = t_cq1(x)
-        z = value / math.sqrt(terms.z4)
-    else:
-        raise ValueError(f"oracle backend supports cq1, s and sr, not {stat!r}")
-    return _report_from_z(stat, value, z, alpha, METHOD_RSRM_ORACLE)
+    key = (stat, METHOD_RSRM_ORACLE)
+    return evaluate_one_sample(x, [key], alpha, aux=aux)[key]

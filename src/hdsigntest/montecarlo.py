@@ -22,21 +22,15 @@ from .errors import (
     InvalidSpecError,
     SubsampleTooSmallError,
 )
-from .generators import SHIFT_FIRST, SHIFT_ZERO, GeneratorSpec, generate
+from .generators import SHIFT_FIRST, SHIFT_ZERO, GeneratorSpec, RsrmAuxiliary, generate
 from .inference import (
     METHOD_ASYMPTOTIC,
     METHOD_PERMUTATION,
     METHOD_RSRM_ORACLE,
-    RsrmAuxiliary,
-    gaussian_sf,
-    permutation_pvalues_two_sample,
-    two_sample_oracle_terms,
-    two_sample_z,
+    TWO_SAMPLE_METHODS,
+    evaluate_two_sample,
 )
-from .nuisance import gamma1_hat
-from .statistics import TWO_SAMPLE_STATS, as_matrix, t_cq2, t_wmw
-
-STUDY_METHODS = (METHOD_ASYMPTOTIC, METHOD_PERMUTATION, METHOD_RSRM_ORACLE)
+from .statistics import TWO_SAMPLE_STATS, as_matrix
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class ExperimentPlan:
         for stat, method in self.tests:
             if stat not in TWO_SAMPLE_STATS:
                 raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
-            if method not in STUDY_METHODS:
+            if method not in TWO_SAMPLE_METHODS:
                 raise InvalidSpecError(f"unknown method {method!r}")
 
     def to_dict(self) -> dict:
@@ -134,42 +128,18 @@ def _replicate_rejections(plan, d, c, g_idx, r) -> dict:
     x, aux_x = generate(base.with_shift(SHIFT_ZERO, 0.0), plan.m, rng)
     y, aux_y = generate(base.with_shift(plan.shift_style, c), plan.n, rng)
 
-    methods = {method for _, method in plan.tests}
-    rejected = {}
-
-    if METHOD_ASYMPTOTIC in methods:
-        snap = gamma1_hat(x, y)
-        for stat, method in plan.tests:
-            if method != METHOD_ASYMPTOTIC:
-                continue
-            value = (t_wmw if stat == "wmw" else t_cq2)(x, y)
-            z = two_sample_z(stat, value, d, snap.sigma1_sq, snap.sigma2_sq, snap.gamma)
-            rejected[(stat, method)] = gaussian_sf(z) <= plan.alpha
-
-    if METHOD_PERMUTATION in methods:
-        perm_stats = [s for s, meth in plan.tests if meth == METHOD_PERMUTATION]
-        res = permutation_pvalues_two_sample(
-            x, y, perm_stats, plan.n_resamples, np.random.default_rng(perm_seq)
-        )
-        for stat in perm_stats:
-            rejected[(stat, METHOD_PERMUTATION)] = res[stat][1] <= plan.alpha
-
-    if METHOD_RSRM_ORACLE in methods:
+    aux = None
+    if any(method == METHOD_RSRM_ORACLE for _, method in plan.tests):
         if aux_x is None or aux_y is None:
             raise InvalidSpecError(
                 f"model {plan.model!r} has no latent scales; the oracle backend "
                 "is only available for randomly scaled models"
             )
-        terms = two_sample_oracle_terms(_combined_aux(aux_x, aux_y, d), plan.m, plan.n)
-        for stat, method in plan.tests:
-            if method != METHOD_RSRM_ORACLE:
-                continue
-            if stat == "wmw":
-                z = d * t_wmw(x, y) / math.sqrt(terms.s2)
-            else:
-                z = t_cq2(x, y) / math.sqrt(terms.s3)
-            rejected[(stat, method)] = gaussian_sf(z) <= plan.alpha
-    return rejected
+        aux = _combined_aux(aux_x, aux_y, d)
+    reports = evaluate_two_sample(
+        x, y, plan.tests, plan.alpha, plan.n_resamples, perm_seq, aux
+    )
+    return {key: report.reject for key, report in reports.items()}
 
 
 def run_power_study(plan: ExperimentPlan) -> list:
@@ -218,27 +188,6 @@ class SubsampleRow:
     size: float
     power: float
     repetitions: int
-
-
-def _two_sample_pvalues(x, y, tests, alpha, n_resamples, perm_rng) -> dict:
-    out = {}
-    methods = {method for _, method in tests}
-    if METHOD_ASYMPTOTIC in methods:
-        snap = gamma1_hat(x, y)
-        for stat, method in tests:
-            if method != METHOD_ASYMPTOTIC:
-                continue
-            value = (t_wmw if stat == "wmw" else t_cq2)(x, y)
-            z = two_sample_z(
-                stat, value, x.shape[1], snap.sigma1_sq, snap.sigma2_sq, snap.gamma
-            )
-            out[(stat, method)] = gaussian_sf(z)
-    if METHOD_PERMUTATION in methods:
-        perm_stats = [s for s, meth in tests if meth == METHOD_PERMUTATION]
-        res = permutation_pvalues_two_sample(x, y, perm_stats, n_resamples, perm_rng)
-        for stat in perm_stats:
-            out[(stat, METHOD_PERMUTATION)] = res[stat][1]
-    return out
 
 
 def run_subsample_protocol(
@@ -294,16 +243,11 @@ def run_subsample_protocol(
             seq = np.random.SeedSequence((seed, phase, r))
             draw_seq, perm_seq = seq.spawn(2)
             idx = np.random.default_rng(draw_seq).permutation(rows)[: 2 * k]
-            pvals = _two_sample_pvalues(
-                data[idx[:k]],
-                data[idx[k:]],
-                tests,
-                alpha,
-                n_resamples,
-                np.random.default_rng(perm_seq),
+            reports = evaluate_two_sample(
+                data[idx[:k]], data[idx[k:]], tests, alpha, n_resamples, perm_seq
             )
-            for key, p in pvals.items():
-                size_hits[key] += int(p <= alpha)
+            for key, report in reports.items():
+                size_hits[key] += int(report.reject)
 
     for r in range(repetitions):
         seq = np.random.SeedSequence((seed, 2, r))
@@ -311,11 +255,9 @@ def run_subsample_protocol(
         rng = np.random.default_rng(draw_seq)
         sub_a = class_a[rng.permutation(rows_a)[:k_a]]
         sub_b = class_b[rng.permutation(rows_b)[:k_b]]
-        pvals = _two_sample_pvalues(
-            sub_a, sub_b, tests, alpha, n_resamples, np.random.default_rng(perm_seq)
-        )
-        for key, p in pvals.items():
-            power_hits[key] += int(p <= alpha)
+        reports = evaluate_two_sample(sub_a, sub_b, tests, alpha, n_resamples, perm_seq)
+        for key, report in reports.items():
+            power_hits[key] += int(report.reject)
 
     rows_out = []
     for stat, method in sorted(tests, key=lambda t: (t[1], t[0])):

@@ -72,6 +72,22 @@ def _row_signs(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms[:, None]
 
 
+def _pair_sum_signs(x: np.ndarray) -> np.ndarray:
+    """W_ab = S(X_a + X_b) for a != b, with a zero diagonal."""
+    sums = x[:, None, :] + x[None, :, :]
+    norms = np.linalg.norm(sums, axis=2)
+    np.fill_diagonal(norms, 1.0)
+    if np.any(norms == 0.0):
+        a, b = np.argwhere(norms == 0.0)[0]
+        raise ZeroVectorError(
+            f"pairwise sum of observations {int(a)} and {int(b)} is the zero vector"
+        )
+    w = sums / norms[:, :, None]
+    idx = np.arange(x.shape[0])
+    w[idx, idx, :] = 0.0
+    return w
+
+
 def t_cq1(x) -> float:
     """One-sample mean-based statistic: the average of X_i1'X_i2 over
     ordered pairs of distinct indices.  Unbiased for ||E(X)||^2.
@@ -87,7 +103,8 @@ def t_cq1(x) -> float:
 
 
 def t_cq2(x, y) -> float:
-    """Two-sample mean-based statistic, unbiased for ||E(X - Y)||^2.
+    """Two-sample mean-based statistic of Chen & Qin (2010, Ann. Statist.),
+    unbiased for ||E(X - Y)||^2.
 
     The quadruple sum over distinct index pairs expands into the two
     within-sample pair sums plus a full cross term:
@@ -95,6 +112,10 @@ def t_cq2(x, y) -> float:
         T = sum_{i1!=i2} X_i1'X_i2 / (m)_2
           + sum_{j1!=j2} Y_j1'Y_j2 / (n)_2
           - 2 sum_{i,j} X_i'Y_j / (mn)
+
+    T is invariant to a common shift of both samples.  Both are centred on
+    the pooled mean first so that this also holds in floating point: with
+    raw rows, a large common offset cancels catastrophically.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -102,6 +123,9 @@ def t_cq2(x, y) -> float:
     _require_rows(y, 2, "y")
     _require_same_dim(x, y)
     m, n = x.shape[0], y.shape[0]
+    centre = np.vstack([x, y]).mean(axis=0)
+    x = x - centre
+    y = y - centre
     sx = x.sum(axis=0)
     sy = y.sum(axis=0)
     xx = (sx @ sx - np.einsum("ij,ij->", x, x)) / (m * (m - 1))
@@ -136,17 +160,7 @@ def t_sr(x) -> float:
     x = as_matrix(x)
     _require_rows(x, 4, "x")
     n = x.shape[0]
-    sums = x[:, None, :] + x[None, :, :]
-    norms = np.linalg.norm(sums, axis=2)
-    np.fill_diagonal(norms, 1.0)
-    if np.any(norms == 0.0):
-        a, b = np.argwhere(norms == 0.0)[0]
-        raise ZeroVectorError(
-            f"pairwise sum of observations {int(a)} and {int(b)} is the zero vector"
-        )
-    w = sums / norms[:, :, None]
-    idx = np.arange(n)
-    w[idx, idx, :] = 0.0
+    w = _pair_sum_signs(x)
     a_vec = w.sum(axis=(0, 1))
     b_rows = w.sum(axis=1)
     quad = a_vec @ a_vec - 4.0 * np.einsum("ij,ij->", b_rows, b_rows) + 2.0 * n * (n - 1)
@@ -189,15 +203,3 @@ def t_wmw(x, y) -> float:
     value = quad / (m * (m - 1) * n * (n - 1))
     return float(np.clip(value, -1.0, 1.0))
 
-
-def compute_statistic(kind: str, x, y=None) -> float:
-    """Evaluate a statistic by name: one of cq1, cq2, s, sr, wmw."""
-    if kind in ONE_SAMPLE_STATS:
-        if y is not None:
-            raise ValueError(f"statistic {kind!r} takes a single sample")
-        return {"cq1": t_cq1, "s": t_s, "sr": t_sr}[kind](x)
-    if kind in TWO_SAMPLE_STATS:
-        if y is None:
-            raise ValueError(f"statistic {kind!r} needs two samples")
-        return {"cq2": t_cq2, "wmw": t_wmw}[kind](x, y)
-    raise ValueError(f"unknown statistic kind {kind!r}")

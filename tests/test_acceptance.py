@@ -169,6 +169,7 @@ def spherical_study():
     return rates_by_key(run_power_study(plan))
 
 
+@pytest.mark.slow
 def test_criterion_4_rsrm_superiority(spherical_study):
     gaps = {
         (d, c): spherical_study[(d, "wmw", "permutation")]
@@ -180,6 +181,7 @@ def test_criterion_4_rsrm_superiority(spherical_study):
     assert report(4, ok, detail + f", bar {GAP_BAR}")
 
 
+@pytest.mark.slow
 def test_criterion_5_permutation_matches_oracle(spherical_study):
     diffs = {
         d: abs(
@@ -194,6 +196,7 @@ def test_criterion_5_permutation_matches_oracle(spherical_study):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_equicorrelated_advantage():
     plan = ExperimentPlan(
         model="equicorr-gauss",

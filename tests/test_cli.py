@@ -248,6 +248,20 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_bad_numeric_flags(self, sample_csvs):
+        xp, yp, _, _ = sample_csvs
+        for argv in (
+            ["two-sample", "--x", xp, "--y", yp, "--stat", "wmw",
+             "--method", "permutation", "--perms", "0"],
+            ["one-sample", "--x", xp, "--stat", "sr", "--method", "signflip",
+             "--perms", "-3"],
+            ["two-sample", "--x", xp, "--y", yp, "--stat", "cq2",
+             "--method", "asymptotic", "--alpha", "1.5"],
+        ):
+            code, _, err = run_cli(argv)
+            assert code == 2, argv
+            assert "usage error:" in err
+
     def test_missing_required_flag(self):
         code, _, _ = run_cli(["two-sample", "--stat", "cq2", "--method", "asymptotic"])
         assert code == 2

@@ -145,6 +145,7 @@ class TestPermutationBackend:
             report = randomization_two_sample(x, y, stat, n_resamples=199, seed=1)
             assert report.p_value == 1.0 / 200.0
 
+    @pytest.mark.slow
     def test_null_size_at_paper_scale(self):
         # Identical heavy-tailed distributions; permutation size must track
         # the nominal level.
@@ -172,14 +173,22 @@ class TestSignflipBackend:
         assert a == b
 
     def test_flip_statistics_match_public_functions(self):
-        rng = np.random.default_rng(51)
-        x = rng.standard_normal((7, 5))
-        flips = np.random.default_rng(8).integers(0, 2, size=(30, 7)) * 2.0 - 1.0
-        for stat, func in (("cq1", t_cq1), ("s", t_s), ("sr", t_sr)):
-            res = signflip_pvalues_one_sample(x, [stat], 30, np.random.default_rng(8))
-            direct = np.array([func(x * e[:, None]) for e in flips])
-            count = int(np.sum(direct >= func(x)))
-            assert abs(res[stat][1] - (1 + count) / 31.0) < 1e-12
+        cases = (
+            (np.random.default_rng(51).standard_normal((7, 5)), 30),
+            # n = 5 with 200 draws holds 18 constant patterns; each gives
+            # the observed statistic exactly and must count as a tie.
+            (np.random.default_rng(155).standard_normal((5, 4)) + 2.0, 200),
+        )
+        for x, draws in cases:
+            n = x.shape[0]
+            flips = np.random.default_rng(8).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
+            for stat, func in (("cq1", t_cq1), ("s", t_s), ("sr", t_sr)):
+                res = signflip_pvalues_one_sample(
+                    x, [stat], draws, np.random.default_rng(8)
+                )
+                direct = np.array([func(x * e[:, None]) for e in flips])
+                count = int(np.sum(direct >= func(x)))
+                assert abs(res[stat][1] - (1 + count) / (draws + 1.0)) < 1e-12, stat
 
     def test_pvalue_floor_large_shift(self):
         # n = 20 rows: the chance of drawing a constant flip pattern, which

@@ -200,8 +200,8 @@ class TestSubsampleProtocol:
 
 
 class TestPinnedSeededOutputs:
-    # Exact rates recorded before asymptotic, permutation and oracle outcomes
-    # were moved onto one evaluation path; seeded results must not move.
+    # Exact seeded rates of every method on both study paths: a change to
+    # how outcomes are evaluated must not move a single replicate.
     def test_spherical_mixed_study(self):
         plan = ExperimentPlan(
             model="spherical-t5",

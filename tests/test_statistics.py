@@ -14,6 +14,7 @@ from hdsigntest import (
     t_sr,
     t_wmw,
 )
+from hdsigntest.inference import permutation_pvalues_two_sample
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -102,6 +103,21 @@ class TestCq2:
     def test_too_few(self):
         with pytest.raises(TooFewObservationsError):
             t_cq2(np.zeros((1, 2)), np.zeros((3, 2)))
+
+    def test_location_offset(self):
+        # A common shift leaves the statistic unchanged, and must in floating
+        # point too, on the direct and the permutation path: uncentred sums
+        # of squares cancel (512.0 instead of 2.11 at offset 1e8).
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 100))
+        y = rng.standard_normal((20, 100))
+        base = t_cq2(x, y)
+        for offset, tol in ((1e6, 1e-9), (1e8, 1e-7)):
+            assert rel_err(t_cq2(x + offset, y + offset), base) < tol
+            res = permutation_pvalues_two_sample(
+                x + offset, y + offset, ["cq2"], 1, np.random.default_rng(0)
+            )
+            assert rel_err(res["cq2"][0], base) < tol
 
 
 class TestSpatialSignStat:
