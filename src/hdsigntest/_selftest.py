@@ -10,7 +10,7 @@ from . import _naive as naive
 from .generators import RsrmAuxiliary
 from .inference import one_sample_oracle_terms, two_sample_oracle_terms
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
-from .statistics import t_cq1, t_cq2, t_s, t_sr, t_wmw
+from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
 
 TOLERANCE = 1e-9
 
@@ -28,6 +28,9 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
+    # Flip patterns come from their own stream, so the instances above
+    # do not depend on them.
+    flip_rng = np.random.default_rng([seed, 1])
     worst: dict[str, float] = {}
 
     def record(name, value, reference):
@@ -56,6 +59,11 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         xb = rng.standard_normal((mb, d))
         yb = rng.standard_normal((nb, d))
         record("t_sr", t_sr(xb), naive.naive_t_sr(xb))
+        # Two mixed flip patterns: a constant one only reproduces t_sr.
+        flips = flip_rng.integers(0, 2, size=(2, mb)) * 2.0 - 1.0
+        flips[:, :2] = (1.0, -1.0)
+        for value, eps in zip(t_sr_flips(xb, flips), flips):
+            record("t_sr_flips", value, naive.naive_t_sr(xb * eps[:, None]))
         record("tr_sigma_sq", tr_sigma_sq_hat(xb), naive.naive_tr_sigma_sq(xb))
         naive_gamma = (
             2.0 * naive.naive_tr_sigma_sq(xb) / (mb * (mb - 1))

@@ -77,11 +77,21 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _count(text: str) -> int:
-    """argparse type of --perms, --reps and --trials: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _integer_at_least(minimum: int):
+    """argparse type: a decimal integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return int(text)
+
+    return parse
+
+
+_count = _integer_at_least(1)  # --perms, --reps and --trials
+_seed = _integer_at_least(0)  # --seed, as NumPy's seeding accepts it
 
 
 def _level(text: str) -> float:
@@ -99,7 +109,7 @@ def _add_common_test_flags(sub):
     sub.add_argument("--alpha", type=_level, default=0.05)
     sub.add_argument("--perms", type=_count, default=500,
                      help="number of resamples for randomization methods")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
@@ -137,7 +147,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--reps", type=_count, required=True)
     sim.add_argument("--alpha", type=_level, default=0.05)
     sim.add_argument("--perms", type=_count, default=500)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--rho", type=float, default=0.7)
     sim.add_argument("--beta", type=float, default=0.7)
     sim.add_argument("--shift-style", choices=("first-coordinate", "spread-equally"),
@@ -146,7 +156,7 @@ def build_parser() -> _Parser:
 
     self_p = subs.add_parser("selftest", help="validate fast paths against oracles")
     self_p.add_argument("--trials", type=_count, default=100)
-    self_p.add_argument("--seed", type=int, default=0)
+    self_p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -23,13 +23,9 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
     if not lines:
         raise DataFileError(f"{source}: file contains no data rows")
 
-    def parse_row(line):
-        return [cell.strip() for cell in line.split(",")]
-
-    first = parse_row(lines[0])
     start = 0
     try:
-        [float(cell) for cell in first]
+        [float(cell) for cell in lines[0].split(",")]
     except ValueError:
         start = 1
         if len(lines) == 1:
@@ -37,25 +33,19 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
 
     rows = []
     width = None
-    for offset, line in enumerate(lines[start:]):
-        rownum = offset + 1
-        cells = parse_row(line)
+    for rownum, line in enumerate(lines[start:], start=1):
+        cells = line.split(",")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise DataFileError(
                 f"{source}: row {rownum}: expected {width} fields, found {len(cells)}"
             )
-        values = []
-        for colnum, cell in enumerate(cells, start=1):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataFileError(
-                    f"{source}: row {rownum}, column {colnum}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-        rows.append(values)
+        try:
+            rows.append(np.array(cells, dtype=float))
+        except ValueError:
+            rows.append([_cell_value(cell, source, rownum, colnum)
+                         for colnum, cell in enumerate(cells, start=1)])
     matrix = np.array(rows, dtype=float)
     if not np.isfinite(matrix).all():
         bad = np.argwhere(~np.isfinite(matrix))[0]
@@ -64,6 +54,18 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
             "non-finite value"
         )
     return matrix
+
+
+def _cell_value(cell: str, source: str, rownum: int, colnum: int) -> float:
+    """float(cell), or a DataFileError naming the cell: the slow path that
+    runs only once a row has failed to convert as a whole."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataFileError(
+            f"{source}: row {rownum}, column {colnum}: "
+            f"non-numeric value {cell.strip()!r}"
+        ) from None
 
 
 def read_matrix_csv(path) -> np.ndarray:

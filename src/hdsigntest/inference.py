@@ -33,7 +33,6 @@ from .statistics import (
     ONE_SAMPLE_STATS,
     TWO_SAMPLE_STATS,
     as_matrix,
-    _pair_sum_signs,
     _require_rows,
     _require_same_dim,
     _row_signs,
@@ -41,6 +40,7 @@ from .statistics import (
     t_cq2,
     t_s,
     t_sr,
+    t_sr_flips,
     t_wmw,
 )
 
@@ -121,10 +121,14 @@ def two_sample_z(
 # Randomization backends.
 #
 # Resampled statistics are evaluated from quantities precomputed on the
-# pooled data (pairwise unit signs, Gram matrices), so one relabeling costs
-# O(mnd) instead of a full recomputation; batches of relabelings are reduced
-# with einsum.  The identity labeling and the all-plus flip pattern
-# reproduce the observed statistic through the same code path.
+# data, so no resample recomputes a statistic from scratch.  The
+# permutation wmw kernel precomputes the pooled pairwise unit differences
+# ((N, N, d)) and costs O(mnd) per relabeling; cq2 and the sign-flip cq1
+# and s work on a Gram matrix or the summed rows; the sign-flip sr kernel
+# (statistics.t_sr_flips) works on the n x n Gram matrix alone, O(n^3) per
+# flip pattern in one batched product.  Batches are reduced with einsum.
+# The identity labeling and the all-plus flip pattern reproduce the
+# observed statistic through the same code path.
 # ---------------------------------------------------------------------------
 
 
@@ -227,23 +231,6 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
     return results
 
 
-def _sr_from_flips(wplus, wminus, dup, flips, n):
-    denom = n * (n - 1) * (n - 2) * (n - 3)
-    out = np.empty(flips.shape[0])
-    for r, eps in enumerate(flips):
-        same = np.equal.outer(eps, eps)
-        if dup.any() and (dup & ~same).any():
-            raise ZeroVectorError(
-                "a sign flip turns a duplicate pair into a zero pairwise sum"
-            )
-        w = np.where(same[:, :, None], wplus, wminus) * eps[:, None, None]
-        a_vec = w.sum(axis=(0, 1))
-        b_rows = w.sum(axis=1)
-        quad = a_vec @ a_vec - 4.0 * np.einsum("ij,ij->", b_rows, b_rows)
-        out[r] = (quad + 2.0 * n * (n - 1)) / denom
-    return np.clip(out, -1.0, 1.0)
-
-
 def signflip_pvalues_one_sample(x, stats, n_resamples, rng):
     """Observed statistics and sign-flip p-values for several one-sample
     statistics over one shared set of flip patterns.
@@ -270,17 +257,7 @@ def signflip_pvalues_one_sample(x, stats, n_resamples, rng):
             values = (np.einsum("rd,rd->r", m_mat, m_mat) - n) / (n * (n - 1))
             values = np.clip(values, -1.0, 1.0)
         elif stat == "sr":
-            _require_rows(x, 4, "x")
-            wplus = _pair_sum_signs(x)
-            diffs = x[:, None, :] - x[None, :, :]
-            dnorm = np.linalg.norm(diffs, axis=2)
-            np.fill_diagonal(dnorm, 1.0)
-            dup = dnorm == 0.0
-            dnorm = np.where(dup, 1.0, dnorm)
-            wminus = diffs / dnorm[:, :, None]
-            idx = np.arange(n)
-            wminus[idx, idx, :] = 0.0
-            values = _sr_from_flips(wplus, wminus, dup, flips, n)
+            values = t_sr_flips(x, flips)
         else:
             raise ValueError(f"sign-flip backend supports cq1, s and sr, not {stat!r}")
         results[stat] = _add_one_pvalue(values[0], values[1:])

@@ -72,22 +72,6 @@ def _row_signs(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms[:, None]
 
 
-def _pair_sum_signs(x: np.ndarray) -> np.ndarray:
-    """W_ab = S(X_a + X_b) for a != b, with a zero diagonal."""
-    sums = x[:, None, :] + x[None, :, :]
-    norms = np.linalg.norm(sums, axis=2)
-    np.fill_diagonal(norms, 1.0)
-    if np.any(norms == 0.0):
-        a, b = np.argwhere(norms == 0.0)[0]
-        raise ZeroVectorError(
-            f"pairwise sum of observations {int(a)} and {int(b)} is the zero vector"
-        )
-    w = sums / norms[:, :, None]
-    idx = np.arange(x.shape[0])
-    w[idx, idx, :] = 0.0
-    return w
-
-
 def t_cq1(x) -> float:
     """One-sample mean-based statistic: the average of X_i1'X_i2 over
     ordered pairs of distinct indices.  Unbiased for ||E(X)||^2.
@@ -152,20 +136,101 @@ def t_sr(x) -> float:
     S(X_i1 + X_i2)'S(X_i3 + X_i4) over ordered quadruples of distinct
     indices.  Unbiased for ||E S(X_1 + X_2)||^2.
 
+    Evaluated as the all-plus pattern of ``t_sr_flips``: every term is a
+    function of the Gram matrix X X', so d enters once, through it.  A
+    pair whose ||X_a + X_b||^2 from the Gram matrix is below 1% of
+    ||X_a||^2 + ||X_b||^2 gets its sign S(X_a + X_b) from the rows
+    instead, where the Gram form would have lost digits to cancellation.
+    """
+    x = as_matrix(x)
+    return float(t_sr_flips(x, np.ones((1, x.shape[0])))[0])
+
+
+# A pair sum X_a +- X_b whose squared norm, taken from the Gram matrix, is
+# below this fraction of ||X_a||^2 + ||X_b||^2 has lost digits to
+# cancellation; its unit vector is computed from the rows instead.
+_NEAR_PAIR = 1e-2
+# Flip patterns per batch: at most about this many coefficients at a time.
+_FLIP_BATCH = 1 << 20
+
+
+def t_sr_flips(x, flips) -> np.ndarray:
+    """T_SR of the sample with row i multiplied by flips[r, i] = +-1, for
+    every row r of ``flips``.
+
     Reduction: with W_ab = S(X_a + X_b) (symmetric, diagonal unused),
     A = sum_{a != b} W_ab and B_a = sum_{b != a} W_ab, the quadruple sum
-    equals ||A||^2 - 4 sum_a ||B_a||^2 + 2n(n-1).  This identity is
-    conjectured algebra and is gated by oracle-equivalence tests.
+    equals ||A||^2 - 4 sum_a ||B_a||^2 + 2n(n-1): the terms that share an
+    index are the four ways to share one, less the two ways to share both.
+
+    Flipping by e gives W_ab = w_ab (e_a X_a + e_b X_b) with
+    w_ab = 1 / ||X_a + e_a e_b X_b||, picked per pair from two n x n
+    matrices.  So B_a = sum_j beta_aj X_j with beta_aa = e_a rho_a,
+    rho_a = sum_b w_ab, and beta_ab = w_ab e_b; A is the sum of the B_a.
+    ||A||^2 and sum_a ||B_a||^2 are then quadratic forms in G = X X',
+    one batched product beta G per batch of patterns, and d enters only
+    through G.
+
+    Near-coincident pairs: where ||X_a +- X_b||^2 from G is below
+    ``_NEAR_PAIR`` (G_aa + G_bb), the unit vector of X_a +- X_b is
+    computed from the rows and joins G as an extra row and column, with
+    coefficient e_a in B_a and B_b.  An exactly zero pair sum raises
+    ZeroVectorError for the patterns that use it.
     """
     x = as_matrix(x)
     _require_rows(x, 4, "x")
     n = x.shape[0]
-    w = _pair_sum_signs(x)
-    a_vec = w.sum(axis=(0, 1))
-    b_rows = w.sum(axis=1)
-    quad = a_vec @ a_vec - 4.0 * np.einsum("ij,ij->", b_rows, b_rows) + 2.0 * n * (n - 1)
-    value = quad / (n * (n - 1) * (n - 2) * (n - 3))
-    return float(np.clip(value, -1.0, 1.0))
+    flips = np.asarray(flips, dtype=float)
+    gram = x @ x.T
+    diag = np.diagonal(gram)
+    scale = diag[:, None] + diag[None, :]
+    # Squared norms of X_a + X_b (kind 0) and X_a - X_b (kind 1).
+    sq = np.stack([scale + 2.0 * gram, scale - 2.0 * gram])
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    near = (sq <= _NEAR_PAIR * scale) & upper
+    kind, ia, ib = np.nonzero(near)
+    sums = x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib]
+    norms = np.linalg.norm(sums, axis=1)
+    zero = norms == 0.0
+    units = sums / np.where(zero, 1.0, norms)[:, None]
+    extra = units @ x.T
+    gram = np.block([[gram, extra.T], [extra, units @ units.T]])
+    use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
+    inv = np.zeros_like(sq)
+    inv[use] = 1.0 / np.sqrt(sq[use])
+
+    k = kind.size
+    idx = np.arange(n)
+    col = n + np.arange(k)
+    out = np.empty(flips.shape[0])
+    step = max(1, _FLIP_BATCH // (n * (n + k)))
+    for start in range(0, flips.shape[0], step):
+        eps = flips[start : start + step]
+        same = eps[:, :, None] == eps[:, None, :]
+        w = np.where(same, inv[0], inv[1])
+        beta = np.zeros((eps.shape[0], n, n + k))
+        beta[:, :, :n] = w * eps[:, None, :]
+        beta[:, idx, idx] = eps * w.sum(axis=2)
+        used = same[:, ia, ib] == (kind == 0)
+        if (used & zero).any():
+            p = int(np.argwhere(used & zero)[0, 1])
+            a, b = int(ia[p]), int(ib[p])
+            if kind[p] == 0:
+                raise ZeroVectorError(
+                    f"pairwise sum of observations {a} and {b} is the zero vector"
+                )
+            raise ZeroVectorError(
+                f"a sign flip turns observations {a} and {b} into a zero pairwise sum"
+            )
+        coef = used * eps[:, ia]
+        beta[:, ia, col] = coef
+        beta[:, ib, col] = coef
+        bg = beta @ gram
+        norm_a = np.einsum("rj,rj->r", bg.sum(axis=1), beta.sum(axis=1))
+        norm_b = np.einsum("raj,raj->r", bg, beta)
+        out[start : start + step] = norm_a - 4.0 * norm_b
+    value = (out + 2.0 * n * (n - 1)) / (n * (n - 1) * (n - 2) * (n - 3))
+    return np.clip(value, -1.0, 1.0)
 
 
 def t_wmw(x, y) -> float:

@@ -51,6 +51,10 @@ class TestCsvIo:
         with pytest.raises(DataFileError, match=r"row 2, column 3"):
             parse_matrix_csv("1,2,3\n4,5,oops\n")
 
+    def test_nan_cell_context(self):
+        with pytest.raises(DataFileError, match=r"row 2, column 1: non-finite"):
+            parse_matrix_csv("1,2,3\nnan,5,6\n")
+
     def test_empty_file(self):
         with pytest.raises(DataFileError):
             parse_matrix_csv("\n\n")
@@ -248,7 +252,7 @@ class TestUsageErrors:
         )
         assert code == 2
 
-    def test_bad_numeric_flags(self, sample_csvs):
+    def test_bad_numeric_flags(self, sample_csvs, tmp_path):
         xp, yp, _, _ = sample_csvs
         for argv in (
             ["two-sample", "--x", xp, "--y", yp, "--stat", "wmw",
@@ -257,6 +261,14 @@ class TestUsageErrors:
              "--perms", "-3"],
             ["two-sample", "--x", xp, "--y", yp, "--stat", "cq2",
              "--method", "asymptotic", "--alpha", "1.5"],
+            ["two-sample", "--x", xp, "--y", yp, "--stat", "cq2",
+             "--method", "permutation", "--perms", "10", "--seed", "-1"],
+            ["one-sample", "--x", xp, "--stat", "cq1", "--method", "signflip",
+             "--seed", "-1"],
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+             "--grid", "20:1", "--tests", "cq2:asym", "--reps", "2",
+             "--seed", "-1", "--out", str(tmp_path / "o.csv")],
+            ["selftest", "--trials", "1", "--seed", "-1"],
         ):
             code, _, err = run_cli(argv)
             assert code == 2, argv

@@ -128,14 +128,20 @@ class TestPermutationBackend:
         pool = np.vstack([x, y])
         draw_rng = np.random.default_rng(9)
         res = permutation_pvalues_two_sample(x, y, ["wmw", "cq2"], 25, draw_rng)
+        # The observed values must match the plain statistics.
+        assert abs(res["wmw"][0] - t_wmw(x, y)) < 1e-12
+        assert abs(res["cq2"][0] - t_cq2(x, y)) < 1e-12
+        # Identical rng consumption gives identical relabelings, so the
+        # plain statistics on each relabeled split give the same p-value.
         check_rng = np.random.default_rng(9)
+        splits = []
         for _ in range(25):
             sel = np.zeros(11, dtype=bool)
             sel[check_rng.permutation(11)[:5]] = True
-        # identical rng consumption implies identical relabelings; observed
-        # values must match the plain statistics.
-        assert abs(res["wmw"][0] - t_wmw(x, y)) < 1e-12
-        assert abs(res["cq2"][0] - t_cq2(x, y)) < 1e-12
+            splits.append((pool[sel], pool[~sel]))
+        for stat, func in (("wmw", t_wmw), ("cq2", t_cq2)):
+            count = sum(func(a, b) >= func(x, y) for a, b in splits)
+            assert res[stat][1] == (1 + count) / 26.0, stat
 
     def test_pvalue_floor_under_huge_shift(self):
         rng = np.random.default_rng(48)

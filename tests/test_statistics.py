@@ -1,5 +1,7 @@
 """Unit and property tests for the five statistics and their fast paths."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from hdsigntest import (
     t_wmw,
 )
 from hdsigntest.inference import permutation_pvalues_two_sample
+from hdsigntest.statistics import t_sr_flips
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -159,6 +162,39 @@ class TestSignedRankStat:
     def test_too_few(self):
         with pytest.raises(TooFewObservationsError):
             t_sr(np.eye(3))
+
+    def test_every_flip_matches_naive(self):
+        x = np.random.default_rng(60).standard_normal((6, 5)) + 0.3
+        flips = np.array(list(itertools.product((1.0, -1.0), repeat=6)))
+        values = t_sr_flips(x, flips)
+        for value, eps in zip(values, flips):
+            assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
+        assert values[0] == t_sr(x)
+
+    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10))
+    @pytest.mark.parametrize("sign", (1.0, -1.0), ids=("duplicate", "antipodal"))
+    def test_near_coincident_pair(self, dist, sign):
+        # Rows 0 and 1 nearly coincide (or nearly cancel); from the Gram
+        # matrix alone, ||X_0 -+ X_1|| would lose most of its digits.
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((7, 20)) + 0.3
+        u = rng.standard_normal(20)
+        x[1] = sign * x[0] + dist * np.linalg.norm(x[0]) * u / np.linalg.norm(u)
+        flips = rng.integers(0, 2, size=(16, 7)) * 2.0 - 1.0
+        # Half of the patterns flip row 1 against row 0, half keep them.
+        flips[:, 0] = 1.0
+        flips[:, 1] = np.tile((1.0, -1.0), 8)
+        assert abs(t_sr(x) - naive_t_sr(x)) < 1e-10
+        for value, eps in zip(t_sr_flips(x, flips), flips):
+            assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-10
+
+    def test_flip_splitting_duplicate_pair(self):
+        x = np.random.default_rng(62).standard_normal((5, 3))
+        x[3] = x[1]
+        kept, split = np.ones((1, 5)), np.array([[1.0, 1.0, 1.0, -1.0, 1.0]])
+        assert t_sr_flips(x, kept)[0] == t_sr(x)
+        with pytest.raises(ZeroVectorError):
+            t_sr_flips(x, split)
 
 
 class TestWmw:
