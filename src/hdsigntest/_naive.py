@@ -47,9 +47,12 @@ def naive_t_s(x) -> float:
 def naive_t_sr(x) -> float:
     x = as_matrix(x)
     n = x.shape[0]
+    signs = {
+        (i, j): spatial_sign(x[i] + x[j]) for i, j in itertools.permutations(range(n), 2)
+    }
     total = 0.0
     for i1, i2, i3, i4 in itertools.permutations(range(n), 4):
-        total += float(spatial_sign(x[i1] + x[i2]) @ spatial_sign(x[i3] + x[i4]))
+        total += float(signs[i1, i2] @ signs[i3, i4])
     return total / (n * (n - 1) * (n - 2) * (n - 3))
 
 
@@ -57,12 +60,11 @@ def naive_t_wmw(x, y) -> float:
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     m, n = x.shape[0], y.shape[0]
+    signs = [[spatial_sign(y[j] - x[i]) for j in range(n)] for i in range(m)]
     total = 0.0
     for i1, i2 in itertools.permutations(range(m), 2):
         for j1, j2 in itertools.permutations(range(n), 2):
-            total += float(
-                spatial_sign(y[j1] - x[i1]) @ spatial_sign(y[j2] - x[i2])
-            )
+            total += float(signs[i1][j1] @ signs[i2][j2])
     return total / (m * (m - 1) * n * (n - 1))
 
 

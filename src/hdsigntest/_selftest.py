@@ -8,7 +8,13 @@ import numpy as np
 
 from . import _naive as naive
 from .generators import RsrmAuxiliary
-from .inference import one_sample_oracle_terms, two_sample_oracle_terms
+from .inference import (
+    _cq2_from_masks,
+    _pooled_pair_signs,
+    _wmw_from_masks,
+    one_sample_oracle_terms,
+    two_sample_oracle_terms,
+)
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
 from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
 
@@ -28,9 +34,10 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    # Flip patterns come from their own stream, so the instances above
-    # do not depend on them.
+    # Flip patterns and relabelings come from their own streams, so the
+    # instances above do not depend on them.
     flip_rng = np.random.default_rng([seed, 1])
+    relabel_rng = np.random.default_rng([seed, 2])
     worst: dict[str, float] = {}
 
     def record(name, value, reference):
@@ -47,6 +54,23 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         record("t_cq2", t_cq2(x, y), naive.naive_t_cq2(x, y))
         record("t_s", t_s(x), naive.naive_t_s(x))
         record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y))
+        # Two mixed relabelings: pooled row 0 leaves the first group and
+        # rows 1 and m are in it, so neither is the identity nor its swap.
+        pool = np.vstack([x, y])
+        others = np.delete(np.arange(2, m + n), m - 2)
+        masks = np.zeros((2, m + n), dtype=bool)
+        for mask in masks:
+            mask[[1, m]] = True
+            mask[relabel_rng.permutation(others)[: m - 2]] = True
+        centred = pool - pool.mean(axis=0)
+        relabeled = (
+            (_cq2_from_masks(centred @ centred.T, masks, m, n), naive.naive_t_cq2),
+            (_wmw_from_masks(_pooled_pair_signs(pool)[0], masks, m, n),
+             naive.naive_t_wmw),
+        )
+        for values, oracle in relabeled:
+            for value, mask in zip(values, masks):
+                record("permutation_kernels", value, oracle(pool[mask], pool[~mask]))
         record(
             "tr_sigma_cross",
             tr_sigma_cross_hat(x, y),

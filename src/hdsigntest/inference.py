@@ -12,6 +12,8 @@ estimator (1 + #{resampled >= observed}) / (n_resamples + 1), which is
 valid at any finite resample count and never exactly zero.  The observed
 statistic is computed on the resampling path, as the identity relabeling
 or the all-plus flip pattern, so draws that reproduce it tie exactly.
+With m = n a relabeling and its swap give the same two-sample statistic;
+both are oriented to one mask, so a draw of the swapped split ties too.
 """
 
 from __future__ import annotations
@@ -123,18 +125,64 @@ def two_sample_z(
 # Resampled statistics are evaluated from quantities precomputed on the
 # data, so no resample recomputes a statistic from scratch.  The
 # permutation wmw kernel precomputes the pooled pairwise unit differences
-# ((N, N, d)) and costs O(mnd) per relabeling; cq2 and the sign-flip cq1
-# and s work on a Gram matrix or the summed rows; the sign-flip sr kernel
-# (statistics.t_sr_flips) works on the n x n Gram matrix alone, O(n^3) per
-# flip pattern in one batched product.  Batches are reduced with einsum.
-# The identity labeling and the all-plus flip pattern reproduce the
-# observed statistic through the same code path.
+# ((N, N, d)) and costs O(N^2 d) per relabeling; the permutation cq2
+# kernel is one product of the group indicators with the centred pooled
+# Gram matrix; the sign-flip cq1 and s kernels work on the summed rows and
+# the sign-flip sr kernel (statistics.t_sr_flips) on the n x n Gram matrix
+# alone, O(n^3) per flip pattern in one batched product.
+#
+# Each kernel runs on one batch whose row 0 is the identity relabeling or
+# the all-plus flip pattern, so the observed statistic comes from the same
+# code path as the draws and a draw that reproduces it ties exactly.  With
+# m = n both two-sample statistics are symmetric in the groups, so every
+# relabeling is oriented to put pooled row 0 in the first group: a draw of
+# the swapped split is then the identity mask and ties too.
 # ---------------------------------------------------------------------------
+
+# Relabelings per block of the permutation backend, so memory does not
+# grow with n_resamples.
+_PERM_BATCH = 1024
 
 
 def _add_one_pvalue(obs, draws) -> tuple:
     p = (1.0 + int(np.sum(draws >= obs))) / (draws.shape[0] + 1.0)
     return float(obs), float(p)
+
+
+def _spans(total: int, cap: int) -> list:
+    """(start, stop) of consecutive blocks of ``cap`` rows covering
+    range(total), with a last block of a single row joined to the one
+    before it.
+
+    NumPy hands a one-row product to gemv, which rounds differently from
+    gemm, and a relabeling must get the same value in every row of every
+    block.  Equal block sizes also let freed work arrays be reused.
+    """
+    stops = list(range(cap, total, cap))
+    if stops and total - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [total]))
+
+
+def _relabeling_blocks(m: int, n: int, n_resamples: int, rng):
+    """Boolean relabeling masks of the m + n pooled rows (True = first
+    group), in blocks of ``_PERM_BATCH`` rows as ``_spans`` cuts them:
+    the identity, then ``n_resamples`` draws.
+
+    The draws consume ``rng`` exactly as ``n_resamples`` calls of
+    ``rng.permutation(m + n)[:m]`` would, and give the same masks.  With
+    m = n each mask is oriented to hold pooled row 0.
+    """
+    big = m + n
+    for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
+        lead = int(start == 0)
+        masks = np.zeros((stop - start, big), dtype=bool)
+        masks[:lead, :m] = True
+        picks = rng.permuted(np.tile(np.arange(big), (stop - start - lead, 1)), axis=1)
+        np.put_along_axis(masks[lead:], picks[:, :m], True, axis=1)
+        if m == n:
+            masks ^= ~masks[:, :1]
+        yield masks
 
 
 def _pooled_pair_signs(pool: np.ndarray):
@@ -156,8 +204,8 @@ def _wmw_from_masks(signs, xmask, m, n, chunk=64):
     """T_WMW for each relabeling; xmask is (R, N) boolean, True = first group."""
     out = np.empty(xmask.shape[0])
     denom = m * (m - 1) * n * (n - 1)
-    for start in range(0, xmask.shape[0], chunk):
-        u = xmask[start : start + chunk].astype(float)
+    for start, stop in _spans(xmask.shape[0], chunk):
+        u = xmask[start:stop].astype(float)
         v = 1.0 - u
         # a runs over pooled rows on the second-group side, b on the first.
         a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
@@ -166,18 +214,26 @@ def _wmw_from_masks(signs, xmask, m, n, chunk=64):
         r_term = np.einsum("rbd,rbd,rb->r", a_cols, a_cols, u, optimize=True)
         b_rows = np.einsum("rb,abd->rad", u, signs, optimize=True)
         c_term = np.einsum("rad,rad,ra->r", b_rows, b_rows, v, optimize=True)
-        out[start : start + chunk] = (t_norm - r_term - c_term + m * n) / denom
+        out[start:stop] = (t_norm - r_term - c_term + m * n) / denom
     return np.clip(out, -1.0, 1.0)
 
 
 def _cq2_from_masks(gram, xmask, m, n):
-    """T_CQ2 for each relabeling from the pooled Gram matrix."""
-    diag = np.diagonal(gram)
+    """T_CQ2 for each relabeling from the centred pooled Gram matrix.
+
+    With the diagonal zeroed, so that only distinct pairs count, and u the
+    first-group indicator of a relabeling and v = 1 - u, the within-group
+    sums are u'Gu and v'Gv and the cross sum is u'Gv.  All three come from
+    one product u G per batch, with v'G = 1'G - u'G.
+    """
+    off = gram - np.diag(np.diagonal(gram))
     u = xmask.astype(float)
     v = 1.0 - u
-    xx = np.einsum("ra,ab,rb->r", u, gram, u, optimize=True) - u @ diag
-    yy = np.einsum("ra,ab,rb->r", v, gram, v, optimize=True) - v @ diag
-    cross = np.einsum("ra,ab,rb->r", u, gram, v, optimize=True)
+    ug = u @ off
+    vg = off.sum(axis=0) - ug
+    xx = np.einsum("ra,ra->r", ug, u)
+    yy = np.einsum("ra,ra->r", vg, v)
+    cross = np.einsum("ra,ra->r", ug, v)
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * cross / (m * n)
 
 
@@ -195,39 +251,34 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
         raise TooFewObservationsError("permutation test needs at least 2 rows per sample")
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    pool = np.vstack([x, y])
-    big = m + n
-    masks = np.zeros((n_resamples, big), dtype=bool)
-    for r in range(n_resamples):
-        masks[r, rng.permutation(big)[:m]] = True
-    obs_mask = np.zeros((1, big), dtype=bool)
-    obs_mask[0, :m] = True
-
-    results = {}
     for stat in stats:
-        if stat == "wmw":
-            signs, dup = _pooled_pair_signs(pool)
-            if dup.any():
-                all_masks = np.vstack([obs_mask, masks]).astype(float)
-                hit = np.einsum(
-                    "ra,rb,ab->r", all_masks, 1.0 - all_masks, dup.astype(float)
-                )
-                if (hit > 0).any():
+        if stat not in ("cq2", "wmw"):
+            raise ValueError(f"permutation backend supports cq2 and wmw, not {stat!r}")
+    pool = np.vstack([x, y])
+    if "wmw" in stats:
+        signs, dup = _pooled_pair_signs(pool)
+        first, second = np.nonzero(np.triu(dup))
+    if "cq2" in stats:
+        # Centred on the pooled mean, as in t_cq2: a raw Gram matrix
+        # loses the statistic to cancellation under a large offset.
+        centred = pool - pool.mean(axis=0)
+        gram = centred @ centred.T
+
+    values = {stat: [] for stat in stats}
+    for masks in _relabeling_blocks(m, n, n_resamples, rng):
+        for stat in stats:
+            if stat == "wmw":
+                if (masks[:, first] != masks[:, second]).any():
                     raise ZeroVectorError(
                         "a relabeling pairs two identical pooled observations"
                     )
-            obs = _wmw_from_masks(signs, obs_mask, m, n)[0]
-            draws = _wmw_from_masks(signs, masks, m, n)
-        elif stat == "cq2":
-            # Centred on the pooled mean, as in t_cq2: a raw Gram matrix
-            # loses the statistic to cancellation under a large offset.
-            centred = pool - pool.mean(axis=0)
-            gram = centred @ centred.T
-            obs = _cq2_from_masks(gram, obs_mask, m, n)[0]
-            draws = _cq2_from_masks(gram, masks, m, n)
-        else:
-            raise ValueError(f"permutation backend supports cq2 and wmw, not {stat!r}")
-        results[stat] = _add_one_pvalue(obs, draws)
+                values[stat].append(_wmw_from_masks(signs, masks, m, n))
+            else:
+                values[stat].append(_cq2_from_masks(gram, masks, m, n))
+    results = {}
+    for stat in stats:
+        drawn = np.concatenate(values[stat])
+        results[stat] = _add_one_pvalue(drawn[0], drawn[1:])
     return results
 
 

@@ -223,7 +223,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(["selftest", "--trials", "25"])
         assert code == 0
         for name in ("t_cq1", "t_cq2", "t_s", "t_sr", "t_wmw",
-                     "tr_sigma_sq", "tr_sigma_cross", "gamma1"):
+                     "permutation_kernels", "tr_sigma_sq", "tr_sigma_cross", "gamma1"):
             assert name in out
         assert "rsrm_one_sample_collapse" in out
         assert "rsrm_two_sample_collapse" in out

@@ -1,10 +1,12 @@
 """Tests for the asymptotic, randomization and latent-scale-oracle backends."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hdsigntest import inference
 from hdsigntest import (
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
@@ -112,6 +114,33 @@ class TestAsymptoticOneSample:
         assert abs(report.z - expected) < 1e-12
 
 
+def _split_tail_count(x, y, stat, splits):
+    """How many of the first-group index sets in ``splits`` give a statistic
+    at least the observed one.  The identity split, and with m = n its swap,
+    reproduce the observed statistic and count as ties; every other split
+    is compared by the plain statistic on it."""
+    func = {"cq2": t_cq2, "wmw": t_wmw}[stat]
+    m, n = x.shape[0], y.shape[0]
+    pool = np.vstack([x, y])
+    observed = func(x, y)
+    count = 0
+    for first in splits:
+        sel = np.zeros(m + n, dtype=bool)
+        sel[list(first)] = True
+        if sel[:m].all() or (m == n and sel[m:].all()):
+            count += 1
+        else:
+            count += func(pool[sel], pool[~sel]) >= observed
+    return count
+
+
+def _replayed_splits(big, m, n_resamples, rng):
+    """The first groups that the permutation backend draws from ``rng`` (a
+    Generator, or a seed for one), one rng.permutation call per resample."""
+    rng = np.random.default_rng(rng)
+    return [rng.permutation(big)[:m] for _ in range(n_resamples)]
+
+
 class TestPermutationBackend:
     def test_seed_determinism(self):
         rng = np.random.default_rng(46)
@@ -142,6 +171,68 @@ class TestPermutationBackend:
         for stat, func in (("wmw", t_wmw), ("cq2", t_cq2)):
             count = sum(func(a, b) >= func(x, y) for a, b in splits)
             assert res[stat][1] == (1 + count) / 26.0, stat
+
+    @pytest.mark.parametrize("batch", [inference._PERM_BATCH, 7])
+    def test_reproduced_splits_tie_exactly(self, batch, monkeypatch):
+        # m = n = 4: 2 of the 70 splits (the identity and its swap)
+        # reproduce the observed statistic, so about 9 of 300 draws tie.
+        # Blocks of 7 relabelings put the ties in many separate products.
+        monkeypatch.setattr(inference, "_PERM_BATCH", batch)
+        for m, n, seeds in ((4, 4, range(20)), (5, 3, range(5))):
+            for seed in seeds:
+                rng = np.random.default_rng(500 + seed)
+                x = rng.standard_normal((m, 6))
+                y = rng.standard_normal((n, 6))
+                res = permutation_pvalues_two_sample(
+                    x, y, ["cq2", "wmw"], 300, np.random.default_rng(seed)
+                )
+                splits = _replayed_splits(m + n, m, 300, seed)
+                for stat in ("cq2", "wmw"):
+                    count = _split_tail_count(x, y, stat, splits)
+                    assert res[stat][1] == (1 + count) / 301.0, (m, n, seed, stat)
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 3)])
+    def test_matches_exact_permutation_null(self, m, n):
+        # All C(m + n, m) relabelings are equally likely under the null, so
+        # the exact p-value is the share at least the observed statistic.
+        # The add-one estimate must lie within 5 Monte Carlo standard
+        # errors of it, plus the add-one offset 1 / (R + 1).
+        resamples = 20000
+        rng = np.random.default_rng(60 + m)
+        for shift in (0.0, 1.5):
+            x = rng.standard_normal((m, 5))
+            y = rng.standard_normal((n, 5)) + shift
+            splits = list(itertools.combinations(range(m + n), m))
+            res = permutation_pvalues_two_sample(
+                x, y, ["cq2", "wmw"], resamples, np.random.default_rng(61)
+            )
+            for stat in ("cq2", "wmw"):
+                exact = _split_tail_count(x, y, stat, splits) / len(splits)
+                bound = 5.0 * math.sqrt(exact * (1.0 - exact) / resamples)
+                assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
+                    shift, stat, res[stat][1], exact)
+
+    @pytest.mark.parametrize("batch", [inference._PERM_BATCH, 7])
+    def test_draw_follows_permutation_stream(self, batch, monkeypatch):
+        # One vectorised draw per block must give the masks, and leave the
+        # generator state, of one rng.permutation call per resample.  With
+        # m = n the masks are oriented to hold pooled row 0.  The 99 rows
+        # are 14 blocks of 7 and one row over, which joins the last block.
+        monkeypatch.setattr(inference, "_PERM_BATCH", batch)
+        for big, m in ((40, 20), (26, 13), (19, 13), (8, 4)):
+            rng = np.random.default_rng(big)
+            blocks = list(inference._relabeling_blocks(m, big - m, 98, rng))
+            masks = np.vstack(blocks)
+            assert min(len(block) for block in blocks) >= 2
+            check_rng = np.random.default_rng(big)
+            expected = np.zeros((99, big), dtype=bool)
+            expected[0, :m] = True
+            for r, first in enumerate(_replayed_splits(big, m, 98, check_rng), 1):
+                expected[r, first] = True
+            if 2 * m == big:
+                expected ^= ~expected[:, :1]
+            assert np.array_equal(masks, expected), (big, m)
+            assert rng.bit_generator.state == check_rng.bit_generator.state
 
     def test_pvalue_floor_under_huge_shift(self):
         rng = np.random.default_rng(48)
