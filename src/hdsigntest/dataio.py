@@ -31,22 +31,24 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
         if len(lines) == 1:
             raise DataFileError(f"{source}: only a header line, no data rows")
 
-    rows = []
-    width = None
-    for rownum, line in enumerate(lines[start:], start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+    rows = lines[start:]
+    width = rows[0].count(",") + 1
+    for rownum, line in enumerate(rows, start=1):
+        if line.count(",") + 1 != width:
             raise DataFileError(
-                f"{source}: row {rownum}: expected {width} fields, found {len(cells)}"
+                f"{source}: row {rownum}: expected {width} fields, "
+                f"found {line.count(',') + 1}"
             )
-        try:
-            rows.append(np.array(cells, dtype=float))
-        except ValueError:
-            rows.append([_cell_value(cell, source, rownum, colnum)
-                         for colnum, cell in enumerate(cells, start=1)])
-    matrix = np.array(rows, dtype=float)
+    try:
+        # One C-level pass over every cell; it accepts a subset of what
+        # float() does and parses it to the same double.
+        matrix = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        matrix = np.array([
+            [_cell_value(cell, source, rownum, colnum)
+             for colnum, cell in enumerate(line.split(","), start=1)]
+            for rownum, line in enumerate(rows, start=1)
+        ])
     if not np.isfinite(matrix).all():
         bad = np.argwhere(~np.isfinite(matrix))[0]
         raise DataFileError(
@@ -58,7 +60,7 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
 
 def _cell_value(cell: str, source: str, rownum: int, colnum: int) -> float:
     """float(cell), or a DataFileError naming the cell: the slow path that
-    runs only once a row has failed to convert as a whole."""
+    runs only once the cells have failed to convert as a whole."""
     try:
         return float(cell)
     except ValueError:

@@ -30,20 +30,19 @@ from .errors import (
     ZeroVectorError,
 )
 from .generators import RsrmAuxiliary
-from .nuisance import VarianceSnapshot, gamma1_hat, gamma2_hat
+from .nuisance import VarianceSnapshot, _two_sample_snapshot, gamma2_hat
 from .statistics import (
     ONE_SAMPLE_STATS,
     TWO_SAMPLE_STATS,
+    _TwoSampleGram,
     as_matrix,
     _require_rows,
     _require_same_dim,
     _row_signs,
     t_cq1,
-    t_cq2,
     t_s,
     t_sr,
     t_sr_flips,
-    t_wmw,
 )
 
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -259,8 +258,8 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
         signs, dup = _pooled_pair_signs(pool)
         first, second = np.nonzero(np.triu(dup))
     if "cq2" in stats:
-        # Centred on the pooled mean, as in t_cq2: a raw Gram matrix
-        # loses the statistic to cancellation under a large offset.
+        # Centred on the pooled mean: a raw Gram matrix loses the
+        # statistic to cancellation under a large offset.
         centred = pool - pool.mean(axis=0)
         gram = centred @ centred.T
 
@@ -475,12 +474,18 @@ def evaluate_two_sample(
     y = as_matrix(y, "y")
     _require_same_dim(x, y)
     d = x.shape[1]
-    statistic = {"cq2": t_cq2, "wmw": t_wmw}
-    values = {
-        stat: statistic[stat](x, y)
-        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
-    }
-    snap = gamma1_hat(x, y) if METHOD_ASYMPTOTIC in methods else None
+    values, snap = {}, None
+    if methods & {METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE}:
+        # d enters the statistics and nuisance estimates through this
+        # object's one Gram matrix alone.
+        gram = _TwoSampleGram(x, y)
+        statistic = {"cq2": gram.cq2, "wmw": gram.wmw}
+        values = {
+            stat: statistic[stat]()
+            for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
+        }
+        if METHOD_ASYMPTOTIC in methods:
+            snap = _two_sample_snapshot(gram)
     if METHOD_RSRM_ORACLE in methods:
         terms = two_sample_oracle_terms(aux, x.shape[0], y.shape[0])
         # Variances of d * T_WMW and T_CQ2: plug-in z at sigma1^2 + sigma2^2 = 1.

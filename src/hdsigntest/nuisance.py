@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import as_matrix, _require_same_dim
+from .statistics import _TwoSampleGram, _centred, _require_same_dim, as_matrix
 
 
 @dataclass(frozen=True)
@@ -43,30 +43,22 @@ class VarianceSnapshot:
         }
 
 
-def tr_sigma_sq_hat(x) -> float:
-    """Unbiased estimator of tr(Sigma^2) from one sample.
+def _tr_sq_from_gram(g: np.ndarray) -> float:
+    """tr(Sigma^2) estimate from the Gram matrix G = XX' of one sample.
 
-    Defined as the average of [(X_i1 - X_i2)'(X_i3 - X_i4)]^2 over ordered
-    quadruples of distinct indices, divided by 4.  With the Gram matrix
-    G = XX', expanding the square and counting coincidence patterns gives
+    The average of [(X_i1 - X_i2)'(X_i3 - X_i4)]^2 over ordered quadruples
+    of distinct indices, divided by 4.  Expanding the square and counting
+    coincidence patterns gives
 
         sum = 4(m-2)(m-3) S2 - 8(m-3) S3 + 4 S4
 
     where S2 = sum_{p!=q} G_pq^2, S3 sums G_pq G_pr over distinct triples
     and S4 sums G_pq G_rs over fully distinct quadruples; S3 and S4 reduce
-    to row sums of G by further inclusion-exclusion.
+    to row sums of G by further inclusion-exclusion.  The estimator only
+    involves differences of rows, so G of the centred sample gives the
+    same value and keeps the reduction well conditioned under any shift.
     """
-    x = as_matrix(x)
-    m = x.shape[0]
-    if m < 4:
-        raise TooFewObservationsError(
-            f"tr(Sigma^2) estimator needs at least 4 observations, got {m}"
-        )
-    # The estimator only involves differences X_i - X_j, so centering the
-    # sample changes nothing mathematically but keeps the Gram reduction
-    # well conditioned under large location shifts.
-    x = x - x.mean(axis=0)
-    g = x @ x.T
+    m = g.shape[0]
     diag = np.diagonal(g)
     rows = g.sum(axis=1) - diag
     s2 = np.einsum("ij,ij->", g, g) - diag @ diag
@@ -79,25 +71,18 @@ def tr_sigma_sq_hat(x) -> float:
     return float(max(value, 0.0))
 
 
-def tr_sigma_cross_hat(x, y) -> float:
-    """Unbiased estimator of tr(Sigma_1 Sigma_2) from two samples.
+def _tr_cross_from_gram(h: np.ndarray) -> float:
+    """tr(Sigma_1 Sigma_2) estimate from the cross Gram matrix H = XY'.
 
-    Average of [(X_i1 - X_i2)'(Y_j1 - Y_j2)]^2 over distinct i-pairs and
-    j-pairs, divided by 4.  Reduces to sums over the cross-Gram H = XY':
+    The average of [(X_i1 - X_i2)'(Y_j1 - Y_j2)]^2 over distinct i-pairs
+    and j-pairs, divided by 4, reduces to sums over H:
 
         sum = 4(m-1)(n-1) S - 4(m-1) S_row - 4(n-1) S_col + 4 S_disj
+
+    As for ``_tr_sq_from_gram``, H of the centred samples is the one to
+    use.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    m, n = x.shape[0], y.shape[0]
-    if m < 2 or n < 2:
-        raise TooFewObservationsError(
-            "tr(Sigma_1 Sigma_2) estimator needs at least 2 observations per sample"
-        )
-    x = x - x.mean(axis=0)
-    y = y - y.mean(axis=0)
-    h = x @ y.T
+    m, n = h.shape
     sq = np.einsum("ij,ij->", h, h)
     rows = h.sum(axis=1)
     cols = h.sum(axis=0)
@@ -110,9 +95,37 @@ def tr_sigma_cross_hat(x, y) -> float:
     return float(max(value, 0.0))
 
 
+def tr_sigma_sq_hat(x) -> float:
+    """Unbiased estimator of tr(Sigma^2) from one sample; see
+    ``_tr_sq_from_gram``."""
+    x = as_matrix(x)
+    m = x.shape[0]
+    if m < 4:
+        raise TooFewObservationsError(
+            f"tr(Sigma^2) estimator needs at least 4 observations, got {m}"
+        )
+    rows = _centred(x)[0]
+    return _tr_sq_from_gram(rows @ rows.T)
+
+
+def tr_sigma_cross_hat(x, y) -> float:
+    """Unbiased estimator of tr(Sigma_1 Sigma_2) from two samples: the
+    G_xy block of their ``_TwoSampleGram``; see ``_tr_cross_from_gram``."""
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    _require_same_dim(x, y)
+    m, n = x.shape[0], y.shape[0]
+    if m < 2 or n < 2:
+        raise TooFewObservationsError(
+            "tr(Sigma_1 Sigma_2) estimator needs at least 2 observations per sample"
+        )
+    return _tr_cross_from_gram(_TwoSampleGram(x, y).gram[:m, m:-1])
+
+
 def sigma_sq_hat(x) -> float:
     """Marginal variance pooled over coordinates: the per-coordinate sample
-    variance (denominator n-1) averaged over the d coordinates.
+    variance (denominator n-1) averaged over the d coordinates, which is
+    tr G / (d (n-1)) for the Gram matrix G of the centred rows.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -120,8 +133,8 @@ def sigma_sq_hat(x) -> float:
         raise TooFewObservationsError(
             f"variance estimator needs at least 2 observations, got {n}"
         )
-    centered = x - x.mean(axis=0)
-    return float(np.einsum("ij,ij->", centered, centered) / (d * (n - 1)))
+    rows = _centred(x)[0]
+    return float(np.einsum("ij,ij->", rows, rows) / (d * (n - 1)))
 
 
 def _check_gamma(gamma: float, scale: float) -> float:
@@ -138,32 +151,43 @@ def gamma1_hat(x, y) -> VarianceSnapshot:
 
     gamma = 2 tr(S1^2)/(m)_2 + 2 tr(S2^2)/(n)_2 + 4 tr(S1 S2)/(mn), all
     traces replaced by their unbiased estimates; also records the pooled
-    marginal variances of both samples.
+    marginal variances of both samples.  Every field is read from the
+    blocks of one ``_TwoSampleGram``: tr1 from G_xx, tr2 from G_yy, tr12
+    from G_xy, and sigma1^2 = tr G_xx / (d(m-1)), sigma2^2 likewise.
+    Each block is a Gram matrix of rows centred on their own sample mean,
+    so every field is unchanged by separate shifts of x and y.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     _require_same_dim(x, y)
-    m, n = x.shape[0], y.shape[0]
+    return _two_sample_snapshot(_TwoSampleGram(x, y))
+
+
+def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
+    """``gamma1_hat`` from the samples' ``_TwoSampleGram``."""
+    m, n, d = gram.m, gram.n, gram.d
     if m < 4 or n < 4:
         raise TooFewObservationsError(
             "two-sample variance estimation needs at least 4 observations per sample"
         )
-    tr1 = tr_sigma_sq_hat(x)
-    tr2 = tr_sigma_sq_hat(y)
-    tr12 = tr_sigma_cross_hat(x, y)
+    g = gram.gram
+    tr1 = _tr_sq_from_gram(g[:m, :m])
+    tr2 = _tr_sq_from_gram(g[m:-1, m:-1])
+    tr12 = _tr_cross_from_gram(g[:m, m:-1])
     gamma = (
         2.0 * tr1 / (m * (m - 1))
         + 2.0 * tr2 / (n * (n - 1))
         + 4.0 * tr12 / (m * n)
     )
     gamma = _check_gamma(gamma, tr1 + tr2 + tr12)
+    diag = np.diagonal(g)
     return VarianceSnapshot(
         tr_sigma1_sq=tr1,
         tr_sigma2_sq=tr2,
         tr_sigma_cross=tr12,
         gamma=gamma,
-        sigma1_sq=sigma_sq_hat(x),
-        sigma2_sq=sigma_sq_hat(y),
+        sigma1_sq=float(diag[:m].sum() / (d * (m - 1))),
+        sigma2_sq=float(diag[m:-1].sum() / (d * (n - 1))),
     )
 
 

@@ -97,25 +97,21 @@ def t_cq2(x, y) -> float:
           + sum_{j1!=j2} Y_j1'Y_j2 / (n)_2
           - 2 sum_{i,j} X_i'Y_j / (mn)
 
-    T is invariant to a common shift of both samples.  Both are centred on
-    the pooled mean first so that this also holds in floating point: with
-    raw rows, a large common offset cancels catastrophically.
+    Write X_i = Xbar + Xc_i and Y_j = Ybar + Yc_j, with centred rows that
+    sum to zero, and delta = Ybar - Xbar.  Then
+    sum_{i1!=i2} X_i1'X_i2 = ||sum_i X_i||^2 - sum_i ||X_i||^2
+    = (m)_2 ||Xbar||^2 - tr G_xx, with G the Gram matrix of the centred
+    rows, and the cross sum is mn Xbar'Ybar, so
+
+        T = ||delta||^2 - tr G_xx / (m)_2 - tr G_yy / (n)_2.
+
+    T is invariant to a common shift of both samples, and so is every term
+    here: the centring cancels the shift before any product is formed.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
-    _require_rows(x, 2, "x")
-    _require_rows(y, 2, "y")
     _require_same_dim(x, y)
-    m, n = x.shape[0], y.shape[0]
-    centre = np.vstack([x, y]).mean(axis=0)
-    x = x - centre
-    y = y - centre
-    sx = x.sum(axis=0)
-    sy = y.sum(axis=0)
-    xx = (sx @ sx - np.einsum("ij,ij->", x, x)) / (m * (m - 1))
-    yy = (sy @ sy - np.einsum("ij,ij->", y, y)) / (n * (n - 1))
-    cross = (sx @ sy) / (m * n)
-    return float(xx + yy - 2.0 * cross)
+    return _TwoSampleGram(x, y).cq2()
 
 
 def t_s(x) -> float:
@@ -146,9 +142,9 @@ def t_sr(x) -> float:
     return float(t_sr_flips(x, np.ones((1, x.shape[0])))[0])
 
 
-# A pair sum X_a +- X_b whose squared norm, taken from the Gram matrix, is
-# below this fraction of ||X_a||^2 + ||X_b||^2 has lost digits to
-# cancellation; its unit vector is computed from the rows instead.
+# A pair sum or difference whose squared norm, taken from a Gram matrix,
+# is at most this fraction of the squared norms of its summands has lost
+# digits to cancellation; its unit vector is computed from the rows instead.
 _NEAR_PAIR = 1e-2
 # Flip patterns per batch: at most about this many coefficients at a time.
 _FLIP_BATCH = 1 << 20
@@ -233,6 +229,104 @@ def t_sr_flips(x, flips) -> np.ndarray:
     return np.clip(value, -1.0, 1.0)
 
 
+def _centred(x: np.ndarray):
+    """(rows, mean, rest): x less its column means in two passes.  The
+    first subtracts the rounded mean, which under a large offset is exact
+    (the rows and their mean agree to within a factor of 2); the second
+    subtracts the mean ``rest`` of what is left, so the rows sum to zero
+    to rounding.  The sample's mean is mean + rest."""
+    mean = x.mean(axis=0)
+    rows = x - mean
+    rest = rows.mean(axis=0)
+    rows -= rest
+    return rows, mean, rest
+
+
+class _TwoSampleGram:
+    """Every inner product that the two-sample statistics and nuisance
+    estimators read, from one GEMM over d.
+
+    Each sample is centred on its own mean (``_centred``), and the centred
+    rows are stacked x first, then y, then delta = Ybar - Xbar as row N
+    (N = m + n): ``rows`` is (N + 1) x d and ``gram = rows rows'``.  Its
+    blocks G_xx, G_xy and G_yy are the Gram matrices of the centred
+    samples, its last row and column hold a = rows delta, and its corner
+    ||delta||^2.
+
+    delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
+    of ``_centred``: under a common offset the first difference is exact,
+    and delta + Yc_j - Xc_i equals Y_j - X_i up to rounding at the size
+    of the data, under common and separate offsets alike.  Each sample is
+    centred on its own mean straight from its rows, not after a pooled
+    centring, which would round both samples at the size of the gap
+    between their offsets; so the blocks, and every trace estimator that
+    reads them, are unchanged by separate shifts too.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        _require_rows(x, 2, "x")
+        _require_rows(y, 2, "y")
+        self.x, self.y = x, y
+        self.m, self.n = x.shape[0], y.shape[0]
+        self.d = x.shape[1]
+        xc, x_mean, x_rest = _centred(x)
+        yc, y_mean, y_rest = _centred(y)
+        delta = (y_mean - x_mean) + (y_rest - x_rest)
+        self.rows = np.vstack([xc, yc, delta])
+        self.gram = self.rows @ self.rows.T
+
+    def cq2(self) -> float:
+        """T_CQ2; see ``t_cq2``."""
+        m, n = self.m, self.n
+        diag = np.diagonal(self.gram)
+        return float(
+            diag[-1] - diag[:m].sum() / (m * (m - 1)) - diag[m:-1].sum() / (n * (n - 1))
+        )
+
+    def wmw(self) -> float:
+        """T_WMW; see ``t_wmw``."""
+        m, n = self.m, self.n
+        big = m + n
+        g = self.gram
+        diag = np.diagonal(g)
+        scale = diag[:m, None] + diag[None, m:big] + diag[big]
+        sq = scale - 2.0 * g[:m, m:big] + 2.0 * (g[big, m:big] - g[:m, big, None])
+        near = sq <= _NEAR_PAIR * scale
+        ia, ib = np.nonzero(near)
+        diffs = self.y[ib] - self.x[ia]
+        norms = np.linalg.norm(diffs, axis=1)
+        if (norms == 0.0).any():
+            p = int(np.flatnonzero(norms == 0.0)[0])
+            raise ZeroVectorError(
+                f"difference of y observation {int(ib[p])} and "
+                f"x observation {int(ia[p])} is zero"
+            )
+        w = np.zeros((m, n))
+        w[~near] = 1.0 / np.sqrt(sq[~near])
+        if ia.size:
+            # The unit vectors of near pairs join the basis (Xc, Yc, delta).
+            units = diffs / norms[:, None]
+            extra = units @ self.rows.T
+            g = np.block([[g, extra.T], [extra, units @ units.T]])
+
+        # Coefficients of R_i (rows :m) and C_j (rows m:) on the basis.
+        r_sum = w.sum(axis=1)
+        c_sum = w.sum(axis=0)
+        beta = np.zeros((big, g.shape[0]))
+        beta[:m, m:big] = w
+        beta[m:, :m] = -w.T
+        np.fill_diagonal(beta, np.concatenate([-r_sum, c_sum]))
+        beta[:, big] = np.concatenate([r_sum, c_sum])
+        col = big + 1 + np.arange(ia.size)
+        beta[ia, col] = 1.0
+        beta[m + ib, col] = 1.0
+        bg = beta @ g
+        t_norm = bg[:m].sum(axis=0) @ beta[:m].sum(axis=0)
+        quad = t_norm - np.einsum("ij,ij->", bg, beta) + m * n
+        value = quad / (m * (m - 1) * n * (n - 1))
+        return float(np.clip(value, -1.0, 1.0))
+
+
 def t_wmw(x, y) -> float:
     """Two-sample spatial-rank statistic: the average of U_i1j1'U_i2j2 with
     U_ij = S(Y_j - X_i) over distinct i-pairs and j-pairs.  Unbiased for
@@ -241,30 +335,37 @@ def t_wmw(x, y) -> float:
     Inclusion-exclusion over the coincidences i1=i2 and j1=j2: with
     T = sum_ij U_ij, R_i = sum_j U_ij and C_j = sum_i U_ij, the quadruple
     sum equals ||T||^2 - sum_i ||R_i||^2 - sum_j ||C_j||^2 + mn.
+
+    Every term is a quadratic form in one Gram matrix, so d enters once,
+    through ``_TwoSampleGram``.  With centred rows Xc_i, Yc_j and
+    delta = Ybar - Xbar, Y_j - X_i = delta + Yc_j - Xc_i, so
+
+        ||Y_j - X_i||^2 = G_ii + G_jj - 2 G_ij + 2 (a_j - a_i) + ||delta||^2
+
+    with G the Gram matrix of the centred rows, a_i = Xc_i'delta and
+    a_j = Yc_j'delta.  With w_ij = 1 / ||Y_j - X_i||, r_i = sum_j w_ij and
+    c_j = sum_i w_ij,
+
+        R_i = r_i delta - r_i Xc_i + sum_j w_ij Yc_j,
+        C_j = c_j delta + c_j Yc_j - sum_i w_ij Xc_i,
+        T   = sum_i R_i,
+
+    each a coefficient vector on the basis (Xc, Yc, delta), whose Gram
+    matrix [[G, a], [a', ||delta||^2]] is ``_TwoSampleGram.gram``.  So the
+    N squared norms of the R_i and C_j are the row sums of
+    (beta gram) * beta for one N x (N + 1) coefficient matrix beta,
+    ||T||^2 reuses the same product, and the work after the Gram matrix
+    is O(N^3), with no (m, n, d) array.
+    T_WMW is location-invariant, and the centring keeps it so in floating
+    point.
+
+    Near-coincident pairs: where ||Y_j - X_i||^2 from the Gram matrix is
+    at most ``_NEAR_PAIR`` (G_ii + G_jj + ||delta||^2), the squared norms
+    of its summands, the unit vector of Y_j - X_i is computed from the
+    rows and joins the basis as an extra row and column, with coefficient
+    1 in R_i and C_j.  An exactly zero difference raises ZeroVectorError.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
-    _require_rows(x, 2, "x")
-    _require_rows(y, 2, "y")
     _require_same_dim(x, y)
-    m, n = x.shape[0], y.shape[0]
-    diffs = y[None, :, :] - x[:, None, :]
-    norms = np.linalg.norm(diffs, axis=2)
-    if np.any(norms == 0.0):
-        i, j = np.argwhere(norms == 0.0)[0]
-        raise ZeroVectorError(
-            f"difference of y observation {int(j)} and x observation {int(i)} is zero"
-        )
-    u = diffs / norms[:, :, None]
-    t_vec = u.sum(axis=(0, 1))
-    r_rows = u.sum(axis=1)
-    c_cols = u.sum(axis=0)
-    quad = (
-        t_vec @ t_vec
-        - np.einsum("ij,ij->", r_rows, r_rows)
-        - np.einsum("ij,ij->", c_cols, c_cols)
-        + m * n
-    )
-    value = quad / (m * (m - 1) * n * (n - 1))
-    return float(np.clip(value, -1.0, 1.0))
-
+    return _TwoSampleGram(x, y).wmw()

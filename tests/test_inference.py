@@ -287,6 +287,27 @@ class TestSignflipBackend:
                 count = int(np.sum(direct >= func(x)))
                 assert abs(res[stat][1] - (1 + count) / (draws + 1.0)) < 1e-12, stat
 
+    def test_matches_exact_signflip_null(self):
+        # All 2^8 flip patterns are equally likely under a symmetric null,
+        # so the exact p-value is the share at least the observed statistic.
+        # The add-one estimate must lie within 5 Monte Carlo standard
+        # errors of it, plus the add-one offset 1 / (R + 1).
+        resamples = 20000
+        rng = np.random.default_rng(57)
+        flips = np.array(list(itertools.product((1.0, -1.0), repeat=8)))
+        for shift in (0.0, 0.8):
+            x = rng.standard_normal((8, 5)) + shift
+            res = signflip_pvalues_one_sample(
+                x, ["cq1", "s", "sr"], resamples, np.random.default_rng(58)
+            )
+            for stat, func in (("cq1", t_cq1), ("s", t_s), ("sr", t_sr)):
+                # Row 0 of flips is the all-plus pattern, the observed data.
+                values = np.array([func(x * eps[:, None]) for eps in flips])
+                exact = float(np.mean(values >= values[0]))
+                bound = 5.0 * math.sqrt(exact * (1.0 - exact) / resamples)
+                assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
+                    shift, stat, res[stat][1], exact)
+
     def test_pvalue_floor_large_shift(self):
         # n = 20 rows: the chance of drawing a constant flip pattern, which
         # would reproduce the observed statistic exactly, is negligible.

@@ -123,6 +123,17 @@ class TestGamma1:
         assert rel_err(shifted.tr_sigma1_sq, base.tr_sigma1_sq) < 1e-12
         assert rel_err(shifted.tr_sigma_cross, base.tr_sigma_cross) < 1e-12
 
+    def test_separate_large_offsets(self):
+        # Entries on a 2^-20 grid stay exact under shifts of 1e8 and -3e8,
+        # so every field must match the unshifted samples to rounding.
+        rng = np.random.default_rng(31)
+        x = np.round(rng.standard_normal((20, 100)) * 2.0**20) / 2.0**20
+        y = np.round(rng.standard_normal((20, 100)) * 2.0**20) / 2.0**20
+        base = gamma1_hat(x, y).to_dict()
+        shifted = gamma1_hat(x + 1e8, y - 3e8).to_dict()
+        for key, value in base.items():
+            assert rel_err(shifted[key], value) < 1e-12, key
+
     def test_recomposition(self):
         rng = np.random.default_rng(28)
         x = rng.standard_normal((6, 4))

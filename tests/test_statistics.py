@@ -218,6 +218,26 @@ class TestWmw:
         with pytest.raises(ZeroVectorError):
             t_wmw(x, x.copy())
 
+    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10))
+    def test_near_coincident_pair(self, dist):
+        # y row 2 nearly coincides with x row 1; from the Gram matrix alone,
+        # ||Y_2 - X_1|| would lose most of its digits.
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal((5, 20)) + 0.3
+        y = rng.standard_normal((6, 20))
+        u = rng.standard_normal(20)
+        y[2] = x[1] + dist * np.linalg.norm(x[1]) * u / np.linalg.norm(u)
+        assert abs(t_wmw(x, y) - naive_t_wmw(x, y)) < 1e-10
+
+    def test_location_offset(self):
+        # Entries on a 2^-20 grid stay exact under a 1e8 shift, so the
+        # shifted samples are the same data and the value must not move.
+        rng = np.random.default_rng(64)
+        x = np.round(rng.standard_normal((20, 100)) * 2.0**20) / 2.0**20
+        y = np.round(rng.standard_normal((20, 100)) * 2.0**20) / 2.0**20
+        base = t_wmw(x, y)
+        assert abs(t_wmw(x + 1e8, y + 1e8) - base) < 1e-12
+
 
 class TestInvariances:
     def _random_instance(self, rng):
