@@ -10,7 +10,7 @@ from . import _naive as naive
 from .generators import RsrmAuxiliary
 from .inference import (
     _cq2_from_masks,
-    _pooled_pair_signs,
+    _pair_norms,
     _wmw_from_masks,
     one_sample_oracle_terms,
     two_sample_oracle_terms,
@@ -65,7 +65,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         centred = pool - pool.mean(axis=0)
         relabeled = (
             (_cq2_from_masks(centred @ centred.T, masks, m, n), naive.naive_t_cq2),
-            (_wmw_from_masks(_pooled_pair_signs(pool)[0], masks, m, n),
+            (_wmw_from_masks(pool, _pair_norms(pool)[0], masks, m, n),
              naive.naive_t_wmw),
         )
         for values, oracle in relabeled:
@@ -95,6 +95,19 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
             + 4.0 * naive.naive_tr_sigma_cross(xb, yb) / (mb * nb)
         )
         record("gamma1", gamma1_hat(xb, yb).gamma, naive_gamma)
+
+    # One instance wide enough for the permutation wmw kernel to read its
+    # pair differences in two column blocks, on its own stream.
+    wide_rng = np.random.default_rng([seed, 3])
+    m = n = 4
+    pool = wide_rng.standard_normal((m + n, 16387))
+    masks = np.zeros((3, m + n), dtype=bool)
+    masks[0, :m] = True
+    for mask in masks[1:]:
+        mask[wide_rng.permutation(m + n)[:m]] = True
+    values = _wmw_from_masks(pool, _pair_norms(pool)[0], masks, m, n)
+    for value, mask in zip(values, masks):
+        record("permutation_kernels", value, naive.naive_t_wmw(pool[mask], pool[~mask]))
 
     # Unit latent scales must collapse the oracle variances to the plain
     # mixing-model formulas.

@@ -123,12 +123,14 @@ def two_sample_z(
 #
 # Resampled statistics are evaluated from quantities precomputed on the
 # data, so no resample recomputes a statistic from scratch.  The
-# permutation wmw kernel precomputes the pooled pairwise unit differences
-# ((N, N, d)) and costs O(N^2 d) per relabeling; the permutation cq2
-# kernel is one product of the group indicators with the centred pooled
-# Gram matrix; the sign-flip cq1 and s kernels work on the summed rows and
-# the sign-flip sr kernel (statistics.t_sr_flips) on the n x n Gram matrix
-# alone, O(n^3) per flip pattern in one batched product.
+# permutation wmw kernel takes the pair norms from the pooled rows once and
+# forms the pairwise unit differences one block of columns at a time: its
+# time is still O(N^2 d) per relabeling, but its memory is O(N^2 · block),
+# with about ``_SIGN_BLOCK`` coefficients per block, not N^2 d.  The
+# permutation cq2 kernel is one product of the group indicators with the
+# centred pooled Gram matrix; the sign-flip cq1 and s kernels work on the
+# summed rows and the sign-flip sr kernel (statistics.t_sr_flips) on the
+# n x n Gram matrix alone, O(n^3) per flip pattern in one batched product.
 #
 # Each kernel runs on one batch whose row 0 is the identity relabeling or
 # the all-plus flip pattern, so the observed statistic comes from the same
@@ -184,36 +186,67 @@ def _relabeling_blocks(m: int, n: int, n_resamples: int, rng):
         yield masks
 
 
-def _pooled_pair_signs(pool: np.ndarray):
-    """Unit sign vectors of all pairwise differences pool[a] - pool[b].
+# Pair coefficients per column block of the pooled pairwise differences,
+# so memory does not grow as N^2 d.
+_SIGN_BLOCK = 1 << 20
 
-    Returns (signs, dup) where dup marks coincident rows; the diagonal of
-    signs is zeroed (a pooled row is never compared with itself).
-    """
-    diffs = pool[:, None, :] - pool[None, :, :]
-    norms = np.linalg.norm(diffs, axis=2)
+
+def _pair_differences(pool: np.ndarray):
+    """pool[a] - pool[b] for every pair of pooled rows, one (N, N, cols)
+    block of consecutive columns at a time, with about ``_SIGN_BLOCK``
+    coefficients per block."""
+    big, d = pool.shape
+    cols = max(1, _SIGN_BLOCK // (big * big))
+    for lo in range(0, d, cols):
+        block = pool[:, lo : lo + cols]
+        yield block[:, None, :] - block[None, :, :]
+
+
+def _pair_norms(pool: np.ndarray):
+    """(norms, dup): ||pool[a] - pool[b]|| for every pair, taken from the
+    rows, and the mask of coincident pairs.  The norms of the diagonal and
+    of coincident pairs are set to 1, so they divide their zero
+    differences harmlessly."""
+    sq = np.zeros((pool.shape[0],) * 2)
+    for diff in _pair_differences(pool):
+        sq += np.add.reduce(diff * diff, axis=2)
+    norms = np.sqrt(sq)
     np.fill_diagonal(norms, 1.0)
     dup = norms == 0.0
-    norms = np.where(dup, 1.0, norms)
-    signs = diffs / norms[:, :, None]
-    return signs, dup
+    norms[dup] = 1.0
+    return norms, dup
 
 
-def _wmw_from_masks(signs, xmask, m, n, chunk=64):
-    """T_WMW for each relabeling; xmask is (R, N) boolean, True = first group."""
-    out = np.empty(xmask.shape[0])
-    denom = m * (m - 1) * n * (n - 1)
-    for start, stop in _spans(xmask.shape[0], chunk):
-        u = xmask[start:stop].astype(float)
-        v = 1.0 - u
-        # a runs over pooled rows on the second-group side, b on the first.
-        a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
-        t_vec = np.einsum("rb,rbd->rd", u, a_cols)
-        t_norm = np.einsum("rd,rd->r", t_vec, t_vec)
-        r_term = np.einsum("rbd,rbd,rb->r", a_cols, a_cols, u, optimize=True)
-        b_rows = np.einsum("rb,abd->rad", u, signs, optimize=True)
-        c_term = np.einsum("rad,rad,ra->r", b_rows, b_rows, v, optimize=True)
-        out[start:stop] = (t_norm - r_term - c_term + m * n) / denom
+def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
+    """T_WMW for each relabeling; xmask is (R, N) boolean, True = first group.
+
+    U_ab is the unit vector of pool[a] - pool[b] (``norms`` from
+    ``_pair_norms``).  For a relabeling with first-group indicator u and
+    v = 1 - u, the sums of U_ab over a in the second group (``a_cols``)
+    and over b in the first (``b_rows``) are the R_i and C_j of
+    ``t_wmw``, and T is their total.  ||T||^2, sum ||R_i||^2 and
+    sum ||C_j||^2 are sums over coordinates, so they are accumulated over
+    the column blocks of ``_pair_differences``, each turned into unit
+    vectors once.
+    """
+    count = xmask.shape[0]
+    u_all = xmask.astype(float)
+    v_all = 1.0 - u_all
+    t_norm, r_term, c_term = np.zeros((3, count))
+    spans = _spans(count, chunk)
+    for signs in _pair_differences(pool):
+        signs /= norms[:, :, None]
+        for start, stop in spans:
+            u, v = u_all[start:stop], v_all[start:stop]
+            # a runs over pooled rows on the second-group side, b on the first.
+            a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
+            t_vec = np.einsum("rb,rbd->rd", u, a_cols)
+            b_rows = np.einsum("rb,abd->rad", u, signs, optimize=True)
+            part = slice(start, stop)
+            t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
+            r_term[part] += np.einsum("rbd,rbd,rb->r", a_cols, a_cols, u, optimize=True)
+            c_term[part] += np.einsum("rad,rad,ra->r", b_rows, b_rows, v, optimize=True)
+    out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
     return np.clip(out, -1.0, 1.0)
 
 
@@ -255,7 +288,7 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
             raise ValueError(f"permutation backend supports cq2 and wmw, not {stat!r}")
     pool = np.vstack([x, y])
     if "wmw" in stats:
-        signs, dup = _pooled_pair_signs(pool)
+        norms, dup = _pair_norms(pool)
         first, second = np.nonzero(np.triu(dup))
     if "cq2" in stats:
         # Centred on the pooled mean: a raw Gram matrix loses the
@@ -271,7 +304,7 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
                     raise ZeroVectorError(
                         "a relabeling pairs two identical pooled observations"
                     )
-                values[stat].append(_wmw_from_masks(signs, masks, m, n))
+                values[stat].append(_wmw_from_masks(pool, norms, masks, m, n))
             else:
                 values[stat].append(_cq2_from_masks(gram, masks, m, n))
     results = {}

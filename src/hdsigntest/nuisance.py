@@ -137,13 +137,23 @@ def sigma_sq_hat(x) -> float:
     return float(np.einsum("ij,ij->", rows, rows) / (d * (n - 1)))
 
 
-def _check_gamma(gamma: float, scale: float) -> float:
-    # Constant data cancels to ~0 up to float noise; refuse to standardize.
-    if not np.isfinite(gamma) or gamma <= 1e-12 * max(scale, 1e-300):
+def _check_gamma(gamma: float, spread: float) -> float:
+    """``gamma`` unless it is rounding noise, which it is when at most
+    1e-12 of ``spread``: the same functional with every trace
+    tr(S_k S_l) replaced by tr(S_k) tr(S_l), estimated as d sigma_k^2
+    from the centred rows.  That bounds gamma in the population and
+    measures the size of the data, while the trace estimators are
+    themselves rounding noise on data whose gamma is exactly zero.
+    """
+    if not np.isfinite(gamma) or gamma <= 1e-12 * max(spread, 1e-300):
         raise DegenerateVarianceError(
             "estimated variance of the statistic is zero; data are constant"
         )
     return gamma
+
+
+def _two_sample_gamma(tr1: float, tr2: float, tr12: float, m: int, n: int) -> float:
+    return 2.0 * tr1 / (m * (m - 1)) + 2.0 * tr2 / (n * (n - 1)) + 4.0 * tr12 / (m * n)
 
 
 def gamma1_hat(x, y) -> VarianceSnapshot:
@@ -174,20 +184,21 @@ def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
     tr1 = _tr_sq_from_gram(g[:m, :m])
     tr2 = _tr_sq_from_gram(g[m:-1, m:-1])
     tr12 = _tr_cross_from_gram(g[:m, m:-1])
-    gamma = (
-        2.0 * tr1 / (m * (m - 1))
-        + 2.0 * tr2 / (n * (n - 1))
-        + 4.0 * tr12 / (m * n)
-    )
-    gamma = _check_gamma(gamma, tr1 + tr2 + tr12)
     diag = np.diagonal(g)
+    sigma1_sq = float(diag[:m].sum() / (d * (m - 1)))
+    sigma2_sq = float(diag[m:-1].sum() / (d * (n - 1)))
+    s1, s2 = d * sigma1_sq, d * sigma2_sq
+    gamma = _check_gamma(
+        _two_sample_gamma(tr1, tr2, tr12, m, n),
+        _two_sample_gamma(s1 * s1, s2 * s2, s1 * s2, m, n),
+    )
     return VarianceSnapshot(
         tr_sigma1_sq=tr1,
         tr_sigma2_sq=tr2,
         tr_sigma_cross=tr12,
         gamma=gamma,
-        sigma1_sq=float(diag[:m].sum() / (d * (m - 1))),
-        sigma2_sq=float(diag[m:-1].sum() / (d * (n - 1))),
+        sigma1_sq=sigma1_sq,
+        sigma2_sq=sigma2_sq,
     )
 
 
@@ -200,10 +211,7 @@ def gamma2_hat(x) -> VarianceSnapshot:
             "one-sample variance estimation needs at least 4 observations"
         )
     tr1 = tr_sigma_sq_hat(x)
-    gamma = 2.0 * tr1 / (n * (n - 1))
-    gamma = _check_gamma(gamma, tr1)
-    return VarianceSnapshot(
-        tr_sigma1_sq=tr1,
-        gamma=gamma,
-        sigma1_sq=sigma_sq_hat(x),
-    )
+    sigma1_sq = sigma_sq_hat(x)
+    s1 = x.shape[1] * sigma1_sq
+    gamma = _check_gamma(2.0 * tr1 / (n * (n - 1)), 2.0 * s1 * s1 / (n * (n - 1)))
+    return VarianceSnapshot(tr_sigma1_sq=tr1, gamma=gamma, sigma1_sq=sigma1_sq)

@@ -77,6 +77,13 @@ def t_cq1(x) -> float:
     ordered pairs of distinct indices.  Unbiased for ||E(X)||^2.
 
     Reduction: sum_{i1 != i2} X_i1'X_i2 = ||sum_i X_i||^2 - sum_i ||X_i||^2.
+
+    Not location-invariant: an offset mu adds ||mu||^2 + 2 mu'Xbar to it.
+    The reduction subtracts sums of size about n^2 ||mu||^2, so its
+    rounding error is about eps ||mu||^2: relative to the value it stays at
+    machine precision under any offset (2e-16 at an offset of 1e6 on
+    8 x 30 data), while the part of the value that is not the offset's
+    loses digits as ||mu||^2 grows.
     """
     x = as_matrix(x)
     _require_rows(x, 2, "x")
@@ -117,6 +124,12 @@ def t_cq2(x, y) -> float:
 def t_s(x) -> float:
     """One-sample spatial-sign statistic: average of S(X_i1)'S(X_i2) over
     ordered distinct pairs.  Unbiased for ||E S(X)||^2; always in [-1, 1].
+
+    Not location-invariant: under an offset mu every sign tends to
+    mu / ||mu|| and T_S to 1.  Its absolute error stays about eps under
+    any offset (at most 2.2e-16 at offsets up to 1e6 on 8 x 30 data), so
+    1 - T_S, which carries the spread of the data, keeps a relative
+    accuracy of only about eps / (1 - T_S).
     """
     x = as_matrix(x)
     _require_rows(x, 2, "x")
@@ -137,6 +150,15 @@ def t_sr(x) -> float:
     pair whose ||X_a + X_b||^2 from the Gram matrix is below 1% of
     ||X_a||^2 + ||X_b||^2 gets its sign S(X_a + X_b) from the rows
     instead, where the Gram form would have lost digits to cancellation.
+
+    Not location-invariant: under an offset the value tends to 1, as T_S
+    does, with an absolute error of about eps (at most 2.2e-16 at offsets
+    up to 1e6 on 8 x 30 data, also for mixed flip patterns, whose nearly
+    cancelling pair differences are the near pairs taken from the rows).
+    1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).  The
+    raw Gram matrix costs at most about two digits under an offset:
+    outside the near pairs, every squared norm read from it is at least
+    1% of the squared norms of its summands.
     """
     x = as_matrix(x)
     return float(t_sr_flips(x, np.ones((1, x.shape[0])))[0])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hdsigntest import (
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
     RsrmAuxiliary,
+    ZeroVectorError,
     asymptotic_one_sample,
     asymptotic_two_sample,
     one_sample_oracle_terms,
@@ -34,6 +36,7 @@ from hdsigntest.inference import (
 )
 from hdsigntest._naive import (
     naive_one_sample_scale_terms,
+    naive_t_wmw,
     naive_two_sample_scale_terms,
 )
 
@@ -233,6 +236,75 @@ class TestPermutationBackend:
                 expected ^= ~expected[:, :1]
             assert np.array_equal(masks, expected), (big, m)
             assert rng.bit_generator.state == check_rng.bit_generator.state
+
+    @pytest.mark.parametrize("cols", [1, 3, 7])
+    def test_column_blocks_match_one_block(self, cols, monkeypatch):
+        # The wmw kernel reads the pair differences in blocks of ``cols``
+        # columns (20 = 20 x 1, 6 x 3 + 2, 2 x 7 + 6).  Its three terms are
+        # sums over coordinates, so the values agree with one block to
+        # rounding and the p-values exactly.
+        for m, n, seed in ((4, 4, 0), (5, 3, 1), (6, 9, 2)):
+            rng = np.random.default_rng(700 + seed)
+            x = rng.standard_normal((m, 20))
+            y = rng.standard_normal((n, 20)) + 0.3
+            monkeypatch.setattr(inference, "_SIGN_BLOCK", 1 << 20)
+            want = permutation_pvalues_two_sample(
+                x, y, ["wmw"], 300, np.random.default_rng(seed)
+            )["wmw"]
+            monkeypatch.setattr(inference, "_SIGN_BLOCK", (m + n) ** 2 * cols)
+            got = permutation_pvalues_two_sample(
+                x, y, ["wmw"], 300, np.random.default_rng(seed)
+            )["wmw"]
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), (m, n, got, want)
+            assert got[1] == want[1], (m, n, got, want)
+
+    @pytest.mark.parametrize("dist", [1e-3, 1e-7, 1e-10])
+    def test_near_coincident_pair(self, dist):
+        # y row 2 nearly coincides with x row 1.  The kernel takes every
+        # pair norm from the rows, so the relabelings that split the pair
+        # and those that keep it together lose no digits.
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal((5, 20)) + 0.3
+        y = rng.standard_normal((6, 20))
+        u = rng.standard_normal(20)
+        y[2] = x[1] + dist * np.linalg.norm(x[1]) * u / np.linalg.norm(u)
+        res = permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
+        assert abs(res["wmw"][0] - naive_t_wmw(x, y)) < 1e-10
+        pool = np.vstack([x, y])
+        blocks = inference._relabeling_blocks(5, 6, 30, np.random.default_rng(1))
+        masks = np.vstack(list(blocks))
+        assert (masks[:, 1] != masks[:, 7]).any() and (masks[:, 1] == masks[:, 7]).any()
+        norms = inference._pair_norms(pool)[0]
+        values = inference._wmw_from_masks(pool, norms, masks, 5, 6)
+        for value, mask in zip(values, masks):
+            assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) < 1e-10
+
+    @pytest.mark.parametrize("cols", [None, 1])
+    def test_split_duplicate_pair(self, cols, monkeypatch):
+        # Pooled rows 0 and 1 coincide.  The identity keeps them together,
+        # but about 4 in 7 draws split them, and a split pair has no sign.
+        if cols is not None:
+            monkeypatch.setattr(inference, "_SIGN_BLOCK", 64 * cols)
+        rng = np.random.default_rng(66)
+        x = rng.standard_normal((4, 6))
+        y = rng.standard_normal((4, 6))
+        x[1] = x[0]
+        with pytest.raises(ZeroVectorError, match="identical pooled observations"):
+            permutation_pvalues_two_sample(x, y, ["wmw"], 50, np.random.default_rng(0))
+
+    def test_wide_data_memory(self):
+        # 40 + 40 rows x 2000 columns: an (N, N, d) array of pair
+        # differences alone would take 102 MB.
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((40, 2000))
+        y = rng.standard_normal((40, 2000))
+        tracemalloc.start()
+        try:
+            permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
 
     def test_pvalue_floor_under_huge_shift(self):
         rng = np.random.default_rng(48)

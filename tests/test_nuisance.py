@@ -106,10 +106,33 @@ class TestSigmaSq:
         assert err < 3.0 * values.std(ddof=1) / np.sqrt(reps)
 
 
+def _one_odd_row_cases(count=3000):
+    """(x, y): x is m - 1 identical rows plus one other row and y is
+    constant, on a grid of eighths, m, n in 4-6 and d in 1-3.  Every
+    distinct quadruple of x rows holds a zero difference and y has none
+    but zeros, so tr1, tr2, tr12 and gamma are exactly 0, although the
+    centred rows of x are not."""
+    rng = np.random.default_rng(32)
+    for _ in range(count):
+        m, n, d = (int(v) for v in rng.integers((4, 4, 1), (7, 7, 4)))
+        x = np.repeat(rng.integers(-64, 65, size=(1, d)) / 8.0, m, axis=0)
+        x[int(rng.integers(m))] = rng.integers(-64, 65, size=d) / 8.0
+        y = np.repeat(rng.integers(-64, 65, size=(1, d)) / 8.0, n, axis=0)
+        yield x, y
+
+
 class TestGamma1:
     def test_constant_data_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             gamma1_hat(np.ones((5, 3)), np.ones((6, 3)) * 4.0)
+
+    def test_noise_level_gamma_degenerate(self):
+        # The reductions leave rounding noise such as 4e-16 where gamma is
+        # 0; it must be refused against the spread of the data, not
+        # against trace estimates that are noise themselves.
+        for x, y in _one_odd_row_cases():
+            with pytest.raises(DegenerateVarianceError):
+                gamma1_hat(x, y)
 
     def test_location_invariance(self):
         rng = np.random.default_rng(27)
@@ -156,6 +179,11 @@ class TestGamma2:
     def test_constant_matrix_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             gamma2_hat(np.full((6, 3), 1.5))
+
+    def test_noise_level_gamma_degenerate(self):
+        for x, _ in _one_odd_row_cases():
+            with pytest.raises(DegenerateVarianceError):
+                gamma2_hat(x)
 
     def test_recomposition(self):
         rng = np.random.default_rng(29)

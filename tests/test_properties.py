@@ -1,5 +1,9 @@
-"""Property tests for the two-sample Gram kernels: ``t_wmw``, ``t_cq2`` and
-``gamma1_hat`` against the naive oracles, and the invariances they claim.
+"""Property tests for the Gram kernels against the naive oracles, and the
+invariances they claim: ``t_wmw``, ``t_cq2`` and ``gamma1_hat`` on the
+two-sample side; ``t_cq1``, ``t_s``, ``t_sr``, ``t_sr_flips`` and
+``gamma2_hat`` on the one-sample side, which are not location-invariant
+and are checked under row order, rotation and scale instead; and scale
+invariance (``t_cq1`` and ``t_cq2`` scale by c^2) for all five statistics.
 
 Entries lie on a grid of eighths, so samples often share rows or nearly
 coincide, and shifted samples are exactly representable: a shift then
@@ -14,10 +18,23 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hdsigntest import ZeroVectorError, gamma1_hat, t_cq2, t_wmw
+from hdsigntest import (
+    ZeroVectorError,
+    gamma1_hat,
+    gamma2_hat,
+    t_cq1,
+    t_cq2,
+    t_s,
+    t_sr,
+    t_wmw,
+)
 from hdsigntest.errors import HDTestError
+from hdsigntest.statistics import t_sr_flips
 from hdsigntest._naive import (
+    naive_t_cq1,
     naive_t_cq2,
+    naive_t_s,
+    naive_t_sr,
     naive_t_wmw,
     naive_tr_sigma_cross,
     naive_tr_sigma_sq,
@@ -64,10 +81,14 @@ def _snapshot(x, y):
 
 
 def _agree(got, want, tol):
-    if isinstance(want, type) or isinstance(got, type):
+    if isinstance(want, type) or isinstance(got, type) or want is None:
         return got == want
     if isinstance(want, dict):
-        return all(abs(got[key] - want[key]) <= tol[key] for key in want)
+        return all(_agree(got[key], want[key], tol[key]) for key in want)
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(
+            abs(g - w) <= tol for g, w in zip(got, want)
+        )
     return abs(got - want) <= tol
 
 
@@ -164,3 +185,132 @@ def test_nuisance_separate_shift_invariance(sample, data):
     b = data.draw(shifts(x.shape[1]))
     want = _snapshot(x, y)
     assert _agree(_snapshot(x + a, y + b), want, _tolerances(x, y)["gamma"])
+
+
+# ---------------------------------------------------------------------------
+# One-sample side.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def one_sample(draw, min_rows=4, max_rows=6):
+    """A grid sample with one to three +-1 flip patterns of its rows."""
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, 5))
+    x = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-64, 64))) / 8.0
+    k = draw(st.integers(1, 3))
+    flips = draw(hnp.arrays(np.int64, (k, n), elements=st.sampled_from([-1, 1])))
+    return x, flips.astype(float)
+
+
+def _raw_size(x):
+    """Largest squared row norm plus one: the scale of the statistics that
+    are not location-invariant."""
+    return 1.0 + float(np.max(np.einsum("ij,ij->i", x, x)))
+
+
+def _one_sample_snapshot(x):
+    snap = _outcome(gamma2_hat, x)
+    return snap if isinstance(snap, type) else snap.to_dict()
+
+
+def _flip_values(x, flips):
+    """t_sr_flips as a tuple, or the type of the package error it raised."""
+    values = _outcome(t_sr_flips, x, flips)
+    return values if isinstance(values, type) else tuple(values)
+
+
+def _evaluate_one(x, flips):
+    return {
+        "cq1": t_cq1(x),
+        "s": _outcome(t_s, x),
+        "sr": _outcome(t_sr, x),
+        "sr_flips": _flip_values(x, flips),
+        "gamma": _one_sample_snapshot(x),
+    }
+
+
+def _tolerances_one(x):
+    raw = _raw_size(x)
+    size = _size(x, x)
+    traces = REL_TOL * size * size
+    return {
+        "cq1": REL_TOL * raw,
+        "s": WMW_TOL,
+        "sr": WMW_TOL,
+        "sr_flips": WMW_TOL,
+        "gamma": {"tr1": traces, "tr2": 0.0, "tr12": 0.0, "gamma": traces,
+                  "sigma1_sq": REL_TOL * size, "sigma2_sq": 0.0},
+    }
+
+
+@given(one_sample())
+def test_one_sample_statistics_match_naive(sample):
+    x, flips = sample
+    tol = _tolerances_one(x)
+    assert abs(t_cq1(x) - naive_t_cq1(x)) <= tol["cq1"]
+    assert _agree(_outcome(t_s, x), _outcome(naive_t_s, x), WMW_TOL)
+    assert _agree(_outcome(t_sr, x), _outcome(naive_t_sr, x), WMW_TOL)
+    want = [_outcome(naive_t_sr, x * eps[:, None]) for eps in flips]
+    got = _flip_values(x, flips)
+    if ZeroVectorError in want:
+        # A batch that uses a zero pair sum anywhere is refused as a whole.
+        assert got == ZeroVectorError
+    else:
+        assert _agree(got, tuple(want), WMW_TOL), (got, want)
+
+
+@given(one_sample())
+def test_gamma2_matches_naive(sample):
+    x, _ = sample
+    n = len(x)
+    tr1 = naive_tr_sigma_sq(x)
+    want = {
+        "tr1": tr1,
+        "tr2": None,
+        "tr12": None,
+        "gamma": 2.0 * tr1 / (n * (n - 1)),
+        "sigma1_sq": float(np.var(x, axis=0, ddof=1).mean()),
+        "sigma2_sq": None,
+    }
+    got = _one_sample_snapshot(x)
+    if isinstance(got, type):
+        # Only data whose variance functional vanishes may be refused.
+        assert want["gamma"] <= REL_TOL * _size(x, x) ** 2, got
+    else:
+        assert _agree(got, want, _tolerances_one(x)["gamma"])
+
+
+@given(one_sample(), st.randoms(use_true_random=False))
+def test_one_sample_row_order_invariance(sample, rand):
+    x, flips = sample
+    order = rand.sample(range(len(x)), len(x))
+    _assert_same(
+        _evaluate_one(x[order], flips[:, order]), _evaluate_one(x, flips),
+        _tolerances_one(x),
+    )
+
+
+@given(one_sample(), st.integers(0, 2**32 - 1))
+def test_one_sample_rotation_invariance(sample, seed):
+    x, flips = sample
+    d = x.shape[1]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    _assert_same(
+        _evaluate_one(x @ q, flips), _evaluate_one(x, flips), _tolerances_one(x)
+    )
+
+
+@given(one_sample(), two_samples(min_rows=2, max_rows=5), st.integers(-8, 8))
+def test_scale_invariance(one, two, power):
+    # c = 2^power scales every entry exactly: t_cq1 and t_cq2 must scale
+    # by c^2 and the sign and rank statistics must not move.
+    c = 2.0**power
+    x1, _ = one
+    x, y = two
+    assert abs(t_cq1(c * x1) - c * c * t_cq1(x1)) <= c * c * REL_TOL * _raw_size(x1)
+    assert abs(t_cq2(c * x, c * y) - c * c * t_cq2(x, y)) <= c * c * REL_TOL * _size(x, y)
+    for func, args in ((t_s, (x1,)), (t_sr, (x1,)), (t_wmw, (x, y))):
+        want = _outcome(func, *args)
+        got = _outcome(func, *(c * a for a in args))
+        assert _agree(got, want, WMW_TOL), (func.__name__, got, want)
