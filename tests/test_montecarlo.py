@@ -17,6 +17,8 @@ from hdsigntest import (
     subsample_table_csv,
     summarize_to_plot_data,
 )
+from hdsigntest.generators import SHIFT_SPREAD, GeneratorSpec, generate
+from hdsigntest.inference import evaluate_one_sample
 from hdsigntest.montecarlo import _replicate_rejections
 
 
@@ -255,6 +257,51 @@ class TestPinnedSeededOutputs:
             ("cq2", "permutation", 0.075, 0.2),
             ("wmw", "permutation", 0.075, 0.2),
         ]
+
+
+    def test_one_sample_evaluator(self):
+        # 30 spherical-t(5) datasets (n = 12, d = 40), every other one
+        # shifted, through every one-sample statistic and method.  The
+        # sign-flip p-values are pinned as their tail counts out of 99
+        # draws: p = (1 + count) / 100.
+        tests = [
+            (stat, method)
+            for stat in ("cq1", "s", "sr")
+            for method in ("asymptotic", "signflip", "rsrm-oracle")
+        ]
+        rejections = dict.fromkeys(tests, 0)
+        tails = {stat: [] for stat in ("cq1", "s", "sr")}
+        for r in range(30):
+            spec = GeneratorSpec(model="spherical-t5", d=40).with_shift(
+                SHIFT_SPREAD, 2.0 if r % 2 else 0.0
+            )
+            x, aux = generate(spec, 12, np.random.default_rng((34, r)))
+            reports = evaluate_one_sample(x, tests, 0.05, 99, 35 + r, aux)
+            for key, report in reports.items():
+                rejections[key] += report.reject
+            for stat in tails:
+                p = reports[(stat, "signflip")].p_value
+                tails[stat].append(round(100 * p) - 1)
+                assert p == (1 + tails[stat][-1]) / 100.0
+        assert rejections == {
+            ("cq1", "asymptotic"): 14,
+            ("cq1", "signflip"): 12,
+            ("cq1", "rsrm-oracle"): 14,
+            ("s", "asymptotic"): 14,
+            ("s", "signflip"): 14,
+            ("s", "rsrm-oracle"): 15,
+            ("sr", "asymptotic"): 14,
+            ("sr", "signflip"): 14,
+            ("sr", "rsrm-oracle"): 15,
+        }
+        assert tails == {
+            "cq1": [57, 0, 11, 0, 43, 23, 39, 0, 85, 0, 3, 0, 9, 5, 44,
+                    7, 67, 0, 85, 1, 96, 52, 87, 1, 83, 0, 57, 0, 32, 0],
+            "s": [47, 0, 10, 0, 50, 27, 39, 0, 78, 0, 7, 0, 3, 1, 54,
+                  3, 50, 0, 94, 1, 92, 31, 85, 1, 92, 0, 58, 0, 33, 0],
+            "sr": [54, 0, 13, 0, 47, 21, 42, 0, 83, 0, 5, 0, 4, 4, 50,
+                   4, 63, 0, 93, 1, 95, 35, 86, 1, 84, 0, 53, 0, 27, 0],
+        }
 
 
 class TestPlotData:
