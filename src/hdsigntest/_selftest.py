@@ -9,27 +9,27 @@ import numpy as np
 from . import _naive as naive
 from .generators import RsrmAuxiliary
 from .inference import (
-    _cq2_from_masks,
     _pair_norms,
     _wmw_from_masks,
     one_sample_oracle_terms,
     two_sample_oracle_terms,
 )
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
+from .statistics import _OneSampleGram, _TwoSampleGram
 from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
 
 TOLERANCE = 1e-9
 
 
-def _rel(value: float, reference: float) -> float:
-    return abs(value - reference) / max(abs(reference), 1e-12)
+def _rel(value: float, reference: float, floor: float) -> float:
+    return abs(value - reference) / max(abs(reference), floor)
 
 
 def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     """Compare every reduced statistic and estimator with its naive oracle
     on random small instances, plus the unit-scale collapse checks.
 
-    Returns {check name: max relative deviation}.
+    Returns {check name: max deviation relative to max(|reference|, floor)}.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -38,10 +38,11 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     # instances above do not depend on them.
     flip_rng = np.random.default_rng([seed, 1])
     relabel_rng = np.random.default_rng([seed, 2])
+    signflip_rng = np.random.default_rng([seed, 4])
     worst: dict[str, float] = {}
 
-    def record(name, value, reference):
-        worst[name] = max(worst.get(name, 0.0), _rel(value, reference))
+    def record(name, value, reference, floor=1e-12):
+        worst[name] = max(worst.get(name, 0.0), _rel(value, reference, floor))
 
     for _ in range(trials):
         m = int(rng.integers(2, 9))
@@ -52,8 +53,16 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
 
         record("t_cq1", t_cq1(x), naive.naive_t_cq1(x))
         record("t_cq2", t_cq2(x, y), naive.naive_t_cq2(x, y))
-        record("t_s", t_s(x), naive.naive_t_s(x))
-        record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y))
+        # T_S and T_WMW vanish exactly on some d = 1 instances, so they and
+        # the sign-flip kernels are compared on the unit scale of the data.
+        record("t_s", t_s(x), naive.naive_t_s(x), 1.0)
+        record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y), 1.0)
+        flips = signflip_rng.integers(0, 2, size=(2, m)) * 2.0 - 1.0
+        flips[:, :2] = (1.0, -1.0)
+        one = _OneSampleGram(x)
+        for kernel, oracle in ((one.cq1, naive.naive_t_cq1), (one.s, naive.naive_t_s)):
+            for value, eps in zip(kernel(flips), flips):
+                record("signflip_kernels", value, oracle(x * eps[:, None]), 1.0)
         # Two mixed relabelings: pooled row 0 leaves the first group and
         # rows 1 and m are in it, so neither is the identity nor its swap.
         pool = np.vstack([x, y])
@@ -62,9 +71,8 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         for mask in masks:
             mask[[1, m]] = True
             mask[relabel_rng.permutation(others)[: m - 2]] = True
-        centred = pool - pool.mean(axis=0)
         relabeled = (
-            (_cq2_from_masks(centred @ centred.T, masks, m, n), naive.naive_t_cq2),
+            (_TwoSampleGram(x, y).cq2(masks), naive.naive_t_cq2),
             (_wmw_from_masks(pool, _pair_norms(pool)[0], masks, m, n),
              naive.naive_t_wmw),
         )

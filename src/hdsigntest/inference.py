@@ -30,19 +30,14 @@ from .errors import (
     ZeroVectorError,
 )
 from .generators import RsrmAuxiliary
-from .nuisance import VarianceSnapshot, _two_sample_snapshot, gamma2_hat
+from .nuisance import VarianceSnapshot, _one_sample_snapshot, _two_sample_snapshot
 from .statistics import (
     ONE_SAMPLE_STATS,
     TWO_SAMPLE_STATS,
+    _OneSampleGram,
     _TwoSampleGram,
     as_matrix,
-    _require_rows,
     _require_same_dim,
-    _row_signs,
-    t_cq1,
-    t_s,
-    t_sr,
-    t_sr_flips,
 )
 
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -126,11 +121,12 @@ def two_sample_z(
 # permutation wmw kernel takes the pair norms from the pooled rows once and
 # forms the pairwise unit differences one block of columns at a time: its
 # time is still O(N^2 d) per relabeling, but its memory is O(N^2 · block),
-# with about ``_SIGN_BLOCK`` coefficients per block, not N^2 d.  The
-# permutation cq2 kernel is one product of the group indicators with the
-# centred pooled Gram matrix; the sign-flip cq1 and s kernels work on the
-# summed rows and the sign-flip sr kernel (statistics.t_sr_flips) on the
-# n x n Gram matrix alone, O(n^3) per flip pattern in one batched product.
+# with about ``_SIGN_BLOCK`` coefficients per block, not N^2 d.  Every
+# other kernel reads the dataset's one Gram matrix: permutation cq2 the
+# pooled Gram read from ``_TwoSampleGram``, and sign-flip cq1, s and sr
+# the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
+# pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
+# with d times the number of patterns.
 #
 # Each kernel runs on one batch whose row 0 is the identity relabeling or
 # the all-plus flip pattern, so the observed statistic comes from the same
@@ -250,51 +246,19 @@ def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
     return np.clip(out, -1.0, 1.0)
 
 
-def _cq2_from_masks(gram, xmask, m, n):
-    """T_CQ2 for each relabeling from the centred pooled Gram matrix.
-
-    With the diagonal zeroed, so that only distinct pairs count, and u the
-    first-group indicator of a relabeling and v = 1 - u, the within-group
-    sums are u'Gu and v'Gv and the cross sum is u'Gv.  All three come from
-    one product u G per batch, with v'G = 1'G - u'G.
-    """
-    off = gram - np.diag(np.diagonal(gram))
-    u = xmask.astype(float)
-    v = 1.0 - u
-    ug = u @ off
-    vg = off.sum(axis=0) - ug
-    xx = np.einsum("ra,ra->r", ug, u)
-    yy = np.einsum("ra,ra->r", vg, v)
-    cross = np.einsum("ra,ra->r", ug, v)
-    return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * cross / (m * n)
-
-
-def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
-    """Observed statistics and permutation p-values for several statistics
-    over one shared set of relabelings of the pooled sample.
-
-    Returns {stat: (observed, p_value)}.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
+def _permutation_pvalues(x, y, gram, stats, n_resamples, rng) -> dict:
+    """{stat: (observed, p_value)} over one shared set of relabelings of
+    the pooled sample; ``gram`` is the samples' ``_TwoSampleGram`` when
+    cq2 is among ``stats``."""
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise TooFewObservationsError("permutation test needs at least 2 rows per sample")
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    for stat in stats:
-        if stat not in ("cq2", "wmw"):
-            raise ValueError(f"permutation backend supports cq2 and wmw, not {stat!r}")
     pool = np.vstack([x, y])
     if "wmw" in stats:
         norms, dup = _pair_norms(pool)
         first, second = np.nonzero(np.triu(dup))
-    if "cq2" in stats:
-        # Centred on the pooled mean: a raw Gram matrix loses the
-        # statistic to cancellation under a large offset.
-        centred = pool - pool.mean(axis=0)
-        gram = centred @ centred.T
 
     values = {stat: [] for stat in stats}
     for masks in _relabeling_blocks(m, n, n_resamples, rng):
@@ -306,7 +270,7 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
                     )
                 values[stat].append(_wmw_from_masks(pool, norms, masks, m, n))
             else:
-                values[stat].append(_cq2_from_masks(gram, masks, m, n))
+                values[stat].append(gram.cq2(masks))
     results = {}
     for stat in stats:
         drawn = np.concatenate(values[stat])
@@ -314,35 +278,17 @@ def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng):
     return results
 
 
-def signflip_pvalues_one_sample(x, stats, n_resamples, rng):
-    """Observed statistics and sign-flip p-values for several one-sample
-    statistics over one shared set of flip patterns.
-
-    Returns {stat: (observed, p_value)}.
-    """
-    x = as_matrix(x)
-    _require_rows(x, 2, "x")
-    n = x.shape[0]
+def _signflip_pvalues(gram, stats, n_resamples, rng) -> dict:
+    """{stat: (observed, p_value)} over one shared set of flip patterns of
+    the sample whose ``_OneSampleGram`` is ``gram``."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    flips = rng.integers(0, 2, size=(n_resamples, n)) * 2.0 - 1.0
+    flips = rng.integers(0, 2, size=(n_resamples, gram.n)) * 2.0 - 1.0
     # Row 0, the all-plus pattern, gives the observed statistic.
-    flips = np.vstack([np.ones((1, n)), flips])
-
+    flips = np.vstack([np.ones((1, gram.n)), flips])
     results = {}
     for stat in stats:
-        if stat == "cq1":
-            m_mat = flips @ x
-            quad = np.einsum("rd,rd->r", m_mat, m_mat) - np.einsum("ij,ij->", x, x)
-            values = quad / (n * (n - 1))
-        elif stat == "s":
-            m_mat = flips @ _row_signs(x, "observation")
-            values = (np.einsum("rd,rd->r", m_mat, m_mat) - n) / (n * (n - 1))
-            values = np.clip(values, -1.0, 1.0)
-        elif stat == "sr":
-            values = t_sr_flips(x, flips)
-        else:
-            raise ValueError(f"sign-flip backend supports cq1, s and sr, not {stat!r}")
+        values = getattr(gram, stat)(flips)
         results[stat] = _add_one_pvalue(values[0], values[1:])
     return results
 
@@ -507,12 +453,14 @@ def evaluate_two_sample(
     y = as_matrix(y, "y")
     _require_same_dim(x, y)
     d = x.shape[1]
-    values, snap = {}, None
-    if methods & {METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE}:
-        # d enters the statistics and nuisance estimates through this
-        # object's one Gram matrix alone.
+    perm_stats = _stats_for(tests, METHOD_PERMUTATION)
+    values, snap, gram = {}, None, None
+    if methods & {METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE} or "cq2" in perm_stats:
+        # d enters the statistics, the nuisance estimates and the
+        # permutation cq2 kernel through this object's one Gram matrix.
         gram = _TwoSampleGram(x, y)
-        statistic = {"cq2": gram.cq2, "wmw": gram.wmw}
+        identity = np.arange(gram.m + gram.n)[None, :] < gram.m
+        statistic = {"cq2": lambda: float(gram.cq2(identity)[0]), "wmw": gram.wmw}
         values = {
             stat: statistic[stat]()
             for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
@@ -523,10 +471,9 @@ def evaluate_two_sample(
         terms = two_sample_oracle_terms(aux, x.shape[0], y.shape[0])
         # Variances of d * T_WMW and T_CQ2: plug-in z at sigma1^2 + sigma2^2 = 1.
         oracle_var = {"wmw": terms.s2, "cq2": terms.s3}
-    perm_stats = _stats_for(tests, METHOD_PERMUTATION)
     if perm_stats:
-        drawn = permutation_pvalues_two_sample(
-            x, y, perm_stats, n_resamples, np.random.default_rng(rng)
+        drawn = _permutation_pvalues(
+            x, y, gram, perm_stats, n_resamples, np.random.default_rng(rng)
         )
 
     seed = rng if isinstance(rng, (int, np.integer)) else None
@@ -558,20 +505,22 @@ def evaluate_one_sample(
     methods = _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha)
     x = as_matrix(x)
     n, d = x.shape
-    statistic = {"cq1": t_cq1, "s": t_s, "sr": t_sr}
+    # d enters the statistics, the nuisance estimates and the sign-flip
+    # kernels through this object's one Gram matrix.
+    gram = _OneSampleGram(x)
     values = {
-        stat: statistic[stat](x)
+        stat: float(getattr(gram, stat)(np.ones((1, n)))[0])
         for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
     }
-    snap = gamma2_hat(x) if METHOD_ASYMPTOTIC in methods else None
+    snap = _one_sample_snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
     if METHOD_RSRM_ORACLE in methods:
         terms = one_sample_oracle_terms(aux, n)
         # Variances of d * T_S, d * T_SR and T_CQ1: plug-in z at sigma^2 = 1.
         oracle_var = {"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}
     flip_stats = _stats_for(tests, METHOD_SIGNFLIP)
     if flip_stats:
-        drawn = signflip_pvalues_one_sample(
-            x, flip_stats, n_resamples, np.random.default_rng(rng)
+        drawn = _signflip_pvalues(
+            gram, flip_stats, n_resamples, np.random.default_rng(rng)
         )
 
     seed = rng if isinstance(rng, (int, np.integer)) else None
@@ -589,6 +538,30 @@ def evaluate_one_sample(
             report = _report(stat, values[stat], gaussian_sf(z), alpha, method, z=z)
         reports[(stat, method)] = report
     return reports
+
+
+def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng) -> dict:
+    """Observed statistics and permutation p-values for several statistics
+    over one shared set of relabelings of the pooled sample, as
+    ``evaluate_two_sample`` runs them.
+
+    Returns {stat: (observed, p_value)}.
+    """
+    tests = [(stat, METHOD_PERMUTATION) for stat in stats]
+    reports = evaluate_two_sample(x, y, tests, n_resamples=n_resamples, rng=rng)
+    return {stat: (r.statistic, r.p_value) for (stat, _), r in reports.items()}
+
+
+def signflip_pvalues_one_sample(x, stats, n_resamples, rng) -> dict:
+    """Observed statistics and sign-flip p-values for several one-sample
+    statistics over one shared set of flip patterns, as
+    ``evaluate_one_sample`` runs them.
+
+    Returns {stat: (observed, p_value)}.
+    """
+    tests = [(stat, METHOD_SIGNFLIP) for stat in stats]
+    reports = evaluate_one_sample(x, tests, n_resamples=n_resamples, rng=rng)
+    return {stat: (r.statistic, r.p_value) for (stat, _), r in reports.items()}
 
 
 def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _TwoSampleGram, _centred, _require_same_dim, as_matrix
+from .statistics import _OneSampleGram, _TwoSampleGram, _require_same_dim, as_matrix
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,15 @@ def _tr_cross_from_gram(h: np.ndarray) -> float:
 
 
 def tr_sigma_sq_hat(x) -> float:
-    """Unbiased estimator of tr(Sigma^2) from one sample; see
-    ``_tr_sq_from_gram``."""
+    """Unbiased estimator of tr(Sigma^2) from one sample: the centred
+    block Gc of its ``_OneSampleGram``; see ``_tr_sq_from_gram``."""
     x = as_matrix(x)
     m = x.shape[0]
     if m < 4:
         raise TooFewObservationsError(
             f"tr(Sigma^2) estimator needs at least 4 observations, got {m}"
         )
-    rows = _centred(x)[0]
-    return _tr_sq_from_gram(rows @ rows.T)
+    return _tr_sq_from_gram(_OneSampleGram(x).gc)
 
 
 def tr_sigma_cross_hat(x, y) -> float:
@@ -125,7 +124,7 @@ def tr_sigma_cross_hat(x, y) -> float:
 def sigma_sq_hat(x) -> float:
     """Marginal variance pooled over coordinates: the per-coordinate sample
     variance (denominator n-1) averaged over the d coordinates, which is
-    tr G / (d (n-1)) for the Gram matrix G of the centred rows.
+    tr Gc / (d (n-1)) for the centred block Gc of ``_OneSampleGram``.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -133,8 +132,7 @@ def sigma_sq_hat(x) -> float:
         raise TooFewObservationsError(
             f"variance estimator needs at least 2 observations, got {n}"
         )
-    rows = _centred(x)[0]
-    return float(np.einsum("ij,ij->", rows, rows) / (d * (n - 1)))
+    return float(np.trace(_OneSampleGram(x).gc) / (d * (n - 1)))
 
 
 def _check_gamma(gamma: float, spread: float) -> float:
@@ -203,15 +201,20 @@ def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
 
 
 def gamma2_hat(x) -> VarianceSnapshot:
-    """One-sample variance functional estimate: 2 tr(Sigma^2)hat / (n)_2."""
-    x = as_matrix(x)
-    n = x.shape[0]
+    """One-sample variance functional estimate: 2 tr(Sigma^2)hat / (n)_2,
+    with every field read from one ``_OneSampleGram``."""
+    return _one_sample_snapshot(_OneSampleGram(as_matrix(x)))
+
+
+def _one_sample_snapshot(gram: _OneSampleGram) -> VarianceSnapshot:
+    """``gamma2_hat`` from the sample's ``_OneSampleGram``."""
+    n, d = gram.n, gram.d
     if n < 4:
         raise TooFewObservationsError(
             "one-sample variance estimation needs at least 4 observations"
         )
-    tr1 = tr_sigma_sq_hat(x)
-    sigma1_sq = sigma_sq_hat(x)
-    s1 = x.shape[1] * sigma1_sq
+    tr1 = _tr_sq_from_gram(gram.gc)
+    sigma1_sq = float(np.trace(gram.gc) / (d * (n - 1)))
+    s1 = d * sigma1_sq
     gamma = _check_gamma(2.0 * tr1 / (n * (n - 1)), 2.0 * s1 * s1 / (n * (n - 1)))
     return VarianceSnapshot(tr_sigma1_sq=tr1, gamma=gamma, sigma1_sq=sigma1_sq)

@@ -2,9 +2,10 @@
 
 All five statistics are U-statistics: averages of a kernel over ordered
 tuples of distinct observation indices.  Each function here evaluates the
-closed-form reduction of that sum; the matching naive index-loop versions
-live in ``_naive`` and are compared against these in the test suite and in
-the ``selftest`` CLI command.
+closed-form reduction of that sum on one Gram matrix per dataset
+(``_OneSampleGram``, ``_TwoSampleGram``); the matching naive index-loop
+versions live in ``_naive`` and are compared against these in the test
+suite and in the ``selftest`` CLI command.
 """
 
 from __future__ import annotations
@@ -64,191 +65,65 @@ def spatial_sign(x) -> np.ndarray:
     return arr / norm
 
 
-def _row_signs(x: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        idx = int(np.flatnonzero(norms == 0.0)[0])
-        raise ZeroVectorError(f"{what} {idx} is the zero vector")
-    return x / norms[:, None]
-
-
 def t_cq1(x) -> float:
     """One-sample mean-based statistic: the average of X_i1'X_i2 over
     ordered pairs of distinct indices.  Unbiased for ||E(X)||^2.
-
-    Reduction: sum_{i1 != i2} X_i1'X_i2 = ||sum_i X_i||^2 - sum_i ||X_i||^2.
+    The all-plus pattern of ``_OneSampleGram.cq1``.
 
     Not location-invariant: an offset mu adds ||mu||^2 + 2 mu'Xbar to it.
-    The reduction subtracts sums of size about n^2 ||mu||^2, so its
-    rounding error is about eps ||mu||^2: relative to the value it stays at
-    machine precision under any offset (2e-16 at an offset of 1e6 on
-    8 x 30 data), while the part of the value that is not the offset's
-    loses digits as ||mu||^2 grows.
+    Each entry of the raw Gram matrix it sums carries a rounding error of
+    about eps ||mu||^2, so relative to the value the error stays at
+    machine precision under any offset (at most 4.4e-16 at offsets up to
+    1e6 on 8 x 30 data), while the part of the value that is not the
+    offset's loses digits as ||mu||^2 grows.
     """
     x = as_matrix(x)
-    _require_rows(x, 2, "x")
-    n = x.shape[0]
-    total = x.sum(axis=0)
-    value = (total @ total - np.einsum("ij,ij->", x, x)) / (n * (n - 1))
-    return float(value)
-
-
-def t_cq2(x, y) -> float:
-    """Two-sample mean-based statistic of Chen & Qin (2010, Ann. Statist.),
-    unbiased for ||E(X - Y)||^2.
-
-    The quadruple sum over distinct index pairs expands into the two
-    within-sample pair sums plus a full cross term:
-
-        T = sum_{i1!=i2} X_i1'X_i2 / (m)_2
-          + sum_{j1!=j2} Y_j1'Y_j2 / (n)_2
-          - 2 sum_{i,j} X_i'Y_j / (mn)
-
-    Write X_i = Xbar + Xc_i and Y_j = Ybar + Yc_j, with centred rows that
-    sum to zero, and delta = Ybar - Xbar.  Then
-    sum_{i1!=i2} X_i1'X_i2 = ||sum_i X_i||^2 - sum_i ||X_i||^2
-    = (m)_2 ||Xbar||^2 - tr G_xx, with G the Gram matrix of the centred
-    rows, and the cross sum is mn Xbar'Ybar, so
-
-        T = ||delta||^2 - tr G_xx / (m)_2 - tr G_yy / (n)_2.
-
-    T is invariant to a common shift of both samples, and so is every term
-    here: the centring cancels the shift before any product is formed.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    return _TwoSampleGram(x, y).cq2()
+    return float(_OneSampleGram(x).cq1(np.ones((1, len(x))))[0])
 
 
 def t_s(x) -> float:
     """One-sample spatial-sign statistic: average of S(X_i1)'S(X_i2) over
     ordered distinct pairs.  Unbiased for ||E S(X)||^2; always in [-1, 1].
+    The all-plus pattern of ``_OneSampleGram.s``.
 
     Not location-invariant: under an offset mu every sign tends to
     mu / ||mu|| and T_S to 1.  Its absolute error stays about eps under
-    any offset (at most 2.2e-16 at offsets up to 1e6 on 8 x 30 data), so
-    1 - T_S, which carries the spread of the data, keeps a relative
-    accuracy of only about eps / (1 - T_S).
+    any offset (at most 3.5e-16 at offsets up to 1e6 on 8 x 30 data, also
+    with rows of norm 1e-3 among them), so 1 - T_S, which carries the
+    spread of the data, keeps a relative accuracy of only about
+    eps / (1 - T_S).
     """
     x = as_matrix(x)
-    _require_rows(x, 2, "x")
-    n = x.shape[0]
-    signs = _row_signs(x, "observation")
-    total = signs.sum(axis=0)
-    value = (total @ total - n) / (n * (n - 1))
-    return float(np.clip(value, -1.0, 1.0))
+    return float(_OneSampleGram(x).s(np.ones((1, len(x))))[0])
 
 
 def t_sr(x) -> float:
     """One-sample spatial signed-rank statistic: the average of
     S(X_i1 + X_i2)'S(X_i3 + X_i4) over ordered quadruples of distinct
     indices.  Unbiased for ||E S(X_1 + X_2)||^2.
-
-    Evaluated as the all-plus pattern of ``t_sr_flips``: every term is a
-    function of the Gram matrix X X', so d enters once, through it.  A
-    pair whose ||X_a + X_b||^2 from the Gram matrix is below 1% of
-    ||X_a||^2 + ||X_b||^2 gets its sign S(X_a + X_b) from the rows
-    instead, where the Gram form would have lost digits to cancellation.
+    The all-plus pattern of ``t_sr_flips``.
 
     Not location-invariant: under an offset the value tends to 1, as T_S
-    does, with an absolute error of about eps (at most 2.2e-16 at offsets
-    up to 1e6 on 8 x 30 data, also for mixed flip patterns, whose nearly
-    cancelling pair differences are the near pairs taken from the rows).
-    1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).  The
-    raw Gram matrix costs at most about two digits under an offset:
-    outside the near pairs, every squared norm read from it is at least
-    1% of the squared norms of its summands.
+    does, with an absolute error of about eps (at most 7.5e-16 at offsets
+    up to 1e6 on 8 x 30 data, and 2.7e-16 for mixed flip patterns).
+    1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).
     """
     x = as_matrix(x)
-    return float(t_sr_flips(x, np.ones((1, x.shape[0])))[0])
-
-
-# A pair sum or difference whose squared norm, taken from a Gram matrix,
-# is at most this fraction of the squared norms of its summands has lost
-# digits to cancellation; its unit vector is computed from the rows instead.
-_NEAR_PAIR = 1e-2
-# Flip patterns per batch: at most about this many coefficients at a time.
-_FLIP_BATCH = 1 << 20
+    return float(t_sr_flips(x, np.ones((1, len(x))))[0])
 
 
 def t_sr_flips(x, flips) -> np.ndarray:
     """T_SR of the sample with row i multiplied by flips[r, i] = +-1, for
-    every row r of ``flips``.
+    every row r of ``flips``; see ``_OneSampleGram.sr``."""
+    return _OneSampleGram(as_matrix(x)).sr(np.asarray(flips, dtype=float))
 
-    Reduction: with W_ab = S(X_a + X_b) (symmetric, diagonal unused),
-    A = sum_{a != b} W_ab and B_a = sum_{b != a} W_ab, the quadruple sum
-    equals ||A||^2 - 4 sum_a ||B_a||^2 + 2n(n-1): the terms that share an
-    index are the four ways to share one, less the two ways to share both.
 
-    Flipping by e gives W_ab = w_ab (e_a X_a + e_b X_b) with
-    w_ab = 1 / ||X_a + e_a e_b X_b||, picked per pair from two n x n
-    matrices.  So B_a = sum_j beta_aj X_j with beta_aa = e_a rho_a,
-    rho_a = sum_b w_ab, and beta_ab = w_ab e_b; A is the sum of the B_a.
-    ||A||^2 and sum_a ||B_a||^2 are then quadratic forms in G = X X',
-    one batched product beta G per batch of patterns, and d enters only
-    through G.
-
-    Near-coincident pairs: where ||X_a +- X_b||^2 from G is below
-    ``_NEAR_PAIR`` (G_aa + G_bb), the unit vector of X_a +- X_b is
-    computed from the rows and joins G as an extra row and column, with
-    coefficient e_a in B_a and B_b.  An exactly zero pair sum raises
-    ZeroVectorError for the patterns that use it.
-    """
-    x = as_matrix(x)
-    _require_rows(x, 4, "x")
-    n = x.shape[0]
-    flips = np.asarray(flips, dtype=float)
-    gram = x @ x.T
-    diag = np.diagonal(gram)
-    scale = diag[:, None] + diag[None, :]
-    # Squared norms of X_a + X_b (kind 0) and X_a - X_b (kind 1).
-    sq = np.stack([scale + 2.0 * gram, scale - 2.0 * gram])
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    near = (sq <= _NEAR_PAIR * scale) & upper
-    kind, ia, ib = np.nonzero(near)
-    sums = x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib]
-    norms = np.linalg.norm(sums, axis=1)
-    zero = norms == 0.0
-    units = sums / np.where(zero, 1.0, norms)[:, None]
-    extra = units @ x.T
-    gram = np.block([[gram, extra.T], [extra, units @ units.T]])
-    use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
-    inv = np.zeros_like(sq)
-    inv[use] = 1.0 / np.sqrt(sq[use])
-
-    k = kind.size
-    idx = np.arange(n)
-    col = n + np.arange(k)
-    out = np.empty(flips.shape[0])
-    step = max(1, _FLIP_BATCH // (n * (n + k)))
-    for start in range(0, flips.shape[0], step):
-        eps = flips[start : start + step]
-        same = eps[:, :, None] == eps[:, None, :]
-        w = np.where(same, inv[0], inv[1])
-        beta = np.zeros((eps.shape[0], n, n + k))
-        beta[:, :, :n] = w * eps[:, None, :]
-        beta[:, idx, idx] = eps * w.sum(axis=2)
-        used = same[:, ia, ib] == (kind == 0)
-        if (used & zero).any():
-            p = int(np.argwhere(used & zero)[0, 1])
-            a, b = int(ia[p]), int(ib[p])
-            if kind[p] == 0:
-                raise ZeroVectorError(
-                    f"pairwise sum of observations {a} and {b} is the zero vector"
-                )
-            raise ZeroVectorError(
-                f"a sign flip turns observations {a} and {b} into a zero pairwise sum"
-            )
-        coef = used * eps[:, ia]
-        beta[:, ia, col] = coef
-        beta[:, ib, col] = coef
-        bg = beta @ gram
-        norm_a = np.einsum("rj,rj->r", bg.sum(axis=1), beta.sum(axis=1))
-        norm_b = np.einsum("raj,raj->r", bg, beta)
-        out[start : start + step] = norm_a - 4.0 * norm_b
-    value = (out + 2.0 * n * (n - 1)) / (n * (n - 1) * (n - 2) * (n - 3))
-    return np.clip(value, -1.0, 1.0)
+# A row, pair sum or pair difference whose squared norm, taken from a Gram
+# matrix, is at most this fraction of the squared norms of its summands has
+# lost digits to cancellation; it is computed from the rows instead.
+_NEAR_PAIR = 1e-2
+# Flip patterns per batch: at most about this many coefficients at a time.
+_FLIP_BATCH = 1 << 20
 
 
 def _centred(x: np.ndarray):
@@ -264,9 +139,144 @@ def _centred(x: np.ndarray):
     return rows, mean, rest
 
 
+class _OneSampleGram:
+    """Every inner product that the one-sample statistics, their sign-flip
+    kernels and the nuisance estimator read, from one GEMM over d.
+
+    The centred rows Xc (``_centred``) are stacked with mu = mean + rest
+    as row n, and ``gram = rows rows'``.  Its block ``gc`` = Xc Xc' is
+    location-free, and with a = Xc mu the raw Gram matrix X X' is
+    ``raw`` = Gc + a 1' + 1 a' + ||mu||^2.  A row whose squared norm there
+    is at most ``_NEAR_PAIR`` of those of its summands Xc_a and mu has
+    lost digits to cancellation, so its inner products come from the rows.
+
+    Each kernel evaluates its statistic on the sample with row i
+    multiplied by flips[r, i] = +-1, for every row r of ``flips``.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.n, self.d = x.shape
+        xc, mean, rest = _centred(x)
+        self.rows = np.vstack([xc, mean + rest])
+        self.gram = self.rows @ self.rows.T
+        self.gc = self.gram[:-1, :-1]
+        a, mu_sq = self.gram[:-1, -1], self.gram[-1, -1]
+        self.raw = self.gc + (a[:, None] + a) + mu_sq
+        short = np.diagonal(self.raw) <= _NEAR_PAIR * (np.diagonal(self.gc) + mu_sq)
+        prods = x[short] @ x.T
+        self.raw[short] = prods
+        self.raw[:, short] = prods.T
+
+    def cq1(self, flips: np.ndarray) -> np.ndarray:
+        """T_CQ1: flipping by e makes the pair sum e'(R - diag R)e."""
+        return self._pair_forms(self.raw, flips)
+
+    def s(self, flips: np.ndarray) -> np.ndarray:
+        """T_S: the form of ``cq1`` on S(X_a)'S(X_b) = R_ab / (||X_a|| ||X_b||),
+        with the row norms taken from the rows."""
+        norms = np.linalg.norm(self.x, axis=1)
+        if (norms == 0.0).any():
+            idx = int(np.flatnonzero(norms == 0.0)[0])
+            raise ZeroVectorError(f"observation {idx} is the zero vector")
+        cosines = self.raw / (norms[:, None] * norms)
+        return np.clip(self._pair_forms(cosines, flips), -1.0, 1.0)
+
+    def _pair_forms(self, k: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        _require_rows(self.x, 2, "x")
+        n = self.n
+        off = k - np.diag(np.diagonal(k))
+        return np.einsum("ri,ri->r", flips @ off, flips) / (n * (n - 1))
+
+    def sr(self, flips: np.ndarray) -> np.ndarray:
+        """T_SR.
+
+        Reduction: with W_ab = S(X_a + X_b) (symmetric, diagonal unused),
+        A = sum_{a != b} W_ab and B_a = sum_{b != a} W_ab, the quadruple
+        sum equals ||A||^2 - 4 sum_a ||B_a||^2 + 2n(n-1): the terms that
+        share an index are the four ways to share one, less the two ways
+        to share both.
+
+        Flipping by e gives W_ab = w_ab (e_a X_a + e_b X_b) with
+        w_ab = 1 / ||X_a + e_a e_b X_b||, picked per pair from two n x n
+        matrices.  So B_a = sum_j beta_aj X_j with beta_aa = e_a rho_a,
+        rho_a = sum_b w_ab, and beta_ab = w_ab e_b; A is the sum of the
+        B_a.  On the basis (Xc, mu), X_j = Xc_j + mu, so B_a has the
+        coefficients beta_aj on Xc_j and sum_b (e_a + e_b) w_ab on mu,
+        which reads only the pair sums' 1 / ||X_a + X_b||: a pair
+        difference has no mu part, exactly.  ||A||^2 and
+        sum_a ||B_a||^2 are then quadratic forms in ``gram``, one batched
+        product beta gram per batch of patterns.
+
+        Near pairs: ||X_a + X_b||^2 is read from R and ||X_a - X_b||^2 from
+        Gc.  Where one is at most ``_NEAR_PAIR`` of the squared norms of its
+        summands on the basis (Xc_a, Xc_b and 2 mu, or Xc_a and Xc_b), the
+        unit vector of X_a +- X_b is computed from the rows and joins the
+        basis as an extra row and column, with coefficient e_a in B_a and
+        B_b.  A zero pair sum, checked on the rows, raises ZeroVectorError
+        for the patterns that use it.
+        """
+        x = self.x
+        _require_rows(x, 4, "x")
+        n = self.n
+        g, gc, raw = self.gram, self.gc, self.raw
+        dc, dr = np.diagonal(gc), np.diagonal(raw)
+        # Squared norms of X_a + X_b (kind 0) and X_a - X_b (kind 1), and
+        # of their summands.
+        sq = np.stack([dr[:, None] + dr + 2.0 * raw, dc[:, None] + dc - 2.0 * gc])
+        scale = dc[:, None] + dc
+        scale = np.stack([scale + 4.0 * g[n, n], scale])
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        near = (sq <= _NEAR_PAIR * scale) & upper
+        kind, ia, ib = np.nonzero(near)
+        sums = x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib]
+        norms = np.linalg.norm(sums, axis=1)
+        zero = norms == 0.0
+        units = sums / np.where(zero, 1.0, norms)[:, None]
+        extra = units @ self.rows.T
+        g = np.block([[g, extra.T], [extra, units @ units.T]])
+        use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
+        inv = np.zeros_like(sq)
+        inv[use] = 1.0 / np.sqrt(sq[use])
+
+        k = kind.size
+        idx = np.arange(n)
+        col = n + 1 + np.arange(k)
+        out = np.empty(flips.shape[0])
+        step = max(1, _FLIP_BATCH // (n * (n + 1 + k)))
+        for start in range(0, flips.shape[0], step):
+            eps = flips[start : start + step]
+            same = eps[:, :, None] == eps[:, None, :]
+            w = np.where(same, inv[0], inv[1])
+            beta = np.zeros((eps.shape[0], n, n + 1 + k))
+            beta[:, :, :n] = w * eps[:, None, :]
+            beta[:, idx, idx] = eps * w.sum(axis=2)
+            # Only pair sums have a mu part: sum_b (e_a + e_b) w_ab, from one
+            # product per pattern, so a pattern's value does not depend on
+            # the size of its batch.
+            beta[:, :, n] = (inv[0] @ eps[:, :, None])[..., 0]
+            beta[:, :, n] += eps * inv[0].sum(axis=1)
+            used = same[:, ia, ib] == (kind == 0)
+            if (used & zero).any():
+                p = int(np.argwhere(used & zero)[0, 1])
+                raise ZeroVectorError(
+                    f"the {('sum', 'difference')[kind[p]]} of observations "
+                    f"{ia[p]} and {ib[p]} is the zero vector"
+                )
+            coef = used * eps[:, ia]
+            beta[:, ia, col] = coef
+            beta[:, ib, col] = coef
+            bg = beta @ g
+            norm_a = np.einsum("rj,rj->r", bg.sum(axis=1), beta.sum(axis=1))
+            norm_b = np.einsum("raj,raj->r", bg, beta)
+            out[start : start + step] = norm_a - 4.0 * norm_b
+        value = (out + 2.0 * n * (n - 1)) / (n * (n - 1) * (n - 2) * (n - 3))
+        return np.clip(value, -1.0, 1.0)
+
+
 class _TwoSampleGram:
-    """Every inner product that the two-sample statistics and nuisance
-    estimators read, from one GEMM over d.
+    """Every inner product that the two-sample statistics, the permutation
+    cq2 kernel and the nuisance estimators read, from one GEMM over d.
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
@@ -297,13 +307,37 @@ class _TwoSampleGram:
         self.rows = np.vstack([xc, yc, delta])
         self.gram = self.rows @ self.rows.T
 
-    def cq2(self) -> float:
-        """T_CQ2; see ``t_cq2``."""
+    def cq2(self, masks: np.ndarray) -> np.ndarray:
+        """T_CQ2 for each relabeling in ``masks`` ((R, N) boolean, True =
+        first group): sum_{i1!=i2} X_i1'X_i2 / (m)_2 plus the same over y
+        less 2 sum_{i,j} X_i'Y_j / (mn).
+
+        The rows centred on the pooled mean are P_i = Xc_i + c_i delta,
+        with c_i = -n/N on x rows and m/N on y rows, so every inner product
+        of them is read from ``gram``.  They sum to zero, so the second
+        group's row sum is minus the first's, S = sum_i u_i P_i with u the
+        first-group indicator.  With D the first group's sum of ||P_i||^2,
+
+            T = kappa ||S||^2 - D / (m)_2 - (sum_i ||P_i||^2 - D) / (n)_2,
+            kappa = 1/(m)_2 + 1/(n)_2 + 2/(mn),
+
+        and ||S||^2 = u'Gu + 2 (u'c)(u'a) + (u'c)^2 ||delta||^2: one
+        product u G per batch.
+        """
         m, n = self.m, self.n
-        diag = np.diagonal(self.gram)
-        return float(
-            diag[-1] - diag[:m].sum() / (m * (m - 1)) - diag[m:-1].sum() / (n * (n - 1))
-        )
+        big = m + n
+        g = self.gram
+        c = np.where(np.arange(big) < m, -n / big, m / big)
+        a, delta_sq = g[:big, big], g[big, big]
+        norms = np.diagonal(g)[:big] + c * (2.0 * a + delta_sq * c)
+        u = masks.astype(float)
+        uc = u @ c
+        sq = ((u @ g[:big, :big]) * u).sum(axis=1)
+        sq += uc * (2.0 * (u @ a) + delta_sq * uc)
+        first = u @ norms
+        mm, nn = m * (m - 1), n * (n - 1)
+        kappa = 1.0 / mm + 1.0 / nn + 2.0 / (m * n)
+        return kappa * sq - first / mm - (norms.sum() - first) / nn
 
     def wmw(self) -> float:
         """T_WMW; see ``t_wmw``."""
@@ -347,6 +381,22 @@ class _TwoSampleGram:
         quad = t_norm - np.einsum("ij,ij->", bg, beta) + m * n
         value = quad / (m * (m - 1) * n * (n - 1))
         return float(np.clip(value, -1.0, 1.0))
+
+
+def t_cq2(x, y) -> float:
+    """Two-sample mean-based statistic of Chen & Qin (2010, Ann. Statist.),
+    unbiased for ||E(X - Y)||^2: the identity row of
+    ``_TwoSampleGram.cq2``.
+
+    T is invariant to a common shift of both samples, and so is every term
+    of that kernel: it reads the rows centred on the pooled mean, so the
+    centring cancels the shift before any product is formed.
+    """
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    _require_same_dim(x, y)
+    m = x.shape[0]
+    return float(_TwoSampleGram(x, y).cq2(np.arange(m + y.shape[0])[None, :] < m)[0])
 
 
 def t_wmw(x, y) -> float:

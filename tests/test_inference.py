@@ -380,6 +380,19 @@ class TestSignflipBackend:
                 assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
                     shift, stat, res[stat][1], exact)
 
+    @pytest.mark.parametrize("stat", ["cq1", "s"])
+    def test_wide_data_memory(self, stat):
+        # 40 rows x 5000 columns with 2000 flip patterns: the flipped row
+        # sums alone, an (R + 1) x d array, would take 80 MB.
+        x = np.random.default_rng(56).standard_normal((40, 5000))
+        tracemalloc.start()
+        try:
+            signflip_pvalues_one_sample(x, [stat], 2000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
+
     def test_pvalue_floor_large_shift(self):
         # n = 20 rows: the chance of drawing a constant flip pattern, which
         # would reproduce the observed statistic exactly, is negligible.

@@ -2,8 +2,10 @@
 invariances they claim: ``t_wmw``, ``t_cq2`` and ``gamma1_hat`` on the
 two-sample side; ``t_cq1``, ``t_s``, ``t_sr``, ``t_sr_flips`` and
 ``gamma2_hat`` on the one-sample side, which are not location-invariant
-and are checked under row order, rotation and scale instead; and scale
-invariance (``t_cq1`` and ``t_cq2`` scale by c^2) for all five statistics.
+and are checked under row order, rotation and scale instead; scale
+invariance (``t_cq1`` and ``t_cq2`` scale by c^2) for all five statistics;
+and the resampling kernels (permutation ``cq2`` and ``wmw``, sign-flip
+``cq1``, ``s`` and ``sr``) on relabeled or flipped, shifted data.
 
 Entries lie on a grid of eighths, so samples often share rows or nearly
 coincide, and shifted samples are exactly representable: a shift then
@@ -29,7 +31,8 @@ from hdsigntest import (
     t_wmw,
 )
 from hdsigntest.errors import HDTestError
-from hdsigntest.statistics import t_sr_flips
+from hdsigntest.inference import _pair_norms, _wmw_from_masks
+from hdsigntest.statistics import _OneSampleGram, _TwoSampleGram, t_sr_flips
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -314,3 +317,54 @@ def test_scale_invariance(one, two, power):
         want = _outcome(func, *args)
         got = _outcome(func, *(c * a for a in args))
         assert _agree(got, want, WMW_TOL), (func.__name__, got, want)
+
+
+# ---------------------------------------------------------------------------
+# Resampling kernels.
+# ---------------------------------------------------------------------------
+
+
+@given(two_samples(), st.data())
+def test_permutation_kernels_match_naive(sample, data):
+    # Relabelings of a commonly shifted pool against the naive statistics
+    # of the unshifted split: both kernels are location-invariant.
+    x, y = sample
+    m, n = len(x), len(y)
+    pool = np.vstack([x, y])
+    masks = np.zeros((3, m + n), dtype=bool)
+    for mask in masks:
+        mask[data.draw(st.permutations(range(m + n)))[:m]] = True
+    shift = data.draw(shifts(x.shape[1]))
+    cq2 = _TwoSampleGram(x + shift, y + shift).cq2(masks)
+    norms, dup = _pair_norms(pool + shift)
+    wmw = _wmw_from_masks(pool + shift, norms, masks, m, n)
+    for mask, cq2_value, wmw_value in zip(masks, cq2, wmw):
+        a, b = pool[mask], pool[~mask]
+        assert abs(cq2_value - naive_t_cq2(a, b)) <= REL_TOL * _size(a, b)
+        want = _outcome(naive_t_wmw, a, b)
+        # The backend refuses a relabeling that splits a coincident pair.
+        assert (want == ZeroVectorError) == bool(dup[np.ix_(mask, ~mask)].any())
+        if want != ZeroVectorError:
+            assert abs(wmw_value - want) <= WMW_TOL, (wmw_value, want)
+
+
+@given(one_sample(min_rows=2), st.booleans(), st.data())
+def test_signflip_kernels_match_naive(sample, shifted, data):
+    # Flip patterns of the sample, shifted or not, against the naive
+    # statistics of the flipped rows.
+    x, flips = sample
+    if shifted:
+        x = x + data.draw(shifts(x.shape[1]))
+    gram = _OneSampleGram(x)
+    flipped = [x * eps[:, None] for eps in flips]
+    for value, rows in zip(gram.cq1(flips), flipped):
+        assert abs(value - naive_t_cq1(rows)) <= REL_TOL * _raw_size(x)
+    kernels = [(gram.s, naive_t_s)] + [(gram.sr, naive_t_sr)] * (len(x) >= 4)
+    for kernel, oracle in kernels:
+        want = [_outcome(oracle, rows) for rows in flipped]
+        got = _outcome(lambda: tuple(kernel(flips)))
+        if ZeroVectorError in want:
+            # A batch that uses a zero sign anywhere is refused as a whole.
+            assert got == ZeroVectorError
+        else:
+            assert _agree(got, tuple(want), WMW_TOL), (oracle.__name__, got, want)

@@ -1,6 +1,7 @@
 """Unit and property tests for the five statistics and their fast paths."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from hdsigntest import (
     t_sr,
     t_wmw,
 )
-from hdsigntest.inference import permutation_pvalues_two_sample
+from hdsigntest.inference import (
+    permutation_pvalues_two_sample,
+    signflip_pvalues_one_sample,
+)
 from hdsigntest.statistics import t_sr_flips
 from hdsigntest._naive import (
     naive_t_cq1,
@@ -139,6 +143,21 @@ class TestSpatialSignStat:
         with pytest.raises(ZeroVectorError):
             t_s([[0.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("norm", (1.0, 1e-3))
+    def test_short_rows_under_offset(self, norm):
+        # Rows 0 and 1 lie near the origin, far from the column mean: their
+        # inner product, rebuilt from the centred rows and the mean, would
+        # carry an error of about eps ||mean||^2 = 5e-3.
+        rng = np.random.default_rng(69)
+        x = rng.standard_normal((8, 30)) + 1e6
+        x[:2] = rng.standard_normal((2, 30)) * norm / np.sqrt(30)
+        flips = rng.integers(0, 2, size=(4, 8)) * 2.0 - 1.0
+        assert abs(t_s(x) - naive_t_s(x)) < 1e-12
+        res = signflip_pvalues_one_sample(x, ["s"], 4, np.random.default_rng(0))
+        assert abs(res["s"][0] - naive_t_s(x)) < 1e-12
+        for value, eps in zip(t_sr_flips(x, flips), flips):
+            assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
+
 
 class TestSignedRankStat:
     def test_identical_directions(self):
@@ -149,6 +168,13 @@ class TestSignedRankStat:
         # contract surfaces as an error instead of skipping the term.
         with pytest.raises(ZeroVectorError):
             t_sr([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+        # Around a column mean that no float represents, the pair sum
+        # rebuilt from the centred rows and the mean is not exactly zero;
+        # taken from the rows, it is.
+        x = np.random.default_rng(65).standard_normal((5, 3)) + 0.37
+        x[1] = -x[0]
+        with pytest.raises(ZeroVectorError):
+            t_sr(x)
 
     def test_near_antipodal_matches_enumeration(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.5], [-1.0, -0.5]])
@@ -187,6 +213,32 @@ class TestSignedRankStat:
         assert abs(t_sr(x) - naive_t_sr(x)) < 1e-10
         for value, eps in zip(t_sr_flips(x, flips), flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-10
+
+    @pytest.mark.parametrize("offset", (1e2, 1e6))
+    def test_offset_flips_match_naive(self, offset):
+        # A flip pattern turns pairs into differences, which have no part
+        # along the mean: the kernel must cancel that part exactly, or it
+        # leaves an error of about eps ||mean|| / spread (3e-11 here).
+        rng = np.random.default_rng(68)
+        flips = rng.integers(0, 2, size=(4, 12)) * 2.0 - 1.0
+        x = rng.standard_normal((12, 500)) + offset
+        for value, eps in zip(t_sr_flips(x, flips), flips):
+            assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-13
+
+    def test_offset_difference_pairs_memory(self):
+        # Under an offset every pair difference is short against the rows
+        # themselves, but not against the centred rows it is read from, so
+        # no pair is taken from the rows and no (k, d) block is built.
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal((40, 5000)) + 100.0
+        flips = rng.integers(0, 2, size=(501, 40)) * 2.0 - 1.0
+        tracemalloc.start()
+        try:
+            t_sr_flips(x, flips)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
 
     def test_flip_splitting_duplicate_pair(self):
         x = np.random.default_rng(62).standard_normal((5, 3))
