@@ -19,6 +19,11 @@ from .statistics import _OneSampleGram, _TwoSampleGram
 from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
 
 TOLERANCE = 1e-9
+# Floor of |reference| for the statistics that lie in [-1, 1] (T_S, T_SR,
+# T_WMW): they vanish exactly on some d = 1 instances, where their error
+# is up to about 15 eps, so their bound is relative down to 1e-5 and
+# absolute below.
+BOUNDED_FLOOR = 1e-5
 
 
 def _rel(value: float, reference: float, floor: float) -> float:
@@ -53,16 +58,17 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
 
         record("t_cq1", t_cq1(x), naive.naive_t_cq1(x))
         record("t_cq2", t_cq2(x, y), naive.naive_t_cq2(x, y))
-        # T_S and T_WMW vanish exactly on some d = 1 instances, so they and
-        # the sign-flip kernels are compared on the unit scale of the data.
-        record("t_s", t_s(x), naive.naive_t_s(x), 1.0)
-        record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y), 1.0)
+        record("t_s", t_s(x), naive.naive_t_s(x), BOUNDED_FLOOR)
+        record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y), BOUNDED_FLOOR)
         flips = signflip_rng.integers(0, 2, size=(2, m)) * 2.0 - 1.0
         flips[:, :2] = (1.0, -1.0)
         one = _OneSampleGram(x)
-        for kernel, oracle in ((one.cq1, naive.naive_t_cq1), (one.s, naive.naive_t_s)):
+        for kernel, oracle, floor in (
+            (one.cq1, naive.naive_t_cq1, 1e-12),
+            (one.s, naive.naive_t_s, BOUNDED_FLOOR),
+        ):
             for value, eps in zip(kernel(flips), flips):
-                record("signflip_kernels", value, oracle(x * eps[:, None]), 1.0)
+                record("signflip_kernels", value, oracle(x * eps[:, None]), floor)
         # Two mixed relabelings: pooled row 0 leaves the first group and
         # rows 1 and m are in it, so neither is the identity nor its swap.
         pool = np.vstack([x, y])
@@ -90,12 +96,13 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         nb = int(rng.integers(4, 9))
         xb = rng.standard_normal((mb, d))
         yb = rng.standard_normal((nb, d))
-        record("t_sr", t_sr(xb), naive.naive_t_sr(xb))
+        record("t_sr", t_sr(xb), naive.naive_t_sr(xb), BOUNDED_FLOOR)
         # Two mixed flip patterns: a constant one only reproduces t_sr.
         flips = flip_rng.integers(0, 2, size=(2, mb)) * 2.0 - 1.0
         flips[:, :2] = (1.0, -1.0)
         for value, eps in zip(t_sr_flips(xb, flips), flips):
-            record("t_sr_flips", value, naive.naive_t_sr(xb * eps[:, None]))
+            record("t_sr_flips", value, naive.naive_t_sr(xb * eps[:, None]),
+                   BOUNDED_FLOOR)
         record("tr_sigma_sq", tr_sigma_sq_hat(xb), naive.naive_tr_sigma_sq(xb))
         naive_gamma = (
             2.0 * naive.naive_tr_sigma_sq(xb) / (mb * (mb - 1))

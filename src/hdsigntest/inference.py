@@ -36,6 +36,7 @@ from .statistics import (
     TWO_SAMPLE_STATS,
     _OneSampleGram,
     _TwoSampleGram,
+    _observed,
     as_matrix,
     _require_same_dim,
 )
@@ -285,7 +286,7 @@ def _signflip_pvalues(gram, stats, n_resamples, rng) -> dict:
         raise ValueError("n_resamples must be at least 1")
     flips = rng.integers(0, 2, size=(n_resamples, gram.n)) * 2.0 - 1.0
     # Row 0, the all-plus pattern, gives the observed statistic.
-    flips = np.vstack([np.ones((1, gram.n)), flips])
+    flips = np.vstack([gram.identity, flips])
     results = {}
     for stat in stats:
         values = getattr(gram, stat)(flips)
@@ -459,10 +460,8 @@ def evaluate_two_sample(
         # d enters the statistics, the nuisance estimates and the
         # permutation cq2 kernel through this object's one Gram matrix.
         gram = _TwoSampleGram(x, y)
-        identity = np.arange(gram.m + gram.n)[None, :] < gram.m
-        statistic = {"cq2": lambda: float(gram.cq2(identity)[0]), "wmw": gram.wmw}
         values = {
-            stat: statistic[stat]()
+            stat: _observed(gram, stat)
             for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
         }
         if METHOD_ASYMPTOTIC in methods:
@@ -509,7 +508,7 @@ def evaluate_one_sample(
     # kernels through this object's one Gram matrix.
     gram = _OneSampleGram(x)
     values = {
-        stat: float(getattr(gram, stat)(np.ones((1, n)))[0])
+        stat: _observed(gram, stat)
         for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
     }
     snap = _one_sample_snapshot(gram) if METHOD_ASYMPTOTIC in methods else None

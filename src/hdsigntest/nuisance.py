@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _OneSampleGram, _TwoSampleGram, _require_same_dim, as_matrix
+from .statistics import _OneSampleGram, _TwoSampleGram, _centred
+from .statistics import _require_same_dim, as_matrix
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def tr_sigma_cross_hat(x, y) -> float:
 def sigma_sq_hat(x) -> float:
     """Marginal variance pooled over coordinates: the per-coordinate sample
     variance (denominator n-1) averaged over the d coordinates, which is
-    tr Gc / (d (n-1)) for the centred block Gc of ``_OneSampleGram``.
+    tr G / (d (n-1)) for the Gram matrix G of the centred rows.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -132,7 +133,8 @@ def sigma_sq_hat(x) -> float:
         raise TooFewObservationsError(
             f"variance estimator needs at least 2 observations, got {n}"
         )
-    return float(np.trace(_OneSampleGram(x).gc) / (d * (n - 1)))
+    rows = _centred(x)[0]
+    return float(np.einsum("ij,ij->", rows, rows) / (d * (n - 1)))
 
 
 def _check_gamma(gamma: float, spread: float) -> float:

@@ -10,6 +10,8 @@ suite and in the ``selftest`` CLI command.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -68,7 +70,7 @@ def spatial_sign(x) -> np.ndarray:
 def t_cq1(x) -> float:
     """One-sample mean-based statistic: the average of X_i1'X_i2 over
     ordered pairs of distinct indices.  Unbiased for ||E(X)||^2.
-    The all-plus pattern of ``_OneSampleGram.cq1``.
+    The all-plus row of ``_OneSampleGram.cq1``.
 
     Not location-invariant: an offset mu adds ||mu||^2 + 2 mu'Xbar to it.
     Each entry of the raw Gram matrix it sums carries a rounding error of
@@ -77,14 +79,13 @@ def t_cq1(x) -> float:
     1e6 on 8 x 30 data), while the part of the value that is not the
     offset's loses digits as ||mu||^2 grows.
     """
-    x = as_matrix(x)
-    return float(_OneSampleGram(x).cq1(np.ones((1, len(x))))[0])
+    return _observed(_OneSampleGram(as_matrix(x)), "cq1")
 
 
 def t_s(x) -> float:
     """One-sample spatial-sign statistic: average of S(X_i1)'S(X_i2) over
     ordered distinct pairs.  Unbiased for ||E S(X)||^2; always in [-1, 1].
-    The all-plus pattern of ``_OneSampleGram.s``.
+    The all-plus row of ``_OneSampleGram.s``.
 
     Not location-invariant: under an offset mu every sign tends to
     mu / ||mu|| and T_S to 1.  Its absolute error stays about eps under
@@ -93,23 +94,21 @@ def t_s(x) -> float:
     spread of the data, keeps a relative accuracy of only about
     eps / (1 - T_S).
     """
-    x = as_matrix(x)
-    return float(_OneSampleGram(x).s(np.ones((1, len(x))))[0])
+    return _observed(_OneSampleGram(as_matrix(x)), "s")
 
 
 def t_sr(x) -> float:
     """One-sample spatial signed-rank statistic: the average of
     S(X_i1 + X_i2)'S(X_i3 + X_i4) over ordered quadruples of distinct
     indices.  Unbiased for ||E S(X_1 + X_2)||^2.
-    The all-plus pattern of ``t_sr_flips``.
+    The all-plus row of ``_OneSampleGram.sr``.
 
     Not location-invariant: under an offset the value tends to 1, as T_S
     does, with an absolute error of about eps (at most 7.5e-16 at offsets
     up to 1e6 on 8 x 30 data, and 2.7e-16 for mixed flip patterns).
     1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).
     """
-    x = as_matrix(x)
-    return float(t_sr_flips(x, np.ones((1, len(x))))[0])
+    return _observed(_OneSampleGram(as_matrix(x)), "sr")
 
 
 def t_sr_flips(x, flips) -> np.ndarray:
@@ -124,6 +123,13 @@ def t_sr_flips(x, flips) -> np.ndarray:
 _NEAR_PAIR = 1e-2
 # Flip patterns per batch: at most about this many coefficients at a time.
 _FLIP_BATCH = 1 << 20
+
+
+def _observed(gram, stat: str) -> float:
+    """``stat`` on the data of ``gram``: its kernel's ``gram.identity`` row."""
+    if stat == "wmw":
+        return gram.wmw()
+    return float(getattr(gram, stat)(gram.identity)[0])
 
 
 def _centred(x: np.ndarray):
@@ -145,28 +151,34 @@ class _OneSampleGram:
 
     The centred rows Xc (``_centred``) are stacked with mu = mean + rest
     as row n, and ``gram = rows rows'``.  Its block ``gc`` = Xc Xc' is
-    location-free, and with a = Xc mu the raw Gram matrix X X' is
-    ``raw`` = Gc + a 1' + 1 a' + ||mu||^2.  A row whose squared norm there
-    is at most ``_NEAR_PAIR`` of those of its summands Xc_a and mu has
-    lost digits to cancellation, so its inner products come from the rows.
+    location-free and is all that the nuisance estimator reads.
 
     Each kernel evaluates its statistic on the sample with row i
-    multiplied by flips[r, i] = +-1, for every row r of ``flips``.
+    multiplied by flips[r, i] = +-1, for every row r of ``flips``;
+    ``identity`` is the all-plus pattern.
     """
 
     def __init__(self, x: np.ndarray):
         self.x = x
         self.n, self.d = x.shape
+        self.identity = np.ones((1, self.n))
         xc, mean, rest = _centred(x)
         self.rows = np.vstack([xc, mean + rest])
         self.gram = self.rows @ self.rows.T
         self.gc = self.gram[:-1, :-1]
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """X X' = Gc + a 1' + 1 a' + ||mu||^2 with a = Xc mu, except for a
+        row whose squared norm there is at most ``_NEAR_PAIR`` of those of
+        its summands Xc_a and mu: its inner products come from the rows."""
         a, mu_sq = self.gram[:-1, -1], self.gram[-1, -1]
-        self.raw = self.gc + (a[:, None] + a) + mu_sq
-        short = np.diagonal(self.raw) <= _NEAR_PAIR * (np.diagonal(self.gc) + mu_sq)
-        prods = x[short] @ x.T
-        self.raw[short] = prods
-        self.raw[:, short] = prods.T
+        raw = self.gc + (a[:, None] + a) + mu_sq
+        short = np.diagonal(raw) <= _NEAR_PAIR * (np.diagonal(self.gc) + mu_sq)
+        prods = self.x[short] @ self.x.T
+        raw[short] = prods
+        raw[:, short] = prods.T
+        return raw
 
     def cq1(self, flips: np.ndarray) -> np.ndarray:
         """T_CQ1: flipping by e makes the pair sum e'(R - diag R)e."""
@@ -283,7 +295,7 @@ class _TwoSampleGram:
     (N = m + n): ``rows`` is (N + 1) x d and ``gram = rows rows'``.  Its
     blocks G_xx, G_xy and G_yy are the Gram matrices of the centred
     samples, its last row and column hold a = rows delta, and its corner
-    ||delta||^2.
+    ||delta||^2.  ``identity`` is the mask of the samples' own labels.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -301,6 +313,7 @@ class _TwoSampleGram:
         self.x, self.y = x, y
         self.m, self.n = x.shape[0], y.shape[0]
         self.d = x.shape[1]
+        self.identity = np.arange(self.m + self.n)[None, :] < self.m
         xc, x_mean, x_rest = _centred(x)
         yc, y_mean, y_rest = _centred(y)
         delta = (y_mean - x_mean) + (y_rest - x_rest)
@@ -316,28 +329,29 @@ class _TwoSampleGram:
         with c_i = -n/N on x rows and m/N on y rows, so every inner product
         of them is read from ``gram``.  They sum to zero, so the second
         group's row sum is minus the first's, S = sum_i u_i P_i with u the
-        first-group indicator.  With D the first group's sum of ||P_i||^2,
+        first-group indicator, and S has the coefficients v = (u, u'c) on
+        the basis (Xc, Yc, delta).  With D = sum_i u_i ||P_i||^2,
 
             T = kappa ||S||^2 - D / (m)_2 - (sum_i ||P_i||^2 - D) / (n)_2,
             kappa = 1/(m)_2 + 1/(n)_2 + 2/(mn),
 
-        and ||S||^2 = u'Gu + 2 (u'c)(u'a) + (u'c)^2 ||delta||^2: one
-        product u G per batch.
+        and as u_i = u_i^2 this is v'Kv - sum_i ||P_i||^2 / (n)_2 for the
+        ``gram`` scaled by kappa, less 1/(m)_2 - 1/(n)_2 times ||P_i||^2 on
+        its first N diagonal entries: one product v K per batch.
         """
         m, n = self.m, self.n
         big = m + n
         g = self.gram
         c = np.where(np.arange(big) < m, -n / big, m / big)
-        a, delta_sq = g[:big, big], g[big, big]
-        norms = np.diagonal(g)[:big] + c * (2.0 * a + delta_sq * c)
-        u = masks.astype(float)
-        uc = u @ c
-        sq = ((u @ g[:big, :big]) * u).sum(axis=1)
-        sq += uc * (2.0 * (u @ a) + delta_sq * uc)
-        first = u @ norms
+        norms = np.diagonal(g)[:big] + c * (2.0 * g[:big, big] + g[big, big] * c)
         mm, nn = m * (m - 1), n * (n - 1)
-        kappa = 1.0 / mm + 1.0 / nn + 2.0 / (m * n)
-        return kappa * sq - first / mm - (norms.sum() - first) / nn
+        k = (1.0 / mm + 1.0 / nn + 2.0 / (m * n)) * g
+        idx = np.arange(big)
+        k[idx, idx] -= (1.0 / mm - 1.0 / nn) * norms
+        v = np.empty((masks.shape[0], big + 1))
+        v[:, :big] = masks
+        v[:, big] = v[:, :big] @ c
+        return ((v @ k) * v).sum(axis=1) - norms.sum() / nn
 
     def wmw(self) -> float:
         """T_WMW; see ``t_wmw``."""
@@ -395,8 +409,7 @@ def t_cq2(x, y) -> float:
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     _require_same_dim(x, y)
-    m = x.shape[0]
-    return float(_TwoSampleGram(x, y).cq2(np.arange(m + y.shape[0])[None, :] < m)[0])
+    return _observed(_TwoSampleGram(x, y), "cq2")
 
 
 def t_wmw(x, y) -> float:

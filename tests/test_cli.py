@@ -233,6 +233,12 @@ class TestSelftestCommand:
         assert code == 0
         assert out.count("[ok]") >= 8
 
+    def test_exact_zero_statistic_passes(self):
+        # Trial 19 of seed 24 has T_WMW = 0 exactly (m = n = 2, d = 1), and
+        # the fast path gives 2.8e-15 there: a few eps, not a relative error.
+        code, out, _ = run_cli(["selftest", "--trials", "19", "--seed", "24"])
+        assert code == 0, out
+
     def test_seed_determinism(self):
         _, out_a, _ = run_cli(["selftest", "--trials", "5", "--seed", "11"])
         _, out_b, _ = run_cli(["selftest", "--trials", "5", "--seed", "11"])
