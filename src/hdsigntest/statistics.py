@@ -126,7 +126,8 @@ _FLIP_BATCH = 1 << 20
 
 
 def _observed(gram, stat: str) -> float:
-    """``stat`` on the data of ``gram``: its kernel's ``gram.identity`` row."""
+    """``stat`` on the data of ``gram``: the ``gram.identity`` row of its
+    batch kernel, or ``gram.wmw()``, which has no batch kernel yet."""
     if stat == "wmw":
         return gram.wmw()
     return float(getattr(gram, stat)(gram.identity)[0])
