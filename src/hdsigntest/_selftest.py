@@ -9,6 +9,7 @@ import numpy as np
 from . import _naive as naive
 from .generators import RsrmAuxiliary
 from .inference import (
+    _SIGN_BLOCK,
     _pair_norms,
     _wmw_from_masks,
     one_sample_oracle_terms,
@@ -112,10 +113,11 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         record("gamma1", gamma1_hat(xb, yb).gamma, naive_gamma)
 
     # One instance wide enough for the permutation wmw kernel to read its
-    # pair differences in two column blocks, on its own stream.
+    # pair differences in two column blocks, a full one and one of three
+    # columns, on its own stream.
     wide_rng = np.random.default_rng([seed, 3])
     m = n = 4
-    pool = wide_rng.standard_normal((m + n, 16387))
+    pool = wide_rng.standard_normal((m + n, _SIGN_BLOCK // (m + n) ** 2 + 3))
     masks = np.zeros((3, m + n), dtype=bool)
     masks[0, :m] = True
     for mask in masks[1:]:

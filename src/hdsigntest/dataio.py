@@ -32,23 +32,13 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
             raise DataFileError(f"{source}: only a header line, no data rows")
 
     rows = lines[start:]
-    width = rows[0].count(",") + 1
-    for rownum, line in enumerate(rows, start=1):
-        if line.count(",") + 1 != width:
-            raise DataFileError(
-                f"{source}: row {rownum}: expected {width} fields, "
-                f"found {line.count(',') + 1}"
-            )
     try:
         # One C-level pass over every cell; it accepts a subset of what
-        # float() does and parses it to the same double.
+        # float() does and parses it to the same double, and it refuses
+        # rows of unequal width.
         matrix = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        matrix = np.array([
-            [_cell_value(cell, source, rownum, colnum)
-             for colnum, cell in enumerate(line.split(","), start=1)]
-            for rownum, line in enumerate(rows, start=1)
-        ])
+        matrix = _slow_parse(rows, source)
     if not np.isfinite(matrix).all():
         bad = np.argwhere(~np.isfinite(matrix))[0]
         raise DataFileError(
@@ -56,6 +46,24 @@ def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
             "non-finite value"
         )
     return matrix
+
+
+def _slow_parse(rows: list, source: str) -> np.ndarray:
+    """The matrix of ``rows``, or a DataFileError naming the first row of
+    the wrong width, else the first cell that does not convert: the slow
+    path that runs only once the rows have failed to parse as a whole."""
+    width = rows[0].count(",") + 1
+    for rownum, line in enumerate(rows, start=1):
+        if line.count(",") + 1 != width:
+            raise DataFileError(
+                f"{source}: row {rownum}: expected {width} fields, "
+                f"found {line.count(',') + 1}"
+            )
+    return np.array([
+        [_cell_value(cell, source, rownum, colnum)
+         for colnum, cell in enumerate(line.split(","), start=1)]
+        for rownum, line in enumerate(rows, start=1)
+    ])
 
 
 def _cell_value(cell: str, source: str, rownum: int, colnum: int) -> float:

@@ -120,11 +120,13 @@ def two_sample_z(
 # Resampled statistics are evaluated from quantities precomputed on the
 # data, so no resample recomputes a statistic from scratch.  The
 # permutation wmw kernel takes the pair norms from the pooled rows once and
-# forms the pairwise unit differences one block of columns at a time: its
-# time is still O(N^2 d) per relabeling, but its memory is O(N^2 · block),
-# with about ``_SIGN_BLOCK`` coefficients per block, not N^2 d.  Every
-# other kernel reads the dataset's one Gram matrix: permutation cq2 the
-# pooled Gram read from ``_TwoSampleGram``, and sign-flip cq1, s and sr
+# forms the pairwise unit differences one block of columns at a time, each
+# written over the last in one reused buffer of about ``_SIGN_BLOCK``
+# coefficients: its time is still O(N^2 d) per relabeling, but it holds one
+# (N, N, block) array, not N^2 d, and its contractions over either pair
+# index read that buffer in place (U_ba = -U_ab).  Every other kernel
+# reads the dataset's one Gram matrix: permutation cq2 the pooled Gram
+# read from ``_TwoSampleGram``, and sign-flip cq1, s and sr
 # the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
 # pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
 # with d times the number of patterns.
@@ -185,18 +187,27 @@ def _relabeling_blocks(m: int, n: int, n_resamples: int, rng):
 
 # Pair coefficients per column block of the pooled pairwise differences,
 # so memory does not grow as N^2 d.
-_SIGN_BLOCK = 1 << 20
+_SIGN_BLOCK = 1 << 19
 
 
 def _pair_differences(pool: np.ndarray):
     """pool[a] - pool[b] for every pair of pooled rows, one (N, N, cols)
     block of consecutive columns at a time, with about ``_SIGN_BLOCK``
-    coefficients per block."""
+    coefficients per block.
+
+    Every block is written into one buffer allocated once, so each block
+    overwrites the one before it: a caller must be done with a block,
+    and may modify it in place, before it asks for the next.  Each block,
+    the short last one too, is a contiguous view of that buffer.
+    """
     big, d = pool.shape
-    cols = max(1, _SIGN_BLOCK // (big * big))
+    cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
+    buffer = np.empty(big * big * cols)
     for lo in range(0, d, cols):
         block = pool[:, lo : lo + cols]
-        yield block[:, None, :] - block[None, :, :]
+        view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
+        np.subtract(block[:, None, :], block[None, :, :], out=view)
+        yield view
 
 
 def _pair_norms(pool: np.ndarray):
@@ -206,7 +217,7 @@ def _pair_norms(pool: np.ndarray):
     differences harmlessly."""
     sq = np.zeros((pool.shape[0],) * 2)
     for diff in _pair_differences(pool):
-        sq += np.add.reduce(diff * diff, axis=2)
+        sq += np.add.reduce(np.square(diff, out=diff), axis=2)
     norms = np.sqrt(sq)
     np.fill_diagonal(norms, 1.0)
     dup = norms == 0.0
@@ -224,7 +235,9 @@ def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
     ``t_wmw``, and T is their total.  ||T||^2, sum ||R_i||^2 and
     sum ||C_j||^2 are sums over coordinates, so they are accumulated over
     the column blocks of ``_pair_differences``, each turned into unit
-    vectors once.
+    vectors in place in the one reused buffer.  Both sums contract the
+    block over its first axis, so neither copies it: since
+    U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is used.
     """
     count = xmask.shape[0]
     u_all = xmask.astype(float)
@@ -238,7 +251,7 @@ def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
             # a runs over pooled rows on the second-group side, b on the first.
             a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
             t_vec = np.einsum("rb,rbd->rd", u, a_cols)
-            b_rows = np.einsum("rb,abd->rad", u, signs, optimize=True)
+            b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
             part = slice(start, stop)
             t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
             r_term[part] += np.einsum("rbd,rbd,rb->r", a_cols, a_cols, u, optimize=True)

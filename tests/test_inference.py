@@ -306,6 +306,23 @@ class TestPermutationBackend:
             tracemalloc.stop()
         assert peak < 30e6, peak
 
+    def test_cli_shape_working_set(self):
+        # 40 + 40 rows x 5000 columns, the benchmark's CLI shape, in many
+        # column blocks.  The kernel holds one block of pair differences, squared
+        # and normalised in place, and copies it for no contraction, so the
+        # traced peak stays under 1.5 blocks plus twice the data.
+        rng = np.random.default_rng(68)
+        x = rng.standard_normal((40, 5000))
+        y = rng.standard_normal((40, 5000))
+        tracemalloc.start()
+        try:
+            permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.5 * 8 * inference._SIGN_BLOCK + 2 * (x.nbytes + y.nbytes)
+        assert peak < bound, (peak, bound)
+
     def test_pvalue_floor_under_huge_shift(self):
         rng = np.random.default_rng(48)
         x = rng.standard_normal((8, 20))
