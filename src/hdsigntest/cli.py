@@ -166,13 +166,14 @@ def _parse_grid(text: str):
         token = token.strip()
         if not token:
             continue
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise _UsageError(f"bad grid token {token!r}, expected d:c")
         try:
-            points.append((int(parts[0]), float(parts[1])))
+            d, c = token.split(":")
+            d, c = int(d), float(c)
         except ValueError:
-            raise _UsageError(f"bad grid token {token!r}, expected d:c") from None
+            c = math.nan
+        if not math.isfinite(c):
+            raise _UsageError(f"bad grid token {token!r}, expected d:c with a finite shift c")
+        points.append((d, c))
     if not points:
         raise _UsageError("grid is empty")
     return tuple(points)

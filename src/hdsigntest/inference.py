@@ -120,16 +120,16 @@ def two_sample_z(
 # Resampled statistics are evaluated from quantities precomputed on the
 # data, so no resample recomputes a statistic from scratch.  The
 # permutation wmw kernel takes the pair norms from the pooled rows once and
-# forms the pairwise unit differences one block of columns at a time, each
-# written over the last in one reused buffer of about ``_SIGN_BLOCK``
-# coefficients: its time is still O(N^2 d) per relabeling, but it holds one
-# (N, N, block) array, not N^2 d, and its contractions over either pair
-# index read that buffer in place (U_ba = -U_ab).  Every other kernel
-# reads the dataset's one Gram matrix: permutation cq2 the pooled Gram
-# read from ``_TwoSampleGram``, and sign-flip cq1, s and sr
-# the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
-# pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
-# with d times the number of patterns.
+# forms the pairwise unit differences one block of columns at a time in one
+# reused buffer of about ``_SIGN_BLOCK`` coefficients, so it holds one
+# (N, N, block) array, not N^2 d.  Its time is O(N^2 d) per relabeling: two
+# GEMMs over either pair index read the buffer in place (U_ba = -U_ab), and
+# only two-operand reductions of their results follow.  Every other kernel
+# reads the dataset's one Gram matrix: permutation cq2 the pooled Gram of
+# ``_TwoSampleGram``, and sign-flip cq1, s and sr the (n + 1) x (n + 1)
+# Gram matrix of ``_OneSampleGram``, O(n^2) per flip pattern for cq1 and s
+# and O(n^3) for sr, so their memory does not grow with d times the number
+# of patterns.
 #
 # Each kernel runs on one batch whose row 0 is the identity relabeling or
 # the all-plus flip pattern, so the observed statistic comes from the same
@@ -233,11 +233,12 @@ def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
     v = 1 - u, the sums of U_ab over a in the second group (``a_cols``)
     and over b in the first (``b_rows``) are the R_i and C_j of
     ``t_wmw``, and T is their total.  ||T||^2, sum ||R_i||^2 and
-    sum ||C_j||^2 are sums over coordinates, so they are accumulated over
-    the column blocks of ``_pair_differences``, each turned into unit
-    vectors in place in the one reused buffer.  Both sums contract the
-    block over its first axis, so neither copies it: since
+    sum ||C_j||^2 are sums over coordinates, accumulated over the column
+    blocks of ``_pair_differences``, each made unit vectors in place.  Both
+    sums are GEMMs over the block's first axis, so neither copies it: since
     U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is used.
+    The rest are two-operand reductions: the squared row norms of ``a_cols``
+    and ``b_rows``, weighted by u and v, and T as one stacked matmul.
     """
     count = xmask.shape[0]
     u_all = xmask.astype(float)
@@ -250,12 +251,12 @@ def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
             u, v = u_all[start:stop], v_all[start:stop]
             # a runs over pooled rows on the second-group side, b on the first.
             a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
-            t_vec = np.einsum("rb,rbd->rd", u, a_cols)
             b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
+            t_vec = np.matmul(u[:, None, :], a_cols)[:, 0]
             part = slice(start, stop)
             t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
-            r_term[part] += np.einsum("rbd,rbd,rb->r", a_cols, a_cols, u, optimize=True)
-            c_term[part] += np.einsum("rad,rad,ra->r", b_rows, b_rows, v, optimize=True)
+            r_term[part] += np.einsum("rb,rb->r", np.einsum("rbd,rbd->rb", a_cols, a_cols), u)
+            c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
     out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
     return np.clip(out, -1.0, 1.0)
 
@@ -278,9 +279,12 @@ def _permutation_pvalues(x, y, gram, stats, n_resamples, rng) -> dict:
     for masks in _relabeling_blocks(m, n, n_resamples, rng):
         for stat in stats:
             if stat == "wmw":
-                if (masks[:, first] != masks[:, second]).any():
+                split = (masks[:, first] != masks[:, second]).any(axis=0)
+                if split.any():
+                    a, b = (f"x row {i}" if i < m else f"y row {i - m}"
+                            for i in (first[split][0], second[split][0]))
                     raise ZeroVectorError(
-                        "a relabeling pairs two identical pooled observations"
+                        f"a relabeling pairs two identical pooled observations, {a} and {b}"
                     )
                 values[stat].append(_wmw_from_masks(pool, norms, masks, m, n))
             else:

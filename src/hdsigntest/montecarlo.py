@@ -58,8 +58,8 @@ class ExperimentPlan:
             raise InvalidSpecError("alpha must be in (0, 1)")
         if self.n_resamples < 1:
             raise InvalidSpecError("n_resamples must be at least 1")
-        if not self.grid:
-            raise InvalidSpecError("grid must contain at least one (d, c) point")
+        if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
+            raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
         for stat, method in self.tests:
             if stat not in TWO_SAMPLE_STATS:
                 raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
@@ -313,17 +313,6 @@ def parse_plot_data(text: str) -> list:
     header = next(reader, None)
     if header != ["model", "d", "c", "stat", "method", "rate", "se"]:
         raise EmptyInputError("not a plot-data CSV")
-    rows = []
-    for rec in reader:
-        rows.append(
-            {
-                "model": rec[0],
-                "d": int(rec[1]),
-                "c": float(rec[2]),
-                "stat": rec[3],
-                "method": rec[4],
-                "rate": float(rec[5]),
-                "se": float(rec[6]),
-            }
-        )
-    return rows
+    kinds = (str, int, float, str, str, float, float)
+    return [{key: kind(cell) for key, kind, cell in zip(header, kinds, rec, strict=True)}
+            for rec in reader]

@@ -2,11 +2,19 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hdsigntest import DataFileError, parse_matrix_csv, read_matrix_csv, write_matrix_csv
+from hdsigntest import (
+    DataFileError,
+    ExperimentPlan,
+    InvalidSpecError,
+    parse_matrix_csv,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 from hdsigntest.cli import main
 
 
@@ -190,6 +198,23 @@ class TestSimulateCommand:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("shift", ["inf", "nan", "1e400"])
+    def test_nonfinite_grid_shift(self, shift, tmp_path):
+        code, _, err = run_cli(
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+             "--grid", f"10:{shift}", "--tests", "cq2:asym", "--reps", "2",
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        assert "usage error" in err and "finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("shift", [math.inf, math.nan])
+    def test_plan_rejects_nonfinite_shift(self, shift):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            ExperimentPlan(model="ar1-gauss", grid=((10, 1.0), (10, shift)), m=8, n=8,
+                           tests=(("cq2", "asymptotic"),), replications=2)
 
     def test_oracle_on_model_without_scales(self, tmp_path):
         code, _, err = run_cli(

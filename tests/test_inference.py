@@ -258,6 +258,29 @@ class TestPermutationBackend:
             assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), (m, n, got, want)
             assert got[1] == want[1], (m, n, got, want)
 
+    @pytest.mark.parametrize("m, n, d, cols, picks", [
+        (6, 9, 20, None, 201),
+        (6, 9, 20, 7, 201),
+        (20, 20, 200, None, 12),
+    ])
+    def test_chunked_reductions_match_naive(self, m, n, d, cols, picks, monkeypatch):
+        # The identity and 200 draws are 201 rows, which the kernel reduces
+        # in four chunks of up to 64; with ``cols`` = 7 it reads the 20
+        # columns in three blocks.  ``picks`` masks spread over the chunks
+        # are checked against the loop oracle on their splits.
+        if cols is not None:
+            monkeypatch.setattr(inference, "_SIGN_BLOCK", (m + n) ** 2 * cols)
+        rng = np.random.default_rng(800 + d)
+        x = rng.standard_t(5, size=(m, d))
+        y = rng.standard_t(5, size=(n, d)) + 0.3
+        pool = np.vstack([x, y])
+        masks = np.vstack(list(inference._relabeling_blocks(m, n, 200, rng)))
+        assert len(inference._spans(len(masks), 64)) == 4
+        values = inference._wmw_from_masks(pool, inference._pair_norms(pool)[0], masks, m, n)
+        for r in np.linspace(0, len(masks) - 1, picks).astype(int):
+            want = naive_t_wmw(pool[masks[r]], pool[~masks[r]])
+            assert abs(values[r] - want) <= 1e-12 * abs(want), (r, values[r], want)
+
     @pytest.mark.parametrize("dist", [1e-3, 1e-7, 1e-10])
     def test_near_coincident_pair(self, dist):
         # y row 2 nearly coincides with x row 1.  The kernel takes every
@@ -283,13 +306,19 @@ class TestPermutationBackend:
     def test_split_duplicate_pair(self, cols, monkeypatch):
         # Pooled rows 0 and 1 coincide.  The identity keeps them together,
         # but about 4 in 7 draws split them, and a split pair has no sign.
+        # The error names the pair by sample and row, across samples too.
         if cols is not None:
             monkeypatch.setattr(inference, "_SIGN_BLOCK", 64 * cols)
         rng = np.random.default_rng(66)
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((4, 6))
         x[1] = x[0]
-        with pytest.raises(ZeroVectorError, match="identical pooled observations"):
+        match = "identical pooled observations, x row 0 and x row 1$"
+        with pytest.raises(ZeroVectorError, match=match):
+            permutation_pvalues_two_sample(x, y, ["wmw"], 50, np.random.default_rng(0))
+        x[1] += 1.0
+        y[2] = x[3]
+        with pytest.raises(ZeroVectorError, match="x row 3 and y row 2$"):
             permutation_pvalues_two_sample(x, y, ["wmw"], 50, np.random.default_rng(0))
 
     def test_wide_data_memory(self):
