@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     HDTestError,
+    InvalidInputError,
     InvalidSpecError,
     MismatchedAuxiliaryError,
     NonpositiveScaleError,

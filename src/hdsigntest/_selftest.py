@@ -8,15 +8,10 @@ import numpy as np
 
 from . import _naive as naive
 from .generators import RsrmAuxiliary
-from .inference import (
-    _SIGN_BLOCK,
-    _pair_norms,
-    _wmw_from_masks,
-    one_sample_oracle_terms,
-    two_sample_oracle_terms,
-)
+from .errors import InvalidInputError
+from .inference import one_sample_oracle_terms, two_sample_oracle_terms
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
-from .statistics import _OneSampleGram, _TwoSampleGram
+from .statistics import _SIGN_BLOCK, _OneSampleGram, _TwoSampleGram
 from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
 
 TOLERANCE = 1e-9
@@ -38,7 +33,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     Returns {check name: max deviation relative to max(|reference|, floor)}.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise InvalidInputError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     # Flip patterns and relabelings come from their own streams, so the
     # instances above do not depend on them.
@@ -78,12 +73,9 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         for mask in masks:
             mask[[1, m]] = True
             mask[relabel_rng.permutation(others)[: m - 2]] = True
-        relabeled = (
-            (_TwoSampleGram(x, y).cq2(masks), naive.naive_t_cq2),
-            (_wmw_from_masks(pool, _pair_norms(pool)[0], masks, m, n),
-             naive.naive_t_wmw),
-        )
-        for values, oracle in relabeled:
+        two = _TwoSampleGram(x, y)
+        for values, oracle in ((two.cq2(masks), naive.naive_t_cq2),
+                               (two.wmw(masks), naive.naive_t_wmw)):
             for value, mask in zip(values, masks):
                 record("permutation_kernels", value, oracle(pool[mask], pool[~mask]))
         record(
@@ -122,7 +114,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     masks[0, :m] = True
     for mask in masks[1:]:
         mask[wide_rng.permutation(m + n)[:m]] = True
-    values = _wmw_from_masks(pool, _pair_norms(pool)[0], masks, m, n)
+    values = _TwoSampleGram(pool[:m], pool[m:]).wmw(masks)
     for value, mask in zip(values, masks):
         record("permutation_kernels", value, naive.naive_t_wmw(pool[mask], pool[~mask]))
 

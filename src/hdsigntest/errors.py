@@ -5,6 +5,11 @@ class HDTestError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(HDTestError, ValueError):
+    """An argument has an invalid value; also a ValueError, so callers
+    that catch ValueError still catch it."""
+
+
 class ZeroVectorError(HDTestError):
     """A spatial sign was requested for a zero vector.
 

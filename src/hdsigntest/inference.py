@@ -7,7 +7,8 @@ against the null.  One evaluator per sample count, ``evaluate_two_sample``
 and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
 one dataset and builds each shared input once; the ``asymptotic_*``,
 ``randomization_*`` and ``rsrm_oracle_*`` functions, the study harness and
-the command line all call it.  Randomization p-values use the add-one
+the command line all call it.  Both share one report loop and one
+randomization core over the dataset's Gram object.  Randomization p-values use the add-one
 estimator (1 + #{resampled >= observed}) / (n_resamples + 1), which is
 valid at any finite resample count and never exactly zero.  The observed
 statistic is computed on the resampling path, as the identity relabeling
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidInputError,
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
-    TooFewObservationsError,
-    ZeroVectorError,
 )
 from .generators import RsrmAuxiliary
 from .nuisance import VarianceSnapshot, _one_sample_snapshot, _two_sample_snapshot
@@ -38,7 +38,6 @@ from .statistics import (
     _TwoSampleGram,
     _observed,
     as_matrix,
-    _require_same_dim,
 )
 
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -87,7 +86,7 @@ def gaussian_sf(z: float) -> float:
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def one_sample_z(kind: str, value: float, d: int, sigma_sq: float, gamma: float) -> float:
@@ -99,7 +98,7 @@ def one_sample_z(kind: str, value: float, d: int, sigma_sq: float, gamma: float)
         return d * sigma_sq * value / (2.0 * root)
     if kind == "cq1":
         return value / root
-    raise ValueError(f"unknown one-sample statistic {kind!r}")
+    raise InvalidInputError(f"unknown one-sample statistic {kind!r}")
 
 
 def two_sample_z(
@@ -111,203 +110,49 @@ def two_sample_z(
         return d * (sigma1_sq + sigma2_sq) * value / root
     if kind == "cq2":
         return value / root
-    raise ValueError(f"unknown two-sample statistic {kind!r}")
+    raise InvalidInputError(f"unknown two-sample statistic {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Randomization backends.
 #
-# Resampled statistics are evaluated from quantities precomputed on the
-# data, so no resample recomputes a statistic from scratch.  The
-# permutation wmw kernel takes the pair norms from the pooled rows once and
-# forms the pairwise unit differences one block of columns at a time in one
-# reused buffer of about ``_SIGN_BLOCK`` coefficients, so it holds one
-# (N, N, block) array, not N^2 d.  Its time is O(N^2 d) per relabeling: two
-# GEMMs over either pair index read the buffer in place (U_ba = -U_ab), and
-# only two-operand reductions of their results follow.  Every other kernel
-# reads the dataset's one Gram matrix: permutation cq2 the pooled Gram of
-# ``_TwoSampleGram``, and sign-flip cq1, s and sr the (n + 1) x (n + 1)
-# Gram matrix of ``_OneSampleGram``, O(n^2) per flip pattern for cq1 and s
-# and O(n^3) for sr, so their memory does not grow with d times the number
-# of patterns.
+# One core serves both sample counts.  The dataset's Gram object draws its
+# own resamples (``draws``): blocks of relabeling masks of the pooled rows
+# for ``_TwoSampleGram``, one block of flip patterns for ``_OneSampleGram``,
+# each led by the identity relabeling or the all-plus flip pattern.  Each
+# statistic is the Gram object's batch kernel of that name on each block,
+# so the observed statistic comes from the same code path as the draws and
+# a draw that reproduces it ties exactly.  With m = n both two-sample
+# statistics are symmetric in the groups, so every relabeling is oriented
+# to put pooled row 0 in the first group: a draw of the swapped split is
+# then the identity mask and ties too.
 #
-# Each kernel runs on one batch whose row 0 is the identity relabeling or
-# the all-plus flip pattern, so the observed statistic comes from the same
-# code path as the draws and a draw that reproduces it ties exactly.  With
-# m = n both two-sample statistics are symmetric in the groups, so every
-# relabeling is oriented to put pooled row 0 in the first group: a draw of
-# the swapped split is then the identity mask and ties too.
+# Every kernel but one reads the dataset's one Gram matrix: permutation
+# cq2 the pooled Gram of ``_TwoSampleGram``, and sign-flip cq1, s and sr
+# the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
+# pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
+# with d times the number of patterns.  Only the permutation wmw kernel
+# still reads the rows per relabeling: it takes the pooled pair norms from
+# the rows once per dataset, and forms the pairwise unit differences one
+# block of columns at a time, O(N^2 d) per relabeling, in one reused
+# buffer of about ``statistics._SIGN_BLOCK`` coefficients.
 # ---------------------------------------------------------------------------
 
-# Relabelings per block of the permutation backend, so memory does not
-# grow with n_resamples.
-_PERM_BATCH = 1024
 
-
-def _add_one_pvalue(obs, draws) -> tuple:
-    p = (1.0 + int(np.sum(draws >= obs))) / (draws.shape[0] + 1.0)
-    return float(obs), float(p)
-
-
-def _spans(total: int, cap: int) -> list:
-    """(start, stop) of consecutive blocks of ``cap`` rows covering
-    range(total), with a last block of a single row joined to the one
-    before it.
-
-    NumPy hands a one-row product to gemv, which rounds differently from
-    gemm, and a relabeling must get the same value in every row of every
-    block.  Equal block sizes also let freed work arrays be reused.
-    """
-    stops = list(range(cap, total, cap))
-    if stops and total - stops[-1] == 1:
-        stops.pop()
-    return list(zip([0] + stops, stops + [total]))
-
-
-def _relabeling_blocks(m: int, n: int, n_resamples: int, rng):
-    """Boolean relabeling masks of the m + n pooled rows (True = first
-    group), in blocks of ``_PERM_BATCH`` rows as ``_spans`` cuts them:
-    the identity, then ``n_resamples`` draws.
-
-    The draws consume ``rng`` exactly as ``n_resamples`` calls of
-    ``rng.permutation(m + n)[:m]`` would, and give the same masks.  With
-    m = n each mask is oriented to hold pooled row 0.
-    """
-    big = m + n
-    for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
-        lead = int(start == 0)
-        masks = np.zeros((stop - start, big), dtype=bool)
-        masks[:lead, :m] = True
-        picks = rng.permuted(np.tile(np.arange(big), (stop - start - lead, 1)), axis=1)
-        np.put_along_axis(masks[lead:], picks[:, :m], True, axis=1)
-        if m == n:
-            masks ^= ~masks[:, :1]
-        yield masks
-
-
-# Pair coefficients per column block of the pooled pairwise differences,
-# so memory does not grow as N^2 d.
-_SIGN_BLOCK = 1 << 19
-
-
-def _pair_differences(pool: np.ndarray):
-    """pool[a] - pool[b] for every pair of pooled rows, one (N, N, cols)
-    block of consecutive columns at a time, with about ``_SIGN_BLOCK``
-    coefficients per block.
-
-    Every block is written into one buffer allocated once, so each block
-    overwrites the one before it: a caller must be done with a block,
-    and may modify it in place, before it asks for the next.  Each block,
-    the short last one too, is a contiguous view of that buffer.
-    """
-    big, d = pool.shape
-    cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
-    buffer = np.empty(big * big * cols)
-    for lo in range(0, d, cols):
-        block = pool[:, lo : lo + cols]
-        view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
-        np.subtract(block[:, None, :], block[None, :, :], out=view)
-        yield view
-
-
-def _pair_norms(pool: np.ndarray):
-    """(norms, dup): ||pool[a] - pool[b]|| for every pair, taken from the
-    rows, and the mask of coincident pairs.  The norms of the diagonal and
-    of coincident pairs are set to 1, so they divide their zero
-    differences harmlessly."""
-    sq = np.zeros((pool.shape[0],) * 2)
-    for diff in _pair_differences(pool):
-        sq += np.add.reduce(np.square(diff, out=diff), axis=2)
-    norms = np.sqrt(sq)
-    np.fill_diagonal(norms, 1.0)
-    dup = norms == 0.0
-    norms[dup] = 1.0
-    return norms, dup
-
-
-def _wmw_from_masks(pool, norms, xmask, m, n, chunk=64):
-    """T_WMW for each relabeling; xmask is (R, N) boolean, True = first group.
-
-    U_ab is the unit vector of pool[a] - pool[b] (``norms`` from
-    ``_pair_norms``).  For a relabeling with first-group indicator u and
-    v = 1 - u, the sums of U_ab over a in the second group (``a_cols``)
-    and over b in the first (``b_rows``) are the R_i and C_j of
-    ``t_wmw``, and T is their total.  ||T||^2, sum ||R_i||^2 and
-    sum ||C_j||^2 are sums over coordinates, accumulated over the column
-    blocks of ``_pair_differences``, each made unit vectors in place.  Both
-    sums are GEMMs over the block's first axis, so neither copies it: since
-    U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is used.
-    The rest are two-operand reductions: the squared row norms of ``a_cols``
-    and ``b_rows``, weighted by u and v, and T as one stacked matmul.
-    """
-    count = xmask.shape[0]
-    u_all = xmask.astype(float)
-    v_all = 1.0 - u_all
-    t_norm, r_term, c_term = np.zeros((3, count))
-    spans = _spans(count, chunk)
-    for signs in _pair_differences(pool):
-        signs /= norms[:, :, None]
-        for start, stop in spans:
-            u, v = u_all[start:stop], v_all[start:stop]
-            # a runs over pooled rows on the second-group side, b on the first.
-            a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
-            b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
-            t_vec = np.matmul(u[:, None, :], a_cols)[:, 0]
-            part = slice(start, stop)
-            t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
-            r_term[part] += np.einsum("rb,rb->r", np.einsum("rbd,rbd->rb", a_cols, a_cols), u)
-            c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
-    out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
-    return np.clip(out, -1.0, 1.0)
-
-
-def _permutation_pvalues(x, y, gram, stats, n_resamples, rng) -> dict:
-    """{stat: (observed, p_value)} over one shared set of relabelings of
-    the pooled sample; ``gram`` is the samples' ``_TwoSampleGram`` when
-    cq2 is among ``stats``."""
-    m, n = x.shape[0], y.shape[0]
-    if m < 2 or n < 2:
-        raise TooFewObservationsError("permutation test needs at least 2 rows per sample")
+def _randomization_pvalues(gram, stats, n_resamples, rng) -> dict:
+    """{stat: (observed, p_value)} over one shared set of ``gram.draws``,
+    with the add-one estimator (1 + #{drawn >= observed}) / (R + 1)."""
     if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
-    pool = np.vstack([x, y])
-    if "wmw" in stats:
-        norms, dup = _pair_norms(pool)
-        first, second = np.nonzero(np.triu(dup))
-
+        raise InvalidInputError(f"n_resamples must be at least 1, got {n_resamples}")
     values = {stat: [] for stat in stats}
-    for masks in _relabeling_blocks(m, n, n_resamples, rng):
+    for block in gram.draws(n_resamples, rng):
         for stat in stats:
-            if stat == "wmw":
-                split = (masks[:, first] != masks[:, second]).any(axis=0)
-                if split.any():
-                    a, b = (f"x row {i}" if i < m else f"y row {i - m}"
-                            for i in (first[split][0], second[split][0]))
-                    raise ZeroVectorError(
-                        f"a relabeling pairs two identical pooled observations, {a} and {b}"
-                    )
-                values[stat].append(_wmw_from_masks(pool, norms, masks, m, n))
-            else:
-                values[stat].append(gram.cq2(masks))
+            values[stat].append(getattr(gram, stat)(block))
     results = {}
-    for stat in stats:
-        drawn = np.concatenate(values[stat])
-        results[stat] = _add_one_pvalue(drawn[0], drawn[1:])
-    return results
-
-
-def _signflip_pvalues(gram, stats, n_resamples, rng) -> dict:
-    """{stat: (observed, p_value)} over one shared set of flip patterns of
-    the sample whose ``_OneSampleGram`` is ``gram``."""
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
-    flips = rng.integers(0, 2, size=(n_resamples, gram.n)) * 2.0 - 1.0
-    # Row 0, the all-plus pattern, gives the observed statistic.
-    flips = np.vstack([gram.identity, flips])
-    results = {}
-    for stat in stats:
-        values = getattr(gram, stat)(flips)
-        results[stat] = _add_one_pvalue(values[0], values[1:])
+    for stat, parts in values.items():
+        drawn = np.concatenate(parts)
+        p = (1.0 + int(np.sum(drawn[1:] >= drawn[0]))) / drawn.shape[0]
+        results[stat] = float(drawn[0]), float(p)
     return results
 
 
@@ -441,19 +286,63 @@ def _report(kind, value, p, alpha, method, **fields) -> TestReport:
     )
 
 
-def _check_tests(tests, stats, methods, alpha) -> set:
+def _check_tests(tests, stats, methods, alpha, aux) -> None:
     _check_alpha(alpha)
     for stat, method in tests:
         if stat not in stats:
-            raise ValueError(f"statistic must be one of {stats}, not {stat!r}")
+            raise InvalidInputError(f"statistic must be one of {stats}, not {stat!r}")
         if method not in methods:
-            raise ValueError(f"method must be one of {methods}, not {method!r}")
-    return {method for _, method in tests}
+            raise InvalidInputError(f"method must be one of {methods}, not {method!r}")
+        if method == METHOD_RSRM_ORACLE and aux is None:
+            raise MismatchedAuxiliaryError(
+                f"the {stat} {method} test needs the latent scales (aux), got None"
+            )
 
 
 def _stats_for(tests, *methods) -> list:
     """Distinct statistics requested with any of ``methods``, in order."""
     return list(dict.fromkeys(stat for stat, method in tests if method in methods))
+
+
+def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, snapshot):
+    """The report loop of both evaluators, on the dataset of ``gram``.
+
+    ``resample`` is the randomization method.  ``z(stat, value, snap,
+    gamma)`` standardizes a value by the plug-in nuisance snapshot
+    ``snap`` (from ``snapshot(gram)``) or, for the oracle, by unit
+    scales (``snap`` None); ``oracle_var()`` gives the oracle variance of
+    each statistic.
+    """
+    methods = {method for _, method in tests}
+    values = {
+        stat: _observed(gram, stat)
+        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
+    }
+    snap = snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
+    if METHOD_RSRM_ORACLE in methods:
+        variances = oracle_var()
+    drawn_stats = _stats_for(tests, resample)
+    if drawn_stats:
+        drawn = _randomization_pvalues(
+            gram, drawn_stats, n_resamples, np.random.default_rng(rng)
+        )
+
+    seed = rng if isinstance(rng, (int, np.integer)) else None
+    reports = {}
+    for stat, method in tests:
+        if method == resample:
+            report = _report(stat, *drawn[stat], alpha, method,
+                             n_resamples=n_resamples, seed=seed)
+        elif method == METHOD_ASYMPTOTIC:
+            score = z(stat, values[stat], snap, snap.gamma)
+            report = _report(stat, values[stat], gaussian_sf(score), alpha, method,
+                             z=score, nuisance=snap)
+        else:
+            score = z(stat, values[stat], None, variances[stat])
+            report = _report(stat, values[stat], gaussian_sf(score), alpha, method,
+                             z=score)
+        reports[(stat, method)] = report
+    return reports
 
 
 def evaluate_two_sample(
@@ -466,49 +355,23 @@ def evaluate_two_sample(
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
-    methods = _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha)
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    d = x.shape[1]
-    perm_stats = _stats_for(tests, METHOD_PERMUTATION)
-    values, snap, gram = {}, None, None
-    if methods & {METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE} or "cq2" in perm_stats:
-        # d enters the statistics, the nuisance estimates and the
-        # permutation cq2 kernel through this object's one Gram matrix.
-        gram = _TwoSampleGram(x, y)
-        values = {
-            stat: _observed(gram, stat)
-            for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
-        }
-        if METHOD_ASYMPTOTIC in methods:
-            snap = _two_sample_snapshot(gram)
-    if METHOD_RSRM_ORACLE in methods:
-        terms = two_sample_oracle_terms(aux, x.shape[0], y.shape[0])
-        # Variances of d * T_WMW and T_CQ2: plug-in z at sigma1^2 + sigma2^2 = 1.
-        oracle_var = {"wmw": terms.s2, "cq2": terms.s3}
-    if perm_stats:
-        drawn = _permutation_pvalues(
-            x, y, gram, perm_stats, n_resamples, np.random.default_rng(rng)
-        )
+    _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, aux)
+    # d enters the statistics, the nuisance estimates and the permutation
+    # kernels through this object's one Gram matrix.
+    gram = _TwoSampleGram(x, y)
 
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    reports = {}
-    for stat, method in tests:
-        if method == METHOD_PERMUTATION:
-            report = _report(stat, *drawn[stat], alpha, method,
-                             n_resamples=n_resamples, seed=seed)
-        elif method == METHOD_ASYMPTOTIC:
-            z = two_sample_z(
-                stat, values[stat], d, snap.sigma1_sq, snap.sigma2_sq, snap.gamma
-            )
-            report = _report(stat, values[stat], gaussian_sf(z), alpha, method,
-                             z=z, nuisance=snap)
-        else:
-            z = two_sample_z(stat, values[stat], d, 0.5, 0.5, oracle_var[stat])
-            report = _report(stat, values[stat], gaussian_sf(z), alpha, method, z=z)
-        reports[(stat, method)] = report
-    return reports
+    def z(stat, value, snap, gamma):
+        # The oracle's plug-in z is at sigma1^2 + sigma2^2 = 1.
+        s1, s2 = (0.5, 0.5) if snap is None else (snap.sigma1_sq, snap.sigma2_sq)
+        return two_sample_z(stat, value, gram.d, s1, s2, gamma)
+
+    def oracle_var():
+        terms = two_sample_oracle_terms(aux, gram.m, gram.n)
+        # Variances of d * T_WMW and T_CQ2.
+        return {"wmw": terms.s2, "cq2": terms.s3}
+
+    return _evaluate(gram, tests, alpha, n_resamples, rng, METHOD_PERMUTATION,
+                     z, oracle_var, _two_sample_snapshot)
 
 
 def evaluate_one_sample(
@@ -518,42 +381,23 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    methods = _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha)
-    x = as_matrix(x)
-    n, d = x.shape
+    _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, aux)
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
-    gram = _OneSampleGram(x)
-    values = {
-        stat: _observed(gram, stat)
-        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
-    }
-    snap = _one_sample_snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
-    if METHOD_RSRM_ORACLE in methods:
-        terms = one_sample_oracle_terms(aux, n)
-        # Variances of d * T_S, d * T_SR and T_CQ1: plug-in z at sigma^2 = 1.
-        oracle_var = {"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}
-    flip_stats = _stats_for(tests, METHOD_SIGNFLIP)
-    if flip_stats:
-        drawn = _signflip_pvalues(
-            gram, flip_stats, n_resamples, np.random.default_rng(rng)
-        )
+    gram = _OneSampleGram(as_matrix(x))
 
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    reports = {}
-    for stat, method in tests:
-        if method == METHOD_SIGNFLIP:
-            report = _report(stat, *drawn[stat], alpha, method,
-                             n_resamples=n_resamples, seed=seed)
-        elif method == METHOD_ASYMPTOTIC:
-            z = one_sample_z(stat, values[stat], d, snap.sigma1_sq, snap.gamma)
-            report = _report(stat, values[stat], gaussian_sf(z), alpha, method,
-                             z=z, nuisance=snap)
-        else:
-            z = one_sample_z(stat, values[stat], d, 1.0, oracle_var[stat])
-            report = _report(stat, values[stat], gaussian_sf(z), alpha, method, z=z)
-        reports[(stat, method)] = report
-    return reports
+    def z(stat, value, snap, gamma):
+        # The oracle's plug-in z is at sigma^2 = 1.
+        sigma_sq = 1.0 if snap is None else snap.sigma1_sq
+        return one_sample_z(stat, value, gram.d, sigma_sq, gamma)
+
+    def oracle_var():
+        terms = one_sample_oracle_terms(aux, gram.n)
+        # Variances of d * T_S, d * T_SR and T_CQ1.
+        return {"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}
+
+    return _evaluate(gram, tests, alpha, n_resamples, rng, METHOD_SIGNFLIP,
+                     z, oracle_var, _one_sample_snapshot)
 
 
 def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng) -> dict:

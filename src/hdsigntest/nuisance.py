@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _OneSampleGram, _TwoSampleGram, _centred
-from .statistics import _require_same_dim, as_matrix
+from .statistics import _OneSampleGram, _TwoSampleGram, _centred, as_matrix
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,8 @@ def tr_sigma_sq_hat(x) -> float:
 def tr_sigma_cross_hat(x, y) -> float:
     """Unbiased estimator of tr(Sigma_1 Sigma_2) from two samples: the
     G_xy block of their ``_TwoSampleGram``; see ``_tr_cross_from_gram``."""
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    m, n = x.shape[0], y.shape[0]
-    if m < 2 or n < 2:
-        raise TooFewObservationsError(
-            "tr(Sigma_1 Sigma_2) estimator needs at least 2 observations per sample"
-        )
-    return _tr_cross_from_gram(_TwoSampleGram(x, y).gram[:m, m:-1])
+    gram = _TwoSampleGram(x, y)
+    return _tr_cross_from_gram(gram.gram[: gram.m, gram.m : -1])
 
 
 def sigma_sq_hat(x) -> float:
@@ -167,9 +159,6 @@ def gamma1_hat(x, y) -> VarianceSnapshot:
     Each block is a Gram matrix of rows centred on their own sample mean,
     so every field is unchanged by separate shifts of x and y.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
     return _two_sample_snapshot(_TwoSampleGram(x, y))
 
 

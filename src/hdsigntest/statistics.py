@@ -3,9 +3,10 @@
 All five statistics are U-statistics: averages of a kernel over ordered
 tuples of distinct observation indices.  Each function here evaluates the
 closed-form reduction of that sum on one Gram matrix per dataset
-(``_OneSampleGram``, ``_TwoSampleGram``); the matching naive index-loop
-versions live in ``_naive`` and are compared against these in the test
-suite and in the ``selftest`` CLI command.
+(``_OneSampleGram``, ``_TwoSampleGram``), which also draws the dataset's
+resamples and evaluates each statistic on a batch of them; the matching
+naive index-loop versions live in ``_naive`` and are compared against
+these in the test suite and in the ``selftest`` CLI command.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     TooFewObservationsError,
     ZeroVectorError,
 )
@@ -32,11 +34,15 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
+        raise InvalidInputError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InvalidInputError(f"{name} must have at least one row and one column")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise InvalidInputError(
+            f"{name} has a non-finite entry {arr[row, col]} at row {row}, column {col}"
+        )
     return arr
 
 
@@ -58,9 +64,9 @@ def spatial_sign(x) -> np.ndarray:
     """Return x / ||x||, the unit vector in the direction of x."""
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size < 1:
-        raise ValueError("spatial sign needs at least one coordinate")
+        raise InvalidInputError("spatial sign needs at least one coordinate")
     if not np.isfinite(arr).all():
-        raise ValueError("spatial sign input contains non-finite entries")
+        raise InvalidInputError("spatial sign input contains non-finite entries")
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise ZeroVectorError("cannot take the spatial sign of a zero vector")
@@ -123,14 +129,35 @@ def t_sr_flips(x, flips) -> np.ndarray:
 _NEAR_PAIR = 1e-2
 # Flip patterns per batch: at most about this many coefficients at a time.
 _FLIP_BATCH = 1 << 20
+# Relabelings per block of ``_TwoSampleGram.draws``, so memory does not
+# grow with the number of resamples.
+_PERM_BATCH = 1024
+# Pair coefficients per column block of the pooled pairwise differences in
+# ``_TwoSampleGram.wmw``, so memory does not grow as N^2 d.
+_SIGN_BLOCK = 1 << 19
 
 
 def _observed(gram, stat: str) -> float:
     """``stat`` on the data of ``gram``: the ``gram.identity`` row of its
-    batch kernel, or ``gram.wmw()``, which has no batch kernel yet."""
+    batch kernel, or for wmw the closed form ``gram.wmw_closed()``."""
     if stat == "wmw":
-        return gram.wmw()
+        return gram.wmw_closed()
     return float(getattr(gram, stat)(gram.identity)[0])
+
+
+def _spans(total: int, cap: int) -> list:
+    """(start, stop) of consecutive blocks of ``cap`` rows covering
+    range(total), with a last block of a single row joined to the one
+    before it.
+
+    NumPy hands a one-row product to gemv, which rounds differently from
+    gemm, and a relabeling must get the same value in every row of every
+    block.  Equal block sizes also let freed work arrays be reused.
+    """
+    stops = list(range(cap, total, cap))
+    if stops and total - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [total]))
 
 
 def _centred(x: np.ndarray):
@@ -148,7 +175,8 @@ def _centred(x: np.ndarray):
 
 class _OneSampleGram:
     """Every inner product that the one-sample statistics, their sign-flip
-    kernels and the nuisance estimator read, from one GEMM over d.
+    kernels and the nuisance estimator read, from one GEMM over d, and the
+    flip patterns of a sign-flip test (``draws``).
 
     The centred rows Xc (``_centred``) are stacked with mu = mean + rest
     as row n, and ``gram = rows rows'``.  Its block ``gc`` = Xc Xc' is
@@ -167,6 +195,13 @@ class _OneSampleGram:
         self.rows = np.vstack([xc, mean + rest])
         self.gram = self.rows @ self.rows.T
         self.gc = self.gram[:-1, :-1]
+
+    def draws(self, n_resamples: int, rng):
+        """The flip patterns of a sign-flip test, as one block: the
+        all-plus ``identity``, then ``n_resamples`` patterns of fair +-1
+        from one ``rng.integers`` call."""
+        flips = rng.integers(0, 2, size=(n_resamples, self.n)) * 2.0 - 1.0
+        yield np.vstack([self.identity, flips])
 
     @cached_property
     def raw(self) -> np.ndarray:
@@ -289,14 +324,19 @@ class _OneSampleGram:
 
 class _TwoSampleGram:
     """Every inner product that the two-sample statistics, the permutation
-    cq2 kernel and the nuisance estimators read, from one GEMM over d.
+    cq2 kernel and the nuisance estimators read, from one GEMM over d; the
+    relabelings of a permutation test (``draws``), and the permutation
+    kernels ``cq2`` and ``wmw`` that evaluate them.  The ``wmw`` kernel
+    still reads the pooled rows, one column block at a time.
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
     (N = m + n): ``rows`` is (N + 1) x d and ``gram = rows rows'``.  Its
     blocks G_xx, G_xy and G_yy are the Gram matrices of the centred
     samples, its last row and column hold a = rows delta, and its corner
-    ||delta||^2.  ``identity`` is the mask of the samples' own labels.
+    ||delta||^2.  Both are formed on first use, so a permutation ``wmw``
+    test alone never forms them.  ``identity`` is the mask of the samples'
+    own labels.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -308,18 +348,26 @@ class _TwoSampleGram:
     reads them, are unchanged by separate shifts too.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x, y):
+        x, y = as_matrix(x, "x"), as_matrix(y, "y")
+        _require_same_dim(x, y)
         _require_rows(x, 2, "x")
         _require_rows(y, 2, "y")
         self.x, self.y = x, y
         self.m, self.n = x.shape[0], y.shape[0]
         self.d = x.shape[1]
         self.identity = np.arange(self.m + self.n)[None, :] < self.m
-        xc, x_mean, x_rest = _centred(x)
-        yc, y_mean, y_rest = _centred(y)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        xc, x_mean, x_rest = _centred(self.x)
+        yc, y_mean, y_rest = _centred(self.y)
         delta = (y_mean - x_mean) + (y_rest - x_rest)
-        self.rows = np.vstack([xc, yc, delta])
-        self.gram = self.rows @ self.rows.T
+        return np.vstack([xc, yc, delta])
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.rows @ self.rows.T
 
     def cq2(self, masks: np.ndarray) -> np.ndarray:
         """T_CQ2 for each relabeling in ``masks`` ((R, N) boolean, True =
@@ -354,8 +402,117 @@ class _TwoSampleGram:
         v[:, big] = v[:, :big] @ c
         return ((v @ k) * v).sum(axis=1) - norms.sum() / nn
 
-    def wmw(self) -> float:
-        """T_WMW; see ``t_wmw``."""
+    def draws(self, n_resamples: int, rng):
+        """Boolean relabeling masks of the N pooled rows (True = first
+        group), in blocks of ``_PERM_BATCH`` rows as ``_spans`` cuts them:
+        the identity, then ``n_resamples`` draws.
+
+        The draws consume ``rng`` exactly as ``n_resamples`` calls of
+        ``rng.permutation(N)[:m]`` would, and give the same masks.  With
+        m = n each mask is oriented to hold pooled row 0.
+        """
+        m, big = self.m, self.m + self.n
+        for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
+            lead = int(start == 0)
+            masks = np.zeros((stop - start, big), dtype=bool)
+            masks[:lead] = self.identity
+            picks = rng.permuted(np.tile(np.arange(big), (stop - start - lead, 1)), axis=1)
+            np.put_along_axis(masks[lead:], picks[:, :m], True, axis=1)
+            # Hold no work array while the caller's kernels run on the block.
+            del picks
+            if m == self.n:
+                masks ^= ~masks[:, :1]
+            yield masks
+
+    @cached_property
+    def pair_norms(self):
+        """(norms, dup): ||Z_a - Z_b|| for every pair of the pooled rows Z
+        (x rows, then y rows), taken from the rows one column block at a time,
+        and the mask of coincident pairs.  The norms of the diagonal and of
+        coincident pairs are set to 1, so they divide their zero
+        differences harmlessly."""
+        big = self.m + self.n
+        sq = np.zeros((big, big))
+        for diff in self._pair_differences():
+            sq += np.add.reduce(np.square(diff, out=diff), axis=2)
+        norms = np.sqrt(sq)
+        np.fill_diagonal(norms, 1.0)
+        dup = norms == 0.0
+        norms[dup] = 1.0
+        return norms, dup
+
+    def _pair_differences(self):
+        """Z_a - Z_b for every pair of pooled rows, one (N, N, cols) block
+        of consecutive columns at a time, with about ``_SIGN_BLOCK``
+        coefficients per block; each block's columns are taken from x and
+        y.
+
+        Every block is written into one buffer allocated once, so each block
+        overwrites the one before it: a caller must be done with a block,
+        and may modify it in place, before it asks for the next.  Each block,
+        the short last one too, is a contiguous view of that buffer.
+        """
+        big, d = self.m + self.n, self.d
+        cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
+        buffer = np.empty(big * big * cols)
+        for lo in range(0, d, cols):
+            block = np.vstack([self.x[:, lo : lo + cols], self.y[:, lo : lo + cols]])
+            view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
+            np.subtract(block[:, None, :], block[None, :, :], out=view)
+            yield view
+
+    def wmw(self, masks: np.ndarray) -> np.ndarray:
+        """T_WMW for each relabeling in ``masks`` ((R, N) boolean, True =
+        first group).
+
+        U_ab is the unit vector of Z_a - Z_b (norms from ``pair_norms``).
+        For a relabeling with first-group indicator u and v = 1 - u, the
+        sums of U_ab over a in the second group (``a_cols``) and over b in
+        the first (``b_rows``) are the R_i and C_j of ``t_wmw``, and T is
+        their total.  ||T||^2, sum ||R_i||^2 and sum ||C_j||^2 are sums
+        over coordinates, accumulated over the column blocks of
+        ``_pair_differences``, each made unit vectors in place.  Both sums
+        are GEMMs over the block's first axis, so neither copies it: since
+        U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is
+        used.  The rest are two-operand reductions: the squared row norms
+        of ``a_cols`` and ``b_rows``, weighted by u and v, and T as one
+        stacked matmul.  The masks are reduced in chunks of 64 rows.
+
+        A relabeling that splits a pair of identical pooled rows has no
+        sign for it and raises ZeroVectorError naming the first such pair.
+        """
+        m, n = self.m, self.n
+        norms, dup = self.pair_norms
+        first, second = np.nonzero(np.triu(dup))
+        split = (masks[:, first] != masks[:, second]).any(axis=0)
+        if split.any():
+            a, b = (f"x row {i}" if i < m else f"y row {i - m}"
+                    for i in (first[split][0], second[split][0]))
+            raise ZeroVectorError(
+                f"a relabeling pairs two identical pooled observations, {a} and {b}"
+            )
+        count = masks.shape[0]
+        u_all = masks.astype(float)
+        v_all = 1.0 - u_all
+        t_norm, r_term, c_term = np.zeros((3, count))
+        spans = _spans(count, 64)
+        for signs in self._pair_differences():
+            signs /= norms[:, :, None]
+            for start, stop in spans:
+                u, v = u_all[start:stop], v_all[start:stop]
+                # a runs over pooled rows on the second-group side, b on the first.
+                a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
+                b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
+                t_vec = np.matmul(u[:, None, :], a_cols)[:, 0]
+                part = slice(start, stop)
+                t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
+                r_term[part] += np.einsum("rb,rb->r", np.einsum("rbd,rbd->rb", a_cols, a_cols), u)
+                c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
+        out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
+        return np.clip(out, -1.0, 1.0)
+
+    def wmw_closed(self) -> float:
+        """T_WMW of the samples' own labels in closed form; see ``t_wmw``."""
         m, n = self.m, self.n
         big = m + n
         g = self.gram
@@ -407,9 +564,6 @@ def t_cq2(x, y) -> float:
     of that kernel: it reads the rows centred on the pooled mean, so the
     centring cancels the shift before any product is formed.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
     return _observed(_TwoSampleGram(x, y), "cq2")
 
 
@@ -451,7 +605,4 @@ def t_wmw(x, y) -> float:
     rows and joins the basis as an extra row and column, with coefficient
     1 in R_i and C_j.  An exactly zero difference raises ZeroVectorError.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _require_same_dim(x, y)
-    return _TwoSampleGram(x, y).wmw()
+    return _TwoSampleGram(x, y).wmw_closed()

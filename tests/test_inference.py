@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdsigntest import inference
+from hdsigntest import statistics
 from hdsigntest import (
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
@@ -30,10 +30,13 @@ from hdsigntest import (
     two_sample_z,
 )
 from hdsigntest.inference import (
+    evaluate_one_sample,
+    evaluate_two_sample,
     gaussian_sf,
     permutation_pvalues_two_sample,
     signflip_pvalues_one_sample,
 )
+from hdsigntest.statistics import _TwoSampleGram
 from hdsigntest._naive import (
     naive_one_sample_scale_terms,
     naive_t_wmw,
@@ -175,12 +178,12 @@ class TestPermutationBackend:
             count = sum(func(a, b) >= func(x, y) for a, b in splits)
             assert res[stat][1] == (1 + count) / 26.0, stat
 
-    @pytest.mark.parametrize("batch", [inference._PERM_BATCH, 7])
+    @pytest.mark.parametrize("batch", [statistics._PERM_BATCH, 7])
     def test_reproduced_splits_tie_exactly(self, batch, monkeypatch):
         # m = n = 4: 2 of the 70 splits (the identity and its swap)
         # reproduce the observed statistic, so about 9 of 300 draws tie.
         # Blocks of 7 relabelings put the ties in many separate products.
-        monkeypatch.setattr(inference, "_PERM_BATCH", batch)
+        monkeypatch.setattr(statistics, "_PERM_BATCH", batch)
         for m, n, seeds in ((4, 4, range(20)), (5, 3, range(5))):
             for seed in seeds:
                 rng = np.random.default_rng(500 + seed)
@@ -215,16 +218,17 @@ class TestPermutationBackend:
                 assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
                     shift, stat, res[stat][1], exact)
 
-    @pytest.mark.parametrize("batch", [inference._PERM_BATCH, 7])
+    @pytest.mark.parametrize("batch", [statistics._PERM_BATCH, 7])
     def test_draw_follows_permutation_stream(self, batch, monkeypatch):
         # One vectorised draw per block must give the masks, and leave the
         # generator state, of one rng.permutation call per resample.  With
         # m = n the masks are oriented to hold pooled row 0.  The 99 rows
         # are 14 blocks of 7 and one row over, which joins the last block.
-        monkeypatch.setattr(inference, "_PERM_BATCH", batch)
+        monkeypatch.setattr(statistics, "_PERM_BATCH", batch)
         for big, m in ((40, 20), (26, 13), (19, 13), (8, 4)):
             rng = np.random.default_rng(big)
-            blocks = list(inference._relabeling_blocks(m, big - m, 98, rng))
+            gram = _TwoSampleGram(np.zeros((m, 1)), np.zeros((big - m, 1)))
+            blocks = list(gram.draws(98, rng))
             masks = np.vstack(blocks)
             assert min(len(block) for block in blocks) >= 2
             check_rng = np.random.default_rng(big)
@@ -247,11 +251,11 @@ class TestPermutationBackend:
             rng = np.random.default_rng(700 + seed)
             x = rng.standard_normal((m, 20))
             y = rng.standard_normal((n, 20)) + 0.3
-            monkeypatch.setattr(inference, "_SIGN_BLOCK", 1 << 20)
+            monkeypatch.setattr(statistics, "_SIGN_BLOCK", 1 << 20)
             want = permutation_pvalues_two_sample(
                 x, y, ["wmw"], 300, np.random.default_rng(seed)
             )["wmw"]
-            monkeypatch.setattr(inference, "_SIGN_BLOCK", (m + n) ** 2 * cols)
+            monkeypatch.setattr(statistics, "_SIGN_BLOCK", (m + n) ** 2 * cols)
             got = permutation_pvalues_two_sample(
                 x, y, ["wmw"], 300, np.random.default_rng(seed)
             )["wmw"]
@@ -269,14 +273,15 @@ class TestPermutationBackend:
         # columns in three blocks.  ``picks`` masks spread over the chunks
         # are checked against the loop oracle on their splits.
         if cols is not None:
-            monkeypatch.setattr(inference, "_SIGN_BLOCK", (m + n) ** 2 * cols)
+            monkeypatch.setattr(statistics, "_SIGN_BLOCK", (m + n) ** 2 * cols)
         rng = np.random.default_rng(800 + d)
         x = rng.standard_t(5, size=(m, d))
         y = rng.standard_t(5, size=(n, d)) + 0.3
         pool = np.vstack([x, y])
-        masks = np.vstack(list(inference._relabeling_blocks(m, n, 200, rng)))
-        assert len(inference._spans(len(masks), 64)) == 4
-        values = inference._wmw_from_masks(pool, inference._pair_norms(pool)[0], masks, m, n)
+        gram = _TwoSampleGram(x, y)
+        masks = np.vstack(list(gram.draws(200, rng)))
+        assert len(statistics._spans(len(masks), 64)) == 4
+        values = gram.wmw(masks)
         for r in np.linspace(0, len(masks) - 1, picks).astype(int):
             want = naive_t_wmw(pool[masks[r]], pool[~masks[r]])
             assert abs(values[r] - want) <= 1e-12 * abs(want), (r, values[r], want)
@@ -294,11 +299,10 @@ class TestPermutationBackend:
         res = permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
         assert abs(res["wmw"][0] - naive_t_wmw(x, y)) < 1e-10
         pool = np.vstack([x, y])
-        blocks = inference._relabeling_blocks(5, 6, 30, np.random.default_rng(1))
-        masks = np.vstack(list(blocks))
+        gram = _TwoSampleGram(x, y)
+        masks = np.vstack(list(gram.draws(30, np.random.default_rng(1))))
         assert (masks[:, 1] != masks[:, 7]).any() and (masks[:, 1] == masks[:, 7]).any()
-        norms = inference._pair_norms(pool)[0]
-        values = inference._wmw_from_masks(pool, norms, masks, 5, 6)
+        values = gram.wmw(masks)
         for value, mask in zip(values, masks):
             assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) < 1e-10
 
@@ -308,7 +312,7 @@ class TestPermutationBackend:
         # but about 4 in 7 draws split them, and a split pair has no sign.
         # The error names the pair by sample and row, across samples too.
         if cols is not None:
-            monkeypatch.setattr(inference, "_SIGN_BLOCK", 64 * cols)
+            monkeypatch.setattr(statistics, "_SIGN_BLOCK", 64 * cols)
         rng = np.random.default_rng(66)
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((4, 6))
@@ -337,9 +341,11 @@ class TestPermutationBackend:
 
     def test_cli_shape_working_set(self):
         # 40 + 40 rows x 5000 columns, the benchmark's CLI shape, in many
-        # column blocks.  The kernel holds one block of pair differences, squared
-        # and normalised in place, and copies it for no contraction, so the
-        # traced peak stays under 1.5 blocks plus twice the data.
+        # column blocks.  The kernel holds one block of pair differences,
+        # squared and normalised in place, and copies neither it nor the
+        # pooled rows, and a permutation wmw test alone forms no Gram
+        # matrix, so the traced peak stays under 1.5 blocks plus twice the
+        # data.
         rng = np.random.default_rng(68)
         x = rng.standard_normal((40, 5000))
         y = rng.standard_normal((40, 5000))
@@ -349,7 +355,7 @@ class TestPermutationBackend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 1.5 * 8 * inference._SIGN_BLOCK + 2 * (x.nbytes + y.nbytes)
+        bound = 1.5 * 8 * statistics._SIGN_BLOCK + 2 * (x.nbytes + y.nbytes)
         assert peak < bound, (peak, bound)
 
     def test_pvalue_floor_under_huge_shift(self):
@@ -553,6 +559,17 @@ class TestRsrmOracleTwoSample:
         assert abs(terms.l4 - l4) / l4 < 1e-12
         assert abs(terms.l5 - l5) / l5 < 1e-12
 
+    def test_missing_aux(self):
+        # Without latent scales an oracle test is refused by name, before
+        # any statistic is computed, and not with an AttributeError.
+        rng = np.random.default_rng(69)
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+        tests = [("wmw", "asymptotic"), ("cq2", "rsrm-oracle")]
+        with pytest.raises(MismatchedAuxiliaryError, match="the cq2 rsrm-oracle test needs"):
+            evaluate_two_sample(x, y, tests)
+        with pytest.raises(MismatchedAuxiliaryError, match="the wmw rsrm-oracle test needs"):
+            rsrm_oracle_two_sample(x, y, None, "wmw")
+
     def test_mismatched_scales(self):
         aux = RsrmAuxiliary(
             p_scales=np.ones(4),
@@ -619,6 +636,14 @@ class TestRsrmOracleOneSample:
             report = rsrm_oracle_one_sample(x, aux, stat)
             z = one_sample_z(stat, func(x), d, 1.0, gamma2)
             assert abs(report.p_value - gaussian_sf(z)) < 1e-10
+
+    def test_missing_aux(self):
+        x = np.random.default_rng(70).standard_normal((6, 3))
+        tests = [("s", "signflip"), ("sr", "rsrm-oracle")]
+        with pytest.raises(MismatchedAuxiliaryError, match="the sr rsrm-oracle test needs"):
+            evaluate_one_sample(x, tests, aux=None)
+        with pytest.raises(MismatchedAuxiliaryError, match="the cq1 rsrm-oracle test needs"):
+            rsrm_oracle_one_sample(x, None, "cq1")
 
     def test_scale_count_validation(self):
         aux = RsrmAuxiliary(p_scales=np.ones(3), sigma_v_sq=1.0, tr_sigma_v_sq=5.0)

@@ -17,8 +17,8 @@ from hdsigntest import (
     subsample_table_csv,
     summarize_to_plot_data,
 )
-from hdsigntest.generators import SHIFT_SPREAD, GeneratorSpec, generate
-from hdsigntest.inference import evaluate_one_sample
+from hdsigntest.generators import SHIFT_SPREAD, SHIFT_ZERO, GeneratorSpec, generate
+from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
 from hdsigntest.montecarlo import _replicate_rejections
 
 
@@ -258,6 +258,24 @@ class TestPinnedSeededOutputs:
             ("wmw", "permutation", 0.075, 0.2),
         ]
 
+    def test_randomization_pvalues(self):
+        # Exact p-values at R = 50 on one null dataset of each kind:
+        # p = (1 + count) / 51 with count the draws at least the observed
+        # statistic, so a single draw that moves across it shows.
+        spec = GeneratorSpec(model="spherical-t5", d=60).with_shift(SHIFT_ZERO, 0.0)
+        rng = np.random.default_rng(40)
+        x, _ = generate(spec, 9, rng)
+        y, _ = generate(spec, 8, rng)
+        tests = [("cq2", "permutation"), ("wmw", "permutation")]
+        reports = evaluate_two_sample(x, y, tests, 0.05, 50, 37)
+        assert {stat: r.p_value for (stat, _), r in reports.items()} == {
+            "cq2": 10 / 51, "wmw": 20 / 51}
+        spec = GeneratorSpec(model="spherical-t5", d=30).with_shift(SHIFT_ZERO, 0.0)
+        x, _ = generate(spec, 10, np.random.default_rng(38))
+        tests = [(stat, "signflip") for stat in ("cq1", "s", "sr")]
+        reports = evaluate_one_sample(x, tests, 0.05, 50, 39)
+        assert {stat: r.p_value for (stat, _), r in reports.items()} == {
+            "cq1": 17 / 51, "s": 13 / 51, "sr": 18 / 51}
 
     def test_one_sample_evaluator(self):
         # 30 spherical-t(5) datasets (n = 12, d = 40), every other one

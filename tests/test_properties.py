@@ -4,8 +4,9 @@ two-sample side; ``t_cq1``, ``t_s``, ``t_sr``, ``t_sr_flips`` and
 ``gamma2_hat`` on the one-sample side, which are not location-invariant
 and are checked under row order, rotation and scale instead; scale
 invariance (``t_cq1`` and ``t_cq2`` scale by c^2) for all five statistics;
-and the resampling kernels (permutation ``cq2`` and ``wmw``, sign-flip
-``cq1``, ``s`` and ``sr``) on relabeled or flipped, shifted data.
+the resampling kernels (permutation ``cq2`` and ``wmw``, sign-flip
+``cq1``, ``s`` and ``sr``) on relabeled or flipped, shifted data; and the
+pooled pair norms that the permutation ``wmw`` kernel divides by.
 
 Entries lie on a grid of eighths, so samples often share rows or nearly
 coincide, and shifted samples are exactly representable: a shift then
@@ -31,7 +32,6 @@ from hdsigntest import (
     t_wmw,
 )
 from hdsigntest.errors import HDTestError
-from hdsigntest.inference import _pair_norms, _wmw_from_masks
 from hdsigntest.statistics import _OneSampleGram, _TwoSampleGram, t_sr_flips
 from hdsigntest._naive import (
     naive_t_cq1,
@@ -335,17 +335,47 @@ def test_permutation_kernels_match_naive(sample, data):
     for mask in masks:
         mask[data.draw(st.permutations(range(m + n)))[:m]] = True
     shift = data.draw(shifts(x.shape[1]))
-    cq2 = _TwoSampleGram(x + shift, y + shift).cq2(masks)
-    norms, dup = _pair_norms(pool + shift)
-    wmw = _wmw_from_masks(pool + shift, norms, masks, m, n)
-    for mask, cq2_value, wmw_value in zip(masks, cq2, wmw):
+    gram = _TwoSampleGram(x + shift, y + shift)
+    cq2 = gram.cq2(masks)
+    dup = gram.pair_norms[1]
+    for mask, cq2_value in zip(masks, cq2):
         a, b = pool[mask], pool[~mask]
         assert abs(cq2_value - naive_t_cq2(a, b)) <= REL_TOL * _size(a, b)
         want = _outcome(naive_t_wmw, a, b)
-        # The backend refuses a relabeling that splits a coincident pair.
+        # The kernel refuses a relabeling that splits a coincident pair.
         assert (want == ZeroVectorError) == bool(dup[np.ix_(mask, ~mask)].any())
-        if want != ZeroVectorError:
-            assert abs(wmw_value - want) <= WMW_TOL, (wmw_value, want)
+        got = _outcome(lambda: gram.wmw(mask[None])[0])
+        assert _agree(got, want, WMW_TOL), (got, want)
+    if not any(dup[np.ix_(mask, ~mask)].any() for mask in masks):
+        # One batch of all three gives the same values.
+        for mask, value in zip(masks, gram.wmw(masks)):
+            assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) <= WMW_TOL
+
+
+@given(two_samples(), st.sampled_from([0.0, 1e-10, 1e-7, 1e-3]), st.data())
+def test_pooled_pair_norms(sample, dist, data):
+    # Pooled row b is moved to a relative distance ``dist`` from row a (0
+    # makes it a duplicate), then both samples are shifted by a common
+    # offset and y by a separate one, each up to 2^20 per coordinate.
+    # The pair norms of ``_TwoSampleGram`` must match the norms of the
+    # stored row differences, and the coincident pairs must be exactly the
+    # identical rows.
+    x, y = sample
+    m, d = len(x), x.shape[1]
+    pool = np.vstack([x, y])
+    a, b = data.draw(st.permutations(range(len(pool))))[:2]
+    u = np.arange(1.0, d + 1.0)
+    pool[b] = pool[a] + dist * np.linalg.norm(pool[a]) * u / np.linalg.norm(u)
+    common = data.draw(shifts(d))
+    x, y = pool[:m] + common, pool[m:] + common + data.draw(shifts(d))
+    norms, dup = _TwoSampleGram(x, y).pair_norms
+    rows = np.vstack([x, y])
+    want = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
+    off = ~np.eye(len(rows), dtype=bool)
+    assert np.array_equal(dup[off], want[off] == 0.0)
+    keep = off & ~dup
+    assert np.all(np.abs(norms[keep] - want[keep]) <= 1e-12 * want[keep]), (
+        np.max(np.abs(norms[keep] - want[keep]) / want[keep]))
 
 
 @given(one_sample(min_rows=2), st.booleans(), st.data())
