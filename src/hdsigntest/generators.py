@@ -124,6 +124,10 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
     The Gaussian chain starts from its stationary marginal
     N(0, 1/(1 - rho^2)); the t chain has no closed-form stationary start
     and instead discards a burn-in of 10 * ceil(1/(1 - |rho|)) coordinates.
+
+    Both chains run one recursion over the coordinates, in place on a
+    (burn + d, n) array of innovations whose row 0 holds the start, so each
+    step reads and writes contiguous rows.  The result is C-ordered.
     """
     if spec.model not in (AR1_GAUSS, AR1_T5):
         raise InvalidSpecError(f"gen_ar1 cannot generate model {spec.model!r}")
@@ -132,11 +136,10 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
     rng = _rng_for(spec, rng)
     d, rho = spec.d, spec.rho
     if spec.model == AR1_GAUSS:
-        x = np.empty((n, d))
-        x[:, 0] = rng.standard_normal(n) / math.sqrt(1.0 - rho * rho)
+        burn = 0
+        start = rng.standard_normal(n) / math.sqrt(1.0 - rho * rho)
         eps = rng.standard_normal((n, d))
-        for k in range(1, d):
-            x[:, k] = rho * x[:, k - 1] + eps[:, k]
+        eps[:, 0] = start
     else:
         if spec.df <= 2.0:
             raise InvalidSpecError(
@@ -145,13 +148,13 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
         burn = 10 * math.ceil(1.0 / (1.0 - abs(rho)))
         scale = math.sqrt((spec.df - 2.0) / spec.df)
         eps = rng.standard_t(spec.df, size=(n, burn + d)) * scale
-        path = np.zeros(n)
-        x = np.empty((n, d))
-        for k in range(burn + d):
-            path = rho * path + eps[:, k]
-            if k >= burn:
-                x[:, k - burn] = path
-    return x + spec.shift.mean_vector(d)
+    path = np.ascontiguousarray(eps.T)
+    tmp = np.empty(n)
+    # x_k = rho * x_{k-1} + eps_k, rounded as the product, then the sum.
+    for prev, row in zip(path, path[1:]):
+        np.multiply(prev, rho, out=tmp)
+        np.add(tmp, row, out=row)
+    return np.add(path[burn:].T, spec.shift.mean_vector(d), out=np.empty((n, d)))
 
 
 def gen_spherical_t(spec: GeneratorSpec, n: int, rng=None):

@@ -30,7 +30,9 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     """Validate and convert input to an n-by-d float matrix.
 
     Accepts anything array-like with two dimensions.  Every entry must be
-    finite; rows are observations, columns are coordinates.
+    finite; rows are observations, columns are coordinates.  The result is
+    C-ordered (a copy only if the input is not), so a Fortran-ordered input
+    gives the same bits as the same values in C order.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
@@ -43,7 +45,7 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
         raise InvalidInputError(
             f"{name} has a non-finite entry {arr[row, col]} at row {row}, column {col}"
         )
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def _require_rows(arr: np.ndarray, k: int, name: str) -> None:

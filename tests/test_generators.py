@@ -19,6 +19,29 @@ from hdsigntest import (
 )
 
 
+def column_loop_ar1(spec, n, rng):
+    """The AR(1) recursion as one strided column per coordinate: the
+    reference that gen_ar1 must reproduce bit for bit."""
+    d, rho = spec.d, spec.rho
+    if spec.model == "ar1-gauss":
+        x = np.empty((n, d))
+        x[:, 0] = rng.standard_normal(n) / math.sqrt(1.0 - rho * rho)
+        eps = rng.standard_normal((n, d))
+        for k in range(1, d):
+            x[:, k] = rho * x[:, k - 1] + eps[:, k]
+    else:
+        burn = 10 * math.ceil(1.0 / (1.0 - abs(rho)))
+        scale = math.sqrt((spec.df - 2.0) / spec.df)
+        eps = rng.standard_t(spec.df, size=(n, burn + d)) * scale
+        path = np.zeros(n)
+        x = np.empty((n, d))
+        for k in range(burn + d):
+            path = rho * path + eps[:, k]
+            if k >= burn:
+                x[:, k - burn] = path
+    return x + spec.shift.mean_vector(d)
+
+
 def lag1_correlation(x):
     cols = x - x.mean(axis=0)
     num = np.sum(cols[:, :-1] * cols[:, 1:])
@@ -96,6 +119,16 @@ class TestAr1:
         zero = gen_ar1(spec, 9)
         mu = shifted.shift.mean_vector(12)
         assert np.array_equal(gen_ar1(shifted, 9), zero + mu)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    @pytest.mark.parametrize("rho", [0.7, -0.5, 0.0])
+    @pytest.mark.parametrize("model", ["ar1-gauss", "ar1-t5"])
+    def test_matches_column_loop(self, model, rho, d, n):
+        spec = GeneratorSpec(model=model, d=d, rho=rho).with_shift("spread-equally", 1.5)
+        seed = (d, n, 26)
+        expected = column_loop_ar1(spec, n, np.random.default_rng(seed))
+        assert np.array_equal(gen_ar1(spec, n, np.random.default_rng(seed)), expected)
 
 
 class TestSphericalT:
@@ -197,6 +230,16 @@ class TestGenerate:
         x, aux = generate(GeneratorSpec(model="spherical-t5", d=6, seed=25), 5)
         assert x.shape == (5, 6)
         assert aux is not None
+
+    @pytest.mark.parametrize("model", ["ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"])
+    def test_c_ordered_float64(self, model):
+        # The statistics' bits depend on memory order, so every model hands
+        # them the same layout.
+        for n, d in ((1, 1), (3, 1), (1, 9), (7, 40)):
+            x, _ = generate(GeneratorSpec(model=model, d=d, seed=27), n)
+            assert x.shape == (n, d)
+            assert x.dtype == np.float64
+            assert x.flags.c_contiguous
 
     def test_shift_reproduces_zero_shift_stream(self):
         for model in ("ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"):

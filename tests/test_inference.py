@@ -493,6 +493,28 @@ class TestReportContract:
         report = randomization_one_sample(x, "cq1", n_resamples=37, seed=2)
         assert report.p_value >= 1.0 / 38.0
 
+    def test_memory_order_does_not_change_reports(self):
+        # Fortran-ordered input (as pandas' to_numpy() often returns) must
+        # give the same report bits as the same values in C order.
+        def fields(reports):
+            return {key: (r.statistic, r.z, r.p_value) for key, r in reports.items()}
+
+        two = [(stat, method) for stat in ("cq2", "wmw")
+               for method in ("asymptotic", "permutation")]
+        one = [(stat, method) for stat in ("cq1", "s", "sr")
+               for method in ("asymptotic", "signflip")]
+        for r in range(10):
+            rng = np.random.default_rng((58, r))
+            d = int(rng.integers(5, 300))
+            x = rng.standard_t(5, size=(int(rng.integers(4, 15)), d))
+            y = rng.standard_t(5, size=(int(rng.integers(4, 15)), d)) + 0.3
+            fx, fy = np.asfortranarray(x), np.asfortranarray(y)
+            assert not fx.flags.c_contiguous
+            assert fields(evaluate_two_sample(fx, fy, two, 0.05, 40, r)) == fields(
+                evaluate_two_sample(x, y, two, 0.05, 40, r))
+            assert fields(evaluate_one_sample(fy, one, 0.05, 40, r)) == fields(
+                evaluate_one_sample(y, one, 0.05, 40, r))
+
 
 class TestBackendAgreement:
     def test_asymptotic_and_permutation_rates_close(self):

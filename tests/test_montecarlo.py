@@ -237,6 +237,33 @@ class TestPinnedSeededOutputs:
             (200, "cq2", "rsrm-oracle"): 0.65,
         }
 
+    @pytest.mark.parametrize("model, rho, grid, expected", [
+        ("ar1-gauss", 0.7, ((50, 0.0), (50, 3.0), (300, 4.5)),
+         {(50, 0.0, "wmw"): 0.025, (50, 0.0, "cq2"): 0.075,
+          (50, 3.0, "wmw"): 0.4, (50, 3.0, "cq2"): 0.4,
+          (300, 4.5, "wmw"): 0.5, (300, 4.5, "cq2"): 0.5}),
+        ("ar1-t5", -0.5, ((50, 0.0), (50, 2.2), (300, 3.5)),
+         {(50, 0.0, "wmw"): 0.025, (50, 0.0, "cq2"): 0.025,
+          (50, 2.2, "wmw"): 0.35, (50, 2.2, "cq2"): 0.375,
+          (300, 3.5, "wmw"): 0.425, (300, 3.5, "cq2"): 0.425}),
+    ])
+    def test_ar1_asymptotic_study(self, model, rho, grid, expected):
+        # Both AR(1) chains (stationary Gaussian start, t(5) with burn-in)
+        # through the asymptotic tests, at shifts with power near one half,
+        # so a changed row that moves a p-value across alpha shows.
+        plan = ExperimentPlan(
+            model=model,
+            grid=grid,
+            m=12,
+            n=12,
+            tests=(("wmw", "asymptotic"), ("cq2", "asymptotic")),
+            replications=40,
+            base_seed=41,
+            rho=rho,
+        )
+        rates = {(p.d, p.c, p.stat): p.rejection_rate for p in run_power_study(plan)}
+        assert rates == expected
+
     def test_subsample_protocol(self):
         rng = np.random.default_rng(32)
         class_a = rng.standard_normal((30, 40))
