@@ -21,8 +21,10 @@ from . import __version__
 from ._selftest import TOLERANCE, run_selftest, selftest_passed
 from .dataio import read_matrix_csv
 from .errors import HDTestError
+from .generators import MODEL_NAMES, SHIFT_FIRST, SHIFT_SPREAD, SPHERICAL_T5
 from .inference import TestReport, evaluate_one_sample, evaluate_two_sample
 from .montecarlo import ExperimentPlan, run_power_study, summarize_to_plot_data
+from .statistics import ONE_SAMPLE_STATS, TWO_SAMPLE_STATS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -121,22 +123,18 @@ def build_parser() -> _Parser:
     two = subs.add_parser("two-sample", help="test E(X) = E(Y) from two CSV files")
     two.add_argument("--x", required=True, help="CSV file, one observation per row")
     two.add_argument("--y", required=True)
-    two.add_argument("--stat", choices=("cq2", "wmw"), required=True)
+    two.add_argument("--stat", choices=TWO_SAMPLE_STATS, required=True)
     two.add_argument("--method", choices=("asymptotic", "permutation"), required=True)
     _add_common_test_flags(two)
 
     one = subs.add_parser("one-sample", help="test E(X) = 0 from a CSV file")
     one.add_argument("--x", required=True)
-    one.add_argument("--stat", choices=("cq1", "s", "sr"), required=True)
+    one.add_argument("--stat", choices=ONE_SAMPLE_STATS, required=True)
     one.add_argument("--method", choices=("asymptotic", "signflip"), required=True)
     _add_common_test_flags(one)
 
     sim = subs.add_parser("simulate", help="run a seeded size/power study")
-    sim.add_argument(
-        "--model",
-        choices=("ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"),
-        required=True,
-    )
+    sim.add_argument("--model", choices=MODEL_NAMES, required=True)
     sim.add_argument("--m", type=int, required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--grid", required=True, help='grid points as "d:c,d:c,..."')
@@ -150,8 +148,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--rho", type=float, default=0.7)
     sim.add_argument("--beta", type=float, default=0.7)
-    sim.add_argument("--shift-style", choices=("first-coordinate", "spread-equally"),
-                     default="first-coordinate")
+    sim.add_argument("--shift-style", choices=(SHIFT_FIRST, SHIFT_SPREAD),
+                     default=SHIFT_FIRST)
     sim.add_argument("--out", required=True, help="plot-data CSV output path")
 
     self_p = subs.add_parser("selftest", help="validate fast paths against oracles")
@@ -186,11 +184,10 @@ def _parse_tests(text: str):
         if not token:
             continue
         parts = token.split(":")
-        if len(parts) != 2 or parts[0] not in ("cq2", "wmw") or parts[1] not in _METHOD_TOKENS:
-            raise _UsageError(
-                f"bad test token {token!r}, expected stat:method with stat in "
-                "{cq2, wmw} and method in {asym, perm, oracle}"
-            )
+        if len(parts) != 2 or parts[0] not in TWO_SAMPLE_STATS or parts[1] not in _METHOD_TOKENS:
+            stats, methods = ", ".join(TWO_SAMPLE_STATS), ", ".join(_METHOD_TOKENS)
+            raise _UsageError(f"bad test token {token!r}, expected stat:method with stat in "
+                              f"{{{stats}}} and method in {{{methods}}}")
         tests.append((parts[0], _METHOD_TOKENS[parts[1]]))
     if not tests:
         raise _UsageError("test list is empty")
@@ -211,9 +208,7 @@ def _cmd_test(args, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     tests = _parse_tests(args.tests)
-    if any(method == "rsrm-oracle" for _, method in tests) and args.model not in (
-        "spherical-t5",
-    ):
+    if any(method == "rsrm-oracle" for _, method in tests) and args.model != SPHERICAL_T5:
         raise _UsageError(
             f"the oracle method needs latent scales; model {args.model!r} has none"
         )

@@ -159,7 +159,8 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
 
 def gen_spherical_t(spec: GeneratorSpec, n: int, rng=None):
     """Spherical t(df) rows: standard Gaussian vectors divided by
-    independent per-row scales sqrt(chi2_df / df).
+    independent per-row scales sqrt(chi2_df / df), drawn by
+    ``gen_rsrm_custom``.
 
     Returns the sample and the auxiliary holding the realized scales with
     the population values of the latent Gaussian component (variance 1,
@@ -167,19 +168,14 @@ def gen_spherical_t(spec: GeneratorSpec, n: int, rng=None):
     """
     if spec.model != SPHERICAL_T5:
         raise InvalidSpecError(f"gen_spherical_t cannot generate model {spec.model!r}")
-    if n < 1:
-        raise InvalidSpecError("sample size must be at least 1")
-    rng = _rng_for(spec, rng)
-    gauss = rng.standard_normal((n, spec.d))
-    if math.isinf(spec.df):
-        scales = np.ones(n)
-    else:
-        scales = np.sqrt(rng.chisquare(spec.df, size=n) / spec.df)
-    x = gauss / scales[:, None] + spec.shift.mean_vector(spec.d)
-    aux = RsrmAuxiliary(
-        p_scales=scales, sigma_v_sq=1.0, tr_sigma_v_sq=float(spec.d)
+    df = spec.df
+
+    def scale_law(rng, n):
+        return np.ones(n) if math.isinf(df) else np.sqrt(rng.chisquare(df, size=n) / df)
+
+    return gen_rsrm_custom(
+        spec, n, lambda rng, n, d: rng.standard_normal((n, d)), scale_law, rng=rng
     )
-    return x, aux
 
 
 def gen_equicorr_gauss(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     InvalidSpecError,
     SubsampleTooSmallError,
 )
-from .generators import SHIFT_FIRST, SHIFT_ZERO, GeneratorSpec, RsrmAuxiliary, generate
+from .generators import SHIFT_FIRST, SHIFT_ZERO, GeneratorSpec, generate
 from .inference import (
     METHOD_ASYMPTOTIC,
     METHOD_PERMUTATION,
@@ -60,11 +60,7 @@ class ExperimentPlan:
             raise InvalidSpecError("n_resamples must be at least 1")
         if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
             raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
-        for stat, method in self.tests:
-            if stat not in TWO_SAMPLE_STATS:
-                raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
-            if method not in TWO_SAMPLE_METHODS:
-                raise InvalidSpecError(f"unknown method {method!r}")
+        _check_tests(self.tests, TWO_SAMPLE_METHODS, "a two-sample method")
 
     def to_dict(self) -> dict:
         return {
@@ -102,66 +98,84 @@ def _binomial_se(rate: float, reps: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / reps)
 
 
-def _combined_aux(aux_x: RsrmAuxiliary, aux_y: RsrmAuxiliary, d: int) -> RsrmAuxiliary:
-    # Both samples share the isotropic latent component, so the cross trace
-    # equals the marginal ones.
-    return RsrmAuxiliary(
-        p_scales=aux_x.p_scales,
-        q_scales=aux_y.p_scales,
-        sigma_v_sq=aux_x.sigma_v_sq,
-        sigma_w_sq=aux_y.sigma_v_sq,
-        tr_sigma_v_sq=aux_x.tr_sigma_v_sq,
-        tr_sigma_w_sq=aux_y.tr_sigma_v_sq,
-        tr_sigma_vw=float(d),
-    )
+def _check_tests(tests, methods, what) -> None:
+    if not tests:
+        raise InvalidSpecError("test list is empty")
+    for stat, method in tests:
+        if stat not in TWO_SAMPLE_STATS:
+            raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
+        if method not in methods:
+            raise InvalidSpecError(f"method {method!r} is not {what}")
 
 
-def _replicate_rejections(plan, d, c, g_idx, r) -> dict:
-    """Run every test of the plan on one freshly generated replicate pair."""
-    seq = np.random.SeedSequence((plan.base_seed, g_idx, r))
-    data_seq, perm_seq = seq.spawn(2)
-    rng = np.random.default_rng(data_seq)
+def _rejections(replicates, tests, alpha, n_resamples) -> dict:
+    """{(stat, method): rejections} of every test over ``replicates``.
 
-    base = GeneratorSpec(
-        model=plan.model, d=d, rho=plan.rho, beta=plan.beta, df=plan.df
-    )
-    x, aux_x = generate(base.with_shift(SHIFT_ZERO, 0.0), plan.m, rng)
-    y, aux_y = generate(base.with_shift(plan.shift_style, c), plan.n, rng)
+    Each replicate is (where, key, draw): ``key`` seeds one stream for its
+    data and one for its resamples, ``draw(rng)`` returns its dataset
+    (x, y, aux) from the data stream, and ``where`` names it in the
+    message of any failure.  A failed replicate aborts the study;
+    silently skipping it would bias the rates.
+    """
+    counts = {(stat, method): 0 for stat, method in tests}
+    for where, key, draw in replicates:
+        data_seq, resample_seq = np.random.SeedSequence(key).spawn(2)
+        try:
+            x, y, aux = draw(np.random.default_rng(data_seq))
+            reports = evaluate_two_sample(x, y, tests, alpha, n_resamples, resample_seq, aux)
+            del x, y, aux  # so that the next draw does not hold two datasets
+        except HDTestError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        for test, report in reports.items():
+            counts[test] += int(report.reject)
+    return counts
 
-    aux = None
-    if any(method == METHOD_RSRM_ORACLE for _, method in plan.tests):
+
+def _grid_replicates(plan, g_idx):
+    """The replicates of grid point ``g_idx``; its generator specs are
+    built and checked on this call, before any replicate runs."""
+    d, c = plan.grid[g_idx]
+    try:
+        base = GeneratorSpec(model=plan.model, d=d, rho=plan.rho, beta=plan.beta, df=plan.df)
+        x_spec = base.with_shift(SHIFT_ZERO, 0.0)
+        y_spec = base.with_shift(plan.shift_style, c)
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"grid point (d={d}, c={c}): {exc}") from exc
+    oracle = any(method == METHOD_RSRM_ORACLE for _, method in plan.tests)
+
+    def draw(rng):
+        x, aux_x = generate(x_spec, plan.m, rng)
+        y, aux_y = generate(y_spec, plan.n, rng)
+        if not oracle:
+            return x, y, None
         if aux_x is None or aux_y is None:
             raise InvalidSpecError(
                 f"model {plan.model!r} has no latent scales; the oracle backend "
                 "is only available for randomly scaled models"
             )
-        aux = _combined_aux(aux_x, aux_y, d)
-    reports = evaluate_two_sample(
-        x, y, plan.tests, plan.alpha, plan.n_resamples, perm_seq, aux
+        # Both samples share the isotropic latent component, so the cross
+        # trace equals the marginal ones.
+        return x, y, replace(aux_x, q_scales=aux_y.p_scales, sigma_w_sq=aux_y.sigma_v_sq,
+                             tr_sigma_w_sq=aux_y.tr_sigma_v_sq, tr_sigma_vw=float(d))
+
+    return (
+        (f"replicate {r} at grid point (d={d}, c={c})", (plan.base_seed, g_idx, r), draw)
+        for r in range(plan.replications)
     )
-    return {key: report.reject for key, report in reports.items()}
 
 
 def run_power_study(plan: ExperimentPlan) -> list:
     """Estimate the rejection rate of every planned test at every grid
     point, with binomial standard errors.
 
-    A failure inside any replicate aborts the study with the grid point and
-    replicate index attached; silently skipping failed replicates would
-    bias the rates.
+    Every grid point's generator parameters are checked before the first
+    replicate runs; a failure inside a replicate aborts the study with the
+    grid point and replicate index attached.
     """
+    grid_replicates = [_grid_replicates(plan, g_idx) for g_idx in range(len(plan.grid))]
     points = []
-    for g_idx, (d, c) in enumerate(plan.grid):
-        counts = {(stat, method): 0 for stat, method in plan.tests}
-        for r in range(plan.replications):
-            try:
-                rejected = _replicate_rejections(plan, d, c, g_idx, r)
-            except HDTestError as exc:
-                raise type(exc)(
-                    f"replicate {r} at grid point (d={d}, c={c}): {exc}"
-                ) from exc
-            for key, hit in rejected.items():
-                counts[key] += int(hit)
+    for (d, c), replicates in zip(plan.grid, grid_replicates):
+        counts = _rejections(replicates, plan.tests, plan.alpha, plan.n_resamples)
         for stat, method in plan.tests:
             rate = counts[(stat, method)] / plan.replications
             points.append(
@@ -214,13 +228,7 @@ def run_subsample_protocol(
         raise InvalidSpecError("fraction must be in (0, 1)")
     if repetitions < 1:
         raise InvalidSpecError("repetitions must be at least 1")
-    for stat, method in tests:
-        if stat not in TWO_SAMPLE_STATS:
-            raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
-        if method not in (METHOD_ASYMPTOTIC, METHOD_PERMUTATION):
-            raise InvalidSpecError(
-                f"method {method!r} is not available on real data"
-            )
+    _check_tests(tests, (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), "available on real data")
     rows_a, rows_b = class_a.shape[0], class_b.shape[0]
     k_a = int(fraction * rows_a)
     k_b = int(fraction * rows_b)
@@ -233,31 +241,27 @@ def run_subsample_protocol(
             "classes are too small to draw two disjoint subsamples"
         )
 
-    tests = list(tests)
-    size_hits = {key: 0 for key in ((s, meth) for s, meth in tests)}
-    power_hits = {key: 0 for key in size_hits}
+    def halves(data, k, rng):
+        idx = rng.permutation(data.shape[0])[: 2 * k]
+        return data[idx[:k]], data[idx[k:]], None
 
-    for phase, (data, k) in enumerate([(class_a, k_a), (class_b, k_b)]):
-        rows = data.shape[0]
-        for r in range(repetitions):
-            seq = np.random.SeedSequence((seed, phase, r))
-            draw_seq, perm_seq = seq.spawn(2)
-            idx = np.random.default_rng(draw_seq).permutation(rows)[: 2 * k]
-            reports = evaluate_two_sample(
-                data[idx[:k]], data[idx[k:]], tests, alpha, n_resamples, perm_seq
-            )
-            for key, report in reports.items():
-                size_hits[key] += int(report.reject)
-
-    for r in range(repetitions):
-        seq = np.random.SeedSequence((seed, 2, r))
-        draw_seq, perm_seq = seq.spawn(2)
-        rng = np.random.default_rng(draw_seq)
+    def cross(rng):
         sub_a = class_a[rng.permutation(rows_a)[:k_a]]
         sub_b = class_b[rng.permutation(rows_b)[:k_b]]
-        reports = evaluate_two_sample(sub_a, sub_b, tests, alpha, n_resamples, perm_seq)
-        for key, report in reports.items():
-            power_hits[key] += int(report.reject)
+        return sub_a, sub_b, None
+
+    phases = (
+        ("size in class a", lambda rng: halves(class_a, k_a, rng)),
+        ("size in class b", lambda rng: halves(class_b, k_b, rng)),
+        ("power", cross),
+    )
+    size_a, size_b, power_hits = [
+        _rejections(
+            ((f"{name}, repetition {r}", (seed, phase, r), draw) for r in range(repetitions)),
+            tests, alpha, n_resamples,
+        )
+        for phase, (name, draw) in enumerate(phases)
+    ]
 
     rows_out = []
     for stat, method in sorted(tests, key=lambda t: (t[1], t[0])):
@@ -265,7 +269,7 @@ def run_subsample_protocol(
             SubsampleRow(
                 stat=stat,
                 method=method,
-                size=size_hits[(stat, method)] / (2 * repetitions),
+                size=(size_a[(stat, method)] + size_b[(stat, method)]) / (2 * repetitions),
                 power=power_hits[(stat, method)] / repetitions,
                 repetitions=repetitions,
             )

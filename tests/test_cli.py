@@ -15,7 +15,9 @@ from hdsigntest import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from hdsigntest.cli import main
+from hdsigntest.cli import build_parser, main
+from hdsigntest.generators import MODEL_NAMES
+from hdsigntest.statistics import ONE_SAMPLE_STATS, TWO_SAMPLE_STATS
 
 
 def run_cli(argv):
@@ -308,3 +310,14 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         code, _, _ = run_cli(["two-sample", "--stat", "cq2", "--method", "asymptotic"])
         assert code == 2
+
+    def test_choices_are_the_library_names(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+
+        def choices(command, dest):
+            parser = subparsers.choices[command]
+            return next(a.choices for a in parser._actions if a.dest == dest)
+
+        assert choices("two-sample", "stat") == TWO_SAMPLE_STATS
+        assert choices("one-sample", "stat") == ONE_SAMPLE_STATS
+        assert choices("simulate", "model") == MODEL_NAMES

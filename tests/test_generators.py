@@ -208,6 +208,24 @@ class TestRsrmCustom:
         )
         assert stats.ks_2samp(xa[:, 0], xb[:, 0]).pvalue > 0.01
 
+    @pytest.mark.parametrize("df", [5.0, 2.5, math.inf])
+    @pytest.mark.parametrize("d, n", [(1, 1), (7, 5), (300, 20)])
+    def test_spherical_t_is_gaussian_rows_over_chi_scales(self, df, d, n):
+        # gen_spherical_t draws the Gaussian rows, then the scales (none
+        # for df = inf): byte for byte the direct construction.
+        spec = GeneratorSpec(model="spherical-t5", d=d, df=df).with_shift(
+            "first-coordinate", 1.5
+        )
+        rng = np.random.default_rng((d, n, 28))
+        x, aux = gen_spherical_t(spec, n, rng)
+        ref = np.random.default_rng((d, n, 28))
+        rows = ref.standard_normal((n, d))
+        scales = np.ones(n) if math.isinf(df) else np.sqrt(ref.chisquare(df, size=n) / df)
+        assert x.tobytes() == (rows / scales[:, None] + spec.shift.mean_vector(d)).tobytes()
+        assert aux.p_scales.tobytes() == scales.tobytes()
+        assert (aux.sigma_v_sq, aux.tr_sigma_v_sq) == (1.0, float(d))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_nonpositive_scale_rejected(self):
         spec = GeneratorSpec(model="spherical-t5", d=4, seed=23)
         with pytest.raises(NonpositiveScaleError):

@@ -11,6 +11,7 @@ from hdsigntest import (
     InvalidSpecError,
     PowerCurvePoint,
     SubsampleTooSmallError,
+    ZeroVectorError,
     parse_plot_data,
     run_power_study,
     run_subsample_protocol,
@@ -19,7 +20,8 @@ from hdsigntest import (
 )
 from hdsigntest.generators import SHIFT_SPREAD, SHIFT_ZERO, GeneratorSpec, generate
 from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
-from hdsigntest.montecarlo import _replicate_rejections
+from hdsigntest import montecarlo
+from hdsigntest.montecarlo import _grid_replicates, _rejections
 
 
 def small_plan(**overrides):
@@ -55,8 +57,10 @@ class TestRunPowerStudy:
         plan30 = small_plan()
         plan60 = small_plan(replications=60)
         manual = [
-            _replicate_rejections(plan60, 20, 1.0, 0, r)[("cq2", "asymptotic")]
-            for r in range(60)
+            _rejections([replicate], plan60.tests, plan60.alpha, plan60.n_resamples)[
+                ("cq2", "asymptotic")
+            ]
+            for replicate in _grid_replicates(plan60, 0)
         ]
         rate30 = next(
             p for p in run_power_study(plan30) if p.stat == "cq2"
@@ -79,6 +83,20 @@ class TestRunPowerStudy:
         with pytest.raises(InvalidSpecError, match=r"replicate 0 at grid point"):
             run_power_study(plan)
 
+    def test_generator_parameters_checked_before_any_replicate(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_two_sample(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+        plan = small_plan(grid=((20, 1.0), (0, 1.0)), replications=5)
+        with pytest.raises(InvalidSpecError,
+                           match=r"^grid point \(d=0, c=1.0\): dimension must be at least 1$"):
+            run_power_study(plan)
+        assert calls == []
+
     def test_rejects_bad_plan_parameters(self):
         with pytest.raises(InvalidSpecError):
             small_plan(replications=0)
@@ -88,6 +106,8 @@ class TestRunPowerStudy:
             small_plan(tests=(("cq2", "bootstrap"),))
         with pytest.raises(InvalidSpecError):
             small_plan(grid=())
+        with pytest.raises(InvalidSpecError, match="test list is empty"):
+            small_plan(tests=())
 
 
 class TestSubsampleProtocol:
@@ -180,12 +200,24 @@ class TestSubsampleProtocol:
                 data, data, 0.6, 5, (("cq2", "asymptotic"),), seed=72
             )
 
+    def test_failure_names_phase_and_repetition(self):
+        data = self._dataset(62)
+        with pytest.raises(ZeroVectorError, match=(
+                r"^power, repetition 0: difference of y observation 10 "
+                r"and x observation 4 is zero$")):
+            run_subsample_protocol(data, data.copy(), 0.2, 50, (("wmw", "asymptotic"),),
+                                   seed=63)
+
     def test_oracle_method_rejected_on_real_data(self):
         data = self._dataset(73)
         with pytest.raises(InvalidSpecError):
             run_subsample_protocol(
                 data, data, 0.2, 5, (("wmw", "rsrm-oracle"),), seed=74
             )
+
+    def test_empty_test_list_rejected(self):
+        with pytest.raises(InvalidSpecError, match="test list is empty"):
+            run_subsample_protocol(self._dataset(73), self._dataset(74), 0.2, 5, (), seed=74)
 
     def test_deterministic(self):
         data_a = self._dataset(75)
