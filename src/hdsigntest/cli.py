@@ -94,6 +94,7 @@ def _integer_at_least(minimum: int):
 
 _count = _integer_at_least(1)  # --perms, --reps and --trials
 _seed = _integer_at_least(0)  # --seed, as NumPy's seeding accepts it
+_sample_size = _integer_at_least(2)  # simulate --m and --n
 
 
 def _level(text: str) -> float:
@@ -135,8 +136,8 @@ def build_parser() -> _Parser:
 
     sim = subs.add_parser("simulate", help="run a seeded size/power study")
     sim.add_argument("--model", choices=MODEL_NAMES, required=True)
-    sim.add_argument("--m", type=int, required=True)
-    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--m", type=_sample_size, required=True)
+    sim.add_argument("--n", type=_sample_size, required=True)
     sim.add_argument("--grid", required=True, help='grid points as "d:c,d:c,..."')
     sim.add_argument(
         "--tests", required=True,

@@ -97,6 +97,10 @@ class GeneratorSpec:
             raise InvalidSpecError("equicorrelation must be in (0, 1)")
         if not self.df > 0.0:
             raise InvalidSpecError("degrees of freedom must be positive")
+        if self.model == AR1_T5 and not self.df > 2.0:
+            raise InvalidSpecError(
+                "t innovations need df > 2 to be standardized to unit variance"
+            )
 
     def with_shift(self, style: str, magnitude: float) -> "GeneratorSpec":
         return replace(self, shift=MeanShift(style, magnitude))
@@ -141,10 +145,6 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
         eps = rng.standard_normal((n, d))
         eps[:, 0] = start
     else:
-        if spec.df <= 2.0:
-            raise InvalidSpecError(
-                "t innovations need df > 2 to be standardized to unit variance"
-            )
         burn = 10 * math.ceil(1.0 / (1.0 - abs(rho)))
         scale = math.sqrt((spec.df - 2.0) / spec.df)
         eps = rng.standard_t(spec.df, size=(n, burn + d)) * scale

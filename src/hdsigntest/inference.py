@@ -135,7 +135,10 @@ def two_sample_z(
 # still reads the rows per relabeling: it takes the pooled pair norms from
 # the rows once per dataset, and forms the pairwise unit differences one
 # block of columns at a time, O(N^2 d) per relabeling, in one reused
-# buffer of about ``statistics._SIGN_BLOCK`` coefficients.
+# buffer of about ``statistics._SIGN_BLOCK`` coefficients.  Each batch
+# kernel frees its batch or chunk products before it forms the next: wmw
+# holds one (64, N, block) product at a time, sr at most two arrays of
+# about ``statistics._FLIP_BATCH`` coefficients.
 # ---------------------------------------------------------------------------
 
 

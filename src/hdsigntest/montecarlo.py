@@ -52,6 +52,8 @@ class ExperimentPlan:
     shift_style: str = SHIFT_FIRST
 
     def __post_init__(self):
+        if self.m < 2 or self.n < 2:
+            raise InvalidSpecError("sample sizes m and n must be at least 2")
         if self.replications < 1:
             raise InvalidSpecError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _OneSampleGram, _TwoSampleGram, _centred, as_matrix
+from .statistics import _OneSampleGram, _TwoSampleGram, as_matrix
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ def tr_sigma_cross_hat(x, y) -> float:
 def sigma_sq_hat(x) -> float:
     """Marginal variance pooled over coordinates: the per-coordinate sample
     variance (denominator n-1) averaged over the d coordinates, which is
-    tr G / (d (n-1)) for the Gram matrix G of the centred rows.
+    tr Gc / (d (n-1)) for the centred block Gc of its ``_OneSampleGram``,
+    the same value as the ``sigma1_sq`` that the variance snapshots record.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -125,8 +126,7 @@ def sigma_sq_hat(x) -> float:
         raise TooFewObservationsError(
             f"variance estimator needs at least 2 observations, got {n}"
         )
-    rows = _centred(x)[0]
-    return float(np.einsum("ij,ij->", rows, rows) / (d * (n - 1)))
+    return float(np.trace(_OneSampleGram(x).gc) / (d * (n - 1)))
 
 
 def _check_gamma(gamma: float, spread: float) -> float:

@@ -256,7 +256,10 @@ class _OneSampleGram:
         which reads only the pair sums' 1 / ||X_a + X_b||: a pair
         difference has no mu part, exactly.  ||A||^2 and
         sum_a ||B_a||^2 are then quadratic forms in ``gram``, one batched
-        product beta gram per batch of patterns.
+        product beta gram per batch of about ``_FLIP_BATCH`` coefficients.
+        The per-pair weights are freed before that product is formed, and
+        beta and the product before the next batch, so at most two
+        batch-sized arrays are alive at a time.
 
         Near pairs: ||X_a + X_b||^2 is read from R and ||X_a - X_b||^2 from
         Gc.  Where one is at most ``_NEAR_PAIR`` of the squared norms of its
@@ -299,8 +302,9 @@ class _OneSampleGram:
             same = eps[:, :, None] == eps[:, None, :]
             w = np.where(same, inv[0], inv[1])
             beta = np.zeros((eps.shape[0], n, n + 1 + k))
-            beta[:, :, :n] = w * eps[:, None, :]
+            np.multiply(w, eps[:, None, :], out=beta[:, :, :n])
             beta[:, idx, idx] = eps * w.sum(axis=2)
+            del w
             # Only pair sums have a mu part: sum_b (e_a + e_b) w_ab, from one
             # product per pattern, so a pattern's value does not depend on
             # the size of its batch.
@@ -316,10 +320,12 @@ class _OneSampleGram:
             coef = used * eps[:, ia]
             beta[:, ia, col] = coef
             beta[:, ib, col] = coef
+            del same
             bg = beta @ g
             norm_a = np.einsum("rj,rj->r", bg.sum(axis=1), beta.sum(axis=1))
             norm_b = np.einsum("raj,raj->r", bg, beta)
             out[start : start + step] = norm_a - 4.0 * norm_b
+            del beta, bg
         value = (out + 2.0 * n * (n - 1)) / (n * (n - 1) * (n - 2) * (n - 3))
         return np.clip(value, -1.0, 1.0)
 
@@ -478,7 +484,10 @@ class _TwoSampleGram:
         U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is
         used.  The rest are two-operand reductions: the squared row norms
         of ``a_cols`` and ``b_rows``, weighted by u and v, and T as one
-        stacked matmul.  The masks are reduced in chunks of 64 rows.
+        stacked matmul.  The masks are reduced in chunks of 64 rows, and
+        each chunk holds one (64, N, cols) product at a time: ``a_cols`` is
+        reduced to ``t_norm`` and ``r_term`` and freed before ``b_rows`` is
+        formed, and ``b_rows`` is freed before the next chunk.
 
         A relabeling that splits a pair of identical pooled rows has no
         sign for it and raises ZeroVectorError naming the first such pair.
@@ -504,12 +513,14 @@ class _TwoSampleGram:
                 u, v = u_all[start:stop], v_all[start:stop]
                 # a runs over pooled rows on the second-group side, b on the first.
                 a_cols = np.einsum("ra,abd->rbd", v, signs, optimize=True)
-                b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
                 t_vec = np.matmul(u[:, None, :], a_cols)[:, 0]
                 part = slice(start, stop)
                 t_norm[part] += np.einsum("rd,rd->r", t_vec, t_vec)
                 r_term[part] += np.einsum("rb,rb->r", np.einsum("rbd,rbd->rb", a_cols, a_cols), u)
+                del a_cols, t_vec
+                b_rows = np.einsum("rb,bad->rad", u, signs, optimize=True)
                 c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
+                del b_rows
         out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
         return np.clip(out, -1.0, 1.0)
 

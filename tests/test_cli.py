@@ -301,6 +301,12 @@ class TestUsageErrors:
             ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
              "--grid", "20:1", "--tests", "cq2:asym", "--reps", "2",
              "--seed", "-1", "--out", str(tmp_path / "o.csv")],
+            ["simulate", "--model", "ar1-gauss", "--m", "-3", "--n", "8",
+             "--grid", "20:1", "--tests", "wmw:asym", "--reps", "5",
+             "--out", str(tmp_path / "o.csv")],
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "1",
+             "--grid", "20:1", "--tests", "wmw:asym", "--reps", "5",
+             "--out", str(tmp_path / "o.csv")],
             ["selftest", "--trials", "1", "--seed", "-1"],
         ):
             code, _, err = run_cli(argv)

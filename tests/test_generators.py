@@ -109,9 +109,12 @@ class TestAr1:
         assert np.all(np.abs(x.var(axis=0) - target) < 0.2)
 
     def test_t_needs_df_above_two(self):
-        spec = GeneratorSpec(model="ar1-t5", d=10, df=1.5)
-        with pytest.raises(InvalidSpecError):
-            gen_ar1(spec, 5)
+        # Refused when the spec is built, before any data are drawn; the
+        # spherical t models take any positive df.
+        for df in (1.5, 2.0):
+            with pytest.raises(InvalidSpecError, match="need df > 2"):
+                GeneratorSpec(model="ar1-t5", d=10, df=df)
+        GeneratorSpec(model="spherical-t5", d=10, df=1.5)
 
     def test_shift_added_after_noise(self):
         spec = GeneratorSpec(model="ar1-gauss", d=12, seed=12)

@@ -358,6 +358,26 @@ class TestPermutationBackend:
         bound = 1.5 * 8 * statistics._SIGN_BLOCK + 2 * (x.nbytes + y.nbytes)
         assert peak < bound, (peak, bound)
 
+    def test_multi_chunk_working_set(self):
+        # 20 + 20 rows x 200 columns at 500 resamples: one block of pair
+        # differences and 8 chunks of 64 relabelings.  Each chunk product,
+        # a (64, N, cols) array, is freed before the next is formed, so the
+        # traced peak stays under the block plus 1.5 chunk products.
+        rng = np.random.default_rng(69)
+        x = rng.standard_t(5, size=(20, 200))
+        y = rng.standard_t(5, size=(20, 200))
+        big = 40
+        cols = min(200, statistics._SIGN_BLOCK // big**2)
+        assert len(statistics._spans(501, 64)) == 8
+        tracemalloc.start()
+        try:
+            permutation_pvalues_two_sample(x, y, ["wmw"], 500, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (big * big * cols + 1.5 * 64 * big * cols)
+        assert peak < bound, (peak, bound)
+
     def test_pvalue_floor_under_huge_shift(self):
         rng = np.random.default_rng(48)
         x = rng.standard_normal((8, 20))
@@ -432,10 +452,13 @@ class TestSignflipBackend:
                 assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
                     shift, stat, res[stat][1], exact)
 
-    @pytest.mark.parametrize("stat", ["cq1", "s"])
+    @pytest.mark.parametrize("stat", ["cq1", "s", "sr"])
     def test_wide_data_memory(self, stat):
         # 40 rows x 5000 columns with 2000 flip patterns: the flipped row
-        # sums alone, an (R + 1) x d array, would take 80 MB.
+        # sums alone, an (R + 1) x d array, would take 80 MB.  The sr
+        # kernel works on batches of about ``_FLIP_BATCH`` coefficients and
+        # holds at most two batch-sized products at a time, freed before
+        # the next batch.
         x = np.random.default_rng(56).standard_normal((40, 5000))
         tracemalloc.start()
         try:
@@ -443,7 +466,8 @@ class TestSignflipBackend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, peak
+        bound = 2.5 * 8 * statistics._FLIP_BATCH + 2 * x.nbytes if stat == "sr" else 20e6
+        assert peak < bound, (peak, bound)
 
     def test_pvalue_floor_large_shift(self):
         # n = 20 rows: the chance of drawing a constant flip pattern, which

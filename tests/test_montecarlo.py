@@ -95,6 +95,10 @@ class TestRunPowerStudy:
         with pytest.raises(InvalidSpecError,
                            match=r"^grid point \(d=0, c=1.0\): dimension must be at least 1$"):
             run_power_study(plan)
+        plan = small_plan(model="ar1-t5", df=1.5, replications=5)
+        with pytest.raises(InvalidSpecError,
+                           match=r"^grid point \(d=20, c=1.0\): t innovations need df > 2"):
+            run_power_study(plan)
         assert calls == []
 
     def test_rejects_bad_plan_parameters(self):
@@ -108,6 +112,9 @@ class TestRunPowerStudy:
             small_plan(grid=())
         with pytest.raises(InvalidSpecError, match="test list is empty"):
             small_plan(tests=())
+        for sizes in ({"m": 1}, {"n": 1}, {"m": -3}):
+            with pytest.raises(InvalidSpecError, match="sample sizes m and n must be at least 2"):
+                small_plan(**sizes)
 
 
 class TestSubsampleProtocol:

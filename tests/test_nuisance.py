@@ -105,6 +105,21 @@ class TestSigmaSq:
         err = abs(values.mean() - 1.0)
         assert err < 3.0 * values.std(ddof=1) / np.sqrt(reps)
 
+    def test_same_value_as_the_snapshots(self):
+        # The one-sample snapshot reads the same centred Gram block, so it
+        # records the same bits.  The two-sample snapshot reads the x block
+        # of the pooled Gram matrix, whose larger GEMM may round a diagonal
+        # entry differently: there the values agree to a few ulps.
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            m, n, d = (int(v) for v in rng.integers((4, 4, 1), (30, 30, 400)))
+            x = rng.standard_t(4, size=(m, d)) * rng.uniform(0.1, 10.0) + rng.uniform(-50, 50)
+            y = rng.standard_normal((n, d))
+            value = sigma_sq_hat(x)
+            assert value == gamma2_hat(x).sigma1_sq, (m, d)
+            pooled = gamma1_hat(x, y).sigma1_sq
+            assert abs(value - pooled) <= 4 * np.finfo(float).eps * value, (m, n, d)
+
 
 def _one_odd_row_cases(count=3000):
     """(x, y): x is m - 1 identical rows plus one other row and y is
