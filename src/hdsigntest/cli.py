@@ -5,8 +5,10 @@ Subcommands: ``two-sample`` and ``one-sample`` run tests on CSV files,
 JSON run manifest, ``selftest`` validates the fast paths against the
 naive oracles.
 
-Exit codes: 0 success, 2 usage error, 3 data error.  All outputs are
-deterministic given the flags; only the manifest timestamp varies.
+Exit codes: 0 success, 2 usage error, 3 data error.  A ``simulate``
+study that its ``ExperimentPlan`` refuses is a usage error; a failure
+while it runs is a data error.  All outputs are deterministic given the
+flags; only the manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -20,9 +22,17 @@ import sys
 from . import __version__
 from ._selftest import TOLERANCE, run_selftest, selftest_passed
 from .dataio import read_matrix_csv
-from .errors import HDTestError
-from .generators import MODEL_NAMES, SHIFT_FIRST, SHIFT_SPREAD, SPHERICAL_T5
-from .inference import TestReport, evaluate_one_sample, evaluate_two_sample
+from .errors import HDTestError, InvalidSpecError
+from .generators import MODEL_NAMES, SHIFT_FIRST, SHIFT_SPREAD
+from .inference import (
+    METHOD_ASYMPTOTIC,
+    METHOD_PERMUTATION,
+    METHOD_RSRM_ORACLE,
+    METHOD_SIGNFLIP,
+    TestReport,
+    evaluate_one_sample,
+    evaluate_two_sample,
+)
 from .montecarlo import ExperimentPlan, run_power_study, summarize_to_plot_data
 from .statistics import ONE_SAMPLE_STATS, TWO_SAMPLE_STATS
 
@@ -30,7 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-_METHOD_TOKENS = {"asym": "asymptotic", "perm": "permutation", "oracle": "rsrm-oracle"}
+_METHOD_TOKENS = {"asym": METHOD_ASYMPTOTIC, "perm": METHOD_PERMUTATION,
+                  "oracle": METHOD_RSRM_ORACLE}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +105,6 @@ def _integer_at_least(minimum: int):
 
 _count = _integer_at_least(1)  # --perms, --reps and --trials
 _seed = _integer_at_least(0)  # --seed, as NumPy's seeding accepts it
-_sample_size = _integer_at_least(2)  # simulate --m and --n
 
 
 def _level(text: str) -> float:
@@ -125,19 +135,19 @@ def build_parser() -> _Parser:
     two.add_argument("--x", required=True, help="CSV file, one observation per row")
     two.add_argument("--y", required=True)
     two.add_argument("--stat", choices=TWO_SAMPLE_STATS, required=True)
-    two.add_argument("--method", choices=("asymptotic", "permutation"), required=True)
+    two.add_argument("--method", choices=(METHOD_ASYMPTOTIC, METHOD_PERMUTATION), required=True)
     _add_common_test_flags(two)
 
     one = subs.add_parser("one-sample", help="test E(X) = 0 from a CSV file")
     one.add_argument("--x", required=True)
     one.add_argument("--stat", choices=ONE_SAMPLE_STATS, required=True)
-    one.add_argument("--method", choices=("asymptotic", "signflip"), required=True)
+    one.add_argument("--method", choices=(METHOD_ASYMPTOTIC, METHOD_SIGNFLIP), required=True)
     _add_common_test_flags(one)
 
     sim = subs.add_parser("simulate", help="run a seeded size/power study")
     sim.add_argument("--model", choices=MODEL_NAMES, required=True)
-    sim.add_argument("--m", type=_sample_size, required=True)
-    sim.add_argument("--n", type=_sample_size, required=True)
+    sim.add_argument("--m", type=int, required=True)
+    sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--grid", required=True, help='grid points as "d:c,d:c,..."')
     sim.add_argument(
         "--tests", required=True,
@@ -167,14 +177,9 @@ def _parse_grid(text: str):
             continue
         try:
             d, c = token.split(":")
-            d, c = int(d), float(c)
+            points.append((int(d), float(c)))
         except ValueError:
-            c = math.nan
-        if not math.isfinite(c):
-            raise _UsageError(f"bad grid token {token!r}, expected d:c with a finite shift c")
-        points.append((d, c))
-    if not points:
-        raise _UsageError("grid is empty")
+            raise _UsageError(f"bad grid token {token!r}, expected d:c") from None
     return tuple(points)
 
 
@@ -185,13 +190,10 @@ def _parse_tests(text: str):
         if not token:
             continue
         parts = token.split(":")
-        if len(parts) != 2 or parts[0] not in TWO_SAMPLE_STATS or parts[1] not in _METHOD_TOKENS:
-            stats, methods = ", ".join(TWO_SAMPLE_STATS), ", ".join(_METHOD_TOKENS)
-            raise _UsageError(f"bad test token {token!r}, expected stat:method with stat in "
-                              f"{{{stats}}} and method in {{{methods}}}")
+        if len(parts) != 2 or parts[1] not in _METHOD_TOKENS:
+            raise _UsageError(f"bad test token {token!r}, expected stat:method with "
+                              f"method in {{{', '.join(_METHOD_TOKENS)}}}")
         tests.append((parts[0], _METHOD_TOKENS[parts[1]]))
-    if not tests:
-        raise _UsageError("test list is empty")
     return tuple(tests)
 
 
@@ -208,25 +210,23 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    tests = _parse_tests(args.tests)
-    if any(method == "rsrm-oracle" for _, method in tests) and args.model != SPHERICAL_T5:
-        raise _UsageError(
-            f"the oracle method needs latent scales; model {args.model!r} has none"
+    try:
+        plan = ExperimentPlan(
+            model=args.model,
+            grid=_parse_grid(args.grid),
+            m=args.m,
+            n=args.n,
+            tests=_parse_tests(args.tests),
+            replications=args.reps,
+            alpha=args.alpha,
+            n_resamples=args.perms,
+            base_seed=args.seed,
+            rho=args.rho,
+            beta=args.beta,
+            shift_style=args.shift_style,
         )
-    plan = ExperimentPlan(
-        model=args.model,
-        grid=_parse_grid(args.grid),
-        m=args.m,
-        n=args.n,
-        tests=tests,
-        replications=args.reps,
-        alpha=args.alpha,
-        n_resamples=args.perms,
-        base_seed=args.seed,
-        rho=args.rho,
-        beta=args.beta,
-        shift_style=args.shift_style,
-    )
+    except InvalidSpecError as exc:
+        raise _UsageError(exc) from exc
     points = run_power_study(plan)
     csv_text = summarize_to_plot_data(points)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -295,10 +295,7 @@ def main(argv=None, out=None, err=None) -> int:
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except HDTestError as exc:
-        err.write(f"data error: {exc}\n")
-        return EXIT_DATA
-    except OSError as exc:
+    except (HDTestError, OSError) as exc:
         err.write(f"data error: {exc}\n")
         return EXIT_DATA
 

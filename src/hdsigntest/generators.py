@@ -70,9 +70,6 @@ class MeanShift:
             mu[:] = self.magnitude / math.sqrt(d)
         return mu
 
-    def to_dict(self) -> dict:
-        return {"style": self.style, "magnitude": self.magnitude}
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -104,17 +101,6 @@ class GeneratorSpec:
 
     def with_shift(self, style: str, magnitude: float) -> "GeneratorSpec":
         return replace(self, shift=MeanShift(style, magnitude))
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "d": self.d,
-            "rho": self.rho,
-            "beta": self.beta,
-            "df": self.df,
-            "shift": self.shift.to_dict(),
-            "seed": self.seed,
-        }
 
 
 def _rng_for(spec: GeneratorSpec, rng) -> np.random.Generator:

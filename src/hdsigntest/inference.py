@@ -37,7 +37,6 @@ from .statistics import (
     _OneSampleGram,
     _TwoSampleGram,
     _observed,
-    as_matrix,
 )
 
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -387,7 +386,7 @@ def evaluate_one_sample(
     _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, aux)
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
-    gram = _OneSampleGram(as_matrix(x))
+    gram = _OneSampleGram(x)
 
     def z(stat, value, snap, gamma):
         # The oracle's plug-in z is at sigma^2 = 1.

@@ -22,7 +22,7 @@ from .errors import (
     InvalidSpecError,
     SubsampleTooSmallError,
 )
-from .generators import SHIFT_FIRST, SHIFT_ZERO, GeneratorSpec, generate
+from .generators import SHIFT_FIRST, SHIFT_ZERO, SPHERICAL_T5, GeneratorSpec, generate
 from .inference import (
     METHOD_ASYMPTOTIC,
     METHOD_PERMUTATION,
@@ -35,7 +35,13 @@ from .statistics import TWO_SAMPLE_STATS, as_matrix
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A size/power study: one model, a (d, shift) grid, and a test list."""
+    """A size/power study: one model, a (d, shift) grid, and a test list.
+
+    Every rule about a study's inputs is checked when the plan is built,
+    including every grid point's generator specs and the latent scales
+    that an oracle test needs, so an invalid plan raises
+    ``InvalidSpecError`` before any replicate runs.
+    """
 
     model: str
     grid: tuple
@@ -63,6 +69,15 @@ class ExperimentPlan:
         if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
             raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
         _check_tests(self.tests, TWO_SAMPLE_METHODS, "a two-sample method")
+        for d, c in self.grid:
+            _point_specs(self, d, c)
+        if self.model != SPHERICAL_T5 and any(
+            method == METHOD_RSRM_ORACLE for _, method in self.tests
+        ):
+            raise InvalidSpecError(
+                f"model {self.model!r} has no latent scales; the oracle backend "
+                "is only available for randomly scaled models"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -133,28 +148,25 @@ def _rejections(replicates, tests, alpha, n_resamples) -> dict:
     return counts
 
 
-def _grid_replicates(plan, g_idx):
-    """The replicates of grid point ``g_idx``; its generator specs are
-    built and checked on this call, before any replicate runs."""
-    d, c = plan.grid[g_idx]
+def _point_specs(plan, d, c):
+    """The generator specs (x, y) of the plan's grid point (d, c)."""
     try:
         base = GeneratorSpec(model=plan.model, d=d, rho=plan.rho, beta=plan.beta, df=plan.df)
-        x_spec = base.with_shift(SHIFT_ZERO, 0.0)
-        y_spec = base.with_shift(plan.shift_style, c)
+        return base.with_shift(SHIFT_ZERO, 0.0), base.with_shift(plan.shift_style, c)
     except InvalidSpecError as exc:
         raise InvalidSpecError(f"grid point (d={d}, c={c}): {exc}") from exc
-    oracle = any(method == METHOD_RSRM_ORACLE for _, method in plan.tests)
+
+
+def _grid_replicates(plan, g_idx):
+    """The replicates of grid point ``g_idx``."""
+    d, c = plan.grid[g_idx]
+    x_spec, y_spec = _point_specs(plan, d, c)
 
     def draw(rng):
         x, aux_x = generate(x_spec, plan.m, rng)
         y, aux_y = generate(y_spec, plan.n, rng)
-        if not oracle:
+        if aux_x is None:
             return x, y, None
-        if aux_x is None or aux_y is None:
-            raise InvalidSpecError(
-                f"model {plan.model!r} has no latent scales; the oracle backend "
-                "is only available for randomly scaled models"
-            )
         # Both samples share the isotropic latent component, so the cross
         # trace equals the marginal ones.
         return x, y, replace(aux_x, q_scales=aux_y.p_scales, sigma_w_sq=aux_y.sigma_v_sq,
@@ -170,14 +182,14 @@ def run_power_study(plan: ExperimentPlan) -> list:
     """Estimate the rejection rate of every planned test at every grid
     point, with binomial standard errors.
 
-    Every grid point's generator parameters are checked before the first
-    replicate runs; a failure inside a replicate aborts the study with the
-    grid point and replicate index attached.
+    The plan was checked when it was built, so only a replicate can fail
+    here; a failure aborts the study with the grid point and replicate
+    index attached.
     """
-    grid_replicates = [_grid_replicates(plan, g_idx) for g_idx in range(len(plan.grid))]
     points = []
-    for (d, c), replicates in zip(plan.grid, grid_replicates):
-        counts = _rejections(replicates, plan.tests, plan.alpha, plan.n_resamples)
+    for g_idx, (d, c) in enumerate(plan.grid):
+        counts = _rejections(_grid_replicates(plan, g_idx), plan.tests, plan.alpha,
+                             plan.n_resamples)
         for stat, method in plan.tests:
             rate = counts[(stat, method)] / plan.replications
             points.append(

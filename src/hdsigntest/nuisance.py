@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _OneSampleGram, _TwoSampleGram, as_matrix
+from .statistics import _OneSampleGram, _TwoSampleGram
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,12 @@ def _tr_cross_from_gram(h: np.ndarray) -> float:
 def tr_sigma_sq_hat(x) -> float:
     """Unbiased estimator of tr(Sigma^2) from one sample: the centred
     block Gc of its ``_OneSampleGram``; see ``_tr_sq_from_gram``."""
-    x = as_matrix(x)
-    m = x.shape[0]
-    if m < 4:
+    gram = _OneSampleGram(x)
+    if gram.n < 4:
         raise TooFewObservationsError(
-            f"tr(Sigma^2) estimator needs at least 4 observations, got {m}"
+            f"tr(Sigma^2) estimator needs at least 4 observations, got {gram.n}"
         )
-    return _tr_sq_from_gram(_OneSampleGram(x).gc)
+    return _tr_sq_from_gram(gram.gc)
 
 
 def tr_sigma_cross_hat(x, y) -> float:
@@ -120,13 +119,12 @@ def sigma_sq_hat(x) -> float:
     tr Gc / (d (n-1)) for the centred block Gc of its ``_OneSampleGram``,
     the same value as the ``sigma1_sq`` that the variance snapshots record.
     """
-    x = as_matrix(x)
-    n, d = x.shape
-    if n < 2:
+    gram = _OneSampleGram(x)
+    if gram.n < 2:
         raise TooFewObservationsError(
-            f"variance estimator needs at least 2 observations, got {n}"
+            f"variance estimator needs at least 2 observations, got {gram.n}"
         )
-    return float(np.trace(_OneSampleGram(x).gc) / (d * (n - 1)))
+    return float(np.trace(gram.gc) / (gram.d * (gram.n - 1)))
 
 
 def _check_gamma(gamma: float, spread: float) -> float:
@@ -194,7 +192,7 @@ def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
 def gamma2_hat(x) -> VarianceSnapshot:
     """One-sample variance functional estimate: 2 tr(Sigma^2)hat / (n)_2,
     with every field read from one ``_OneSampleGram``."""
-    return _one_sample_snapshot(_OneSampleGram(as_matrix(x)))
+    return _one_sample_snapshot(_OneSampleGram(x))
 
 
 def _one_sample_snapshot(gram: _OneSampleGram) -> VarianceSnapshot:

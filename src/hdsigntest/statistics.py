@@ -87,7 +87,7 @@ def t_cq1(x) -> float:
     1e6 on 8 x 30 data), while the part of the value that is not the
     offset's loses digits as ||mu||^2 grows.
     """
-    return _observed(_OneSampleGram(as_matrix(x)), "cq1")
+    return _observed(_OneSampleGram(x), "cq1")
 
 
 def t_s(x) -> float:
@@ -102,7 +102,7 @@ def t_s(x) -> float:
     spread of the data, keeps a relative accuracy of only about
     eps / (1 - T_S).
     """
-    return _observed(_OneSampleGram(as_matrix(x)), "s")
+    return _observed(_OneSampleGram(x), "s")
 
 
 def t_sr(x) -> float:
@@ -116,13 +116,13 @@ def t_sr(x) -> float:
     up to 1e6 on 8 x 30 data, and 2.7e-16 for mixed flip patterns).
     1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).
     """
-    return _observed(_OneSampleGram(as_matrix(x)), "sr")
+    return _observed(_OneSampleGram(x), "sr")
 
 
 def t_sr_flips(x, flips) -> np.ndarray:
     """T_SR of the sample with row i multiplied by flips[r, i] = +-1, for
     every row r of ``flips``; see ``_OneSampleGram.sr``."""
-    return _OneSampleGram(as_matrix(x)).sr(np.asarray(flips, dtype=float))
+    return _OneSampleGram(x).sr(np.asarray(flips, dtype=float))
 
 
 # A row, pair sum or pair difference whose squared norm, taken from a Gram
@@ -189,8 +189,8 @@ class _OneSampleGram:
     ``identity`` is the all-plus pattern.
     """
 
-    def __init__(self, x: np.ndarray):
-        self.x = x
+    def __init__(self, x):
+        self.x = x = as_matrix(x)
         self.n, self.d = x.shape
         self.identity = np.ones((1, self.n))
         xc, mean, rest = _centred(x)

@@ -307,6 +307,14 @@ class TestUsageErrors:
             ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "1",
              "--grid", "20:1", "--tests", "wmw:asym", "--reps", "5",
              "--out", str(tmp_path / "o.csv")],
+            *(
+                ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+                 "--grid", "20:1", "--tests", "wmw:asym", "--reps", "5",
+                 "--out", str(tmp_path / "o.csv"), *flags]
+                for flags in (["--rho", "1.5"], ["--beta", "0"], ["--grid", "0:1"],
+                              ["--grid", "10:inf"], ["--tests", "cq1:asym"],
+                              ["--tests", ","], ["--m", "1"])
+            ),
             ["selftest", "--trials", "1", "--seed", "-1"],
         ):
             code, _, err = run_cli(argv)

@@ -11,6 +11,7 @@ from hdsigntest import (
     InvalidSpecError,
     PowerCurvePoint,
     SubsampleTooSmallError,
+    TooFewObservationsError,
     ZeroVectorError,
     parse_plot_data,
     run_power_study,
@@ -79,8 +80,11 @@ class TestRunPowerStudy:
             assert abs(point.std_err - expected) < 1e-12
 
     def test_failure_carries_provenance(self):
-        plan = small_plan(tests=(("wmw", "rsrm-oracle"),))
-        with pytest.raises(InvalidSpecError, match=r"replicate 0 at grid point"):
+        # The plan allows m = 3; only the replicate's variance estimate fails.
+        plan = small_plan(m=3)
+        with pytest.raises(TooFewObservationsError,
+                           match=r"^replicate 0 at grid point \(d=20, c=1.0\): two-sample "
+                                 "variance estimation needs at least 4 observations"):
             run_power_study(plan)
 
     def test_generator_parameters_checked_before_any_replicate(self, monkeypatch):
@@ -91,14 +95,15 @@ class TestRunPowerStudy:
             return evaluate_two_sample(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
-        plan = small_plan(grid=((20, 1.0), (0, 1.0)), replications=5)
         with pytest.raises(InvalidSpecError,
                            match=r"^grid point \(d=0, c=1.0\): dimension must be at least 1$"):
-            run_power_study(plan)
-        plan = small_plan(model="ar1-t5", df=1.5, replications=5)
+            small_plan(grid=((20, 1.0), (0, 1.0)), replications=5)
         with pytest.raises(InvalidSpecError,
                            match=r"^grid point \(d=20, c=1.0\): t innovations need df > 2"):
-            run_power_study(plan)
+            small_plan(model="ar1-t5", df=1.5, replications=5)
+        with pytest.raises(InvalidSpecError,
+                           match=r"^model 'ar1-gauss' has no latent scales"):
+            small_plan(tests=(("wmw", "rsrm-oracle"),))
         assert calls == []
 
     def test_rejects_bad_plan_parameters(self):
