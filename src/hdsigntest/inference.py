@@ -126,18 +126,19 @@ def two_sample_z(
 # to put pooled row 0 in the first group: a draw of the swapped split is
 # then the identity mask and ties too.
 #
-# Every kernel but one reads the dataset's one Gram matrix: permutation
-# cq2 the pooled Gram of ``_TwoSampleGram``, and sign-flip cq1, s and sr
+# Every kernel reads the dataset's one Gram matrix: permutation cq2 and
+# wmw the pooled Gram of ``_TwoSampleGram``, and sign-flip cq1, s and sr
 # the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
 # pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
-# with d times the number of patterns.  Only the permutation wmw kernel
-# still reads the rows per relabeling: it takes the pooled pair norms from
-# the rows once per dataset, and forms the pairwise unit differences one
-# block of columns at a time, O(N^2 d) per relabeling, in one reused
-# buffer of about ``statistics._SIGN_BLOCK`` coefficients.  Each batch
-# kernel frees its batch or chunk products before it forms the next: wmw
-# holds one (64, N, block) product at a time, sr at most two arrays of
-# about ``statistics._FLIP_BATCH`` coefficients.
+# with d times the number of patterns.  Every pair norm comes from the Gram
+# matrix under one near-pair rule (``statistics._near_pairs``).  Only the
+# permutation wmw kernel still reads the rows per relabeling: it forms
+# the pairwise unit differences one block of columns at a time, O(N^2 d)
+# per relabeling, in one reused buffer of about ``statistics._SIGN_BLOCK``
+# coefficients.  Each batch kernel frees its batch or chunk products
+# before it forms the next: wmw holds one (64, N, block) product at a
+# time, sr at most two arrays of about ``statistics._FLIP_BATCH``
+# coefficients.
 # ---------------------------------------------------------------------------
 
 

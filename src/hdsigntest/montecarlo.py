@@ -69,11 +69,12 @@ class ExperimentPlan:
         if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
             raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
         _check_tests(self.tests, TWO_SAMPLE_METHODS, "a two-sample method")
+        methods = {method for _, method in self.tests}
+        if min(self.m, self.n) < 4 and METHOD_ASYMPTOTIC in methods:
+            raise InvalidSpecError("an asymptotic test needs m and n of at least 4")
         for d, c in self.grid:
             _point_specs(self, d, c)
-        if self.model != SPHERICAL_T5 and any(
-            method == METHOD_RSRM_ORACLE for _, method in self.tests
-        ):
+        if self.model != SPHERICAL_T5 and METHOD_RSRM_ORACLE in methods:
             raise InvalidSpecError(
                 f"model {self.model!r} has no latent scales; the oracle backend "
                 "is only available for randomly scaled models"

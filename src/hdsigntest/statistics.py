@@ -127,7 +127,7 @@ def t_sr_flips(x, flips) -> np.ndarray:
 
 # A row, pair sum or pair difference whose squared norm, taken from a Gram
 # matrix, is at most this fraction of the squared norms of its summands has
-# lost digits to cancellation; it is computed from the rows instead.
+# lost digits to cancellation; it is computed from the rows (``_near_pairs``).
 _NEAR_PAIR = 1e-2
 # Flip patterns per batch: at most about this many coefficients at a time.
 _FLIP_BATCH = 1 << 20
@@ -162,17 +162,37 @@ def _spans(total: int, cap: int) -> list:
     return list(zip([0] + stops, stops + [total]))
 
 
-def _centred(x: np.ndarray):
-    """(rows, mean, rest): x less its column means in two passes.  The
-    first subtracts the rounded mean, which under a large offset is exact
-    (the rows and their mean agree to within a factor of 2); the second
-    subtracts the mean ``rest`` of what is left, so the rows sum to zero
-    to rounding.  The sample's mean is mean + rest."""
+def _centred(x: np.ndarray, out: np.ndarray):
+    """(mean, rest), with x less its column means written into ``out`` in
+    two passes.  The first subtracts the rounded mean, which under a large
+    offset is exact (the rows and their mean agree to within a factor of
+    2); the second subtracts the mean ``rest`` of what is left, so the rows
+    sum to zero to rounding.  The sample's mean is mean + rest."""
     mean = x.mean(axis=0)
-    rows = x - mean
-    rest = rows.mean(axis=0)
-    rows -= rest
-    return rows, mean, rest
+    np.subtract(x, mean, out=out)
+    rest = out.mean(axis=0)
+    out -= rest
+    return mean, rest
+
+
+def _near_pairs(sq, scale, vectors, gram, rows):
+    """The near-pair rule: where the squared norm ``sq`` of a pair vector,
+    read from ``gram`` (inf where an entry is no pair), is at most
+    ``_NEAR_PAIR`` of the squared norms ``scale`` of its summands, the
+    vector is formed from the rows, as ``vectors(*np.nonzero(near))``.
+
+    Returns the near mask, the norms of the near vectors, which of them
+    are exactly zero, and ``gram`` with their unit vectors (0 if zero) as
+    extra rows and columns, on the basis ``rows()`` behind ``gram``."""
+    near = sq <= _NEAR_PAIR * scale
+    vecs = vectors(*np.nonzero(near))
+    norms = np.linalg.norm(vecs, axis=1)
+    zero = norms == 0.0
+    if norms.size:
+        units = vecs / np.where(zero, 1.0, norms)[:, None]
+        extra = units @ rows().T
+        gram = np.block([[gram, extra.T], [extra, units @ units.T]])
+    return near, norms, zero, gram
 
 
 class _OneSampleGram:
@@ -193,10 +213,15 @@ class _OneSampleGram:
         self.x = x = as_matrix(x)
         self.n, self.d = x.shape
         self.identity = np.ones((1, self.n))
-        xc, mean, rest = _centred(x)
-        self.rows = np.vstack([xc, mean + rest])
-        self.gram = self.rows @ self.rows.T
+        rows = self._rows()
+        self.gram = rows @ rows.T
         self.gc = self.gram[:-1, :-1]
+
+    def _rows(self) -> np.ndarray:
+        rows = np.empty((self.n + 1, self.d))
+        mean, rest = _centred(self.x, rows[:-1])
+        rows[-1] = mean + rest
+        return rows
 
     def draws(self, n_resamples: int, rng):
         """The flip patterns of a sign-flip test, as one block: the
@@ -262,12 +287,12 @@ class _OneSampleGram:
         batch-sized arrays are alive at a time.
 
         Near pairs: ||X_a + X_b||^2 is read from R and ||X_a - X_b||^2 from
-        Gc.  Where one is at most ``_NEAR_PAIR`` of the squared norms of its
-        summands on the basis (Xc_a, Xc_b and 2 mu, or Xc_a and Xc_b), the
-        unit vector of X_a +- X_b is computed from the rows and joins the
-        basis as an extra row and column, with coefficient e_a in B_a and
-        B_b.  A zero pair sum, checked on the rows, raises ZeroVectorError
-        for the patterns that use it.
+        Gc, under the near-pair rule of ``_near_pairs`` with the squared
+        norms of the summands on the basis (Xc_a, Xc_b and 2 mu, or Xc_a
+        and Xc_b).  The unit vector of a near X_a +- X_b joins the basis as
+        an extra row and column, with coefficient e_a in B_a and B_b.  A
+        zero pair sum, checked on the rows, raises ZeroVectorError for the
+        patterns that use it.
         """
         x = self.x
         _require_rows(x, 4, "x")
@@ -275,19 +300,16 @@ class _OneSampleGram:
         g, gc, raw = self.gram, self.gc, self.raw
         dc, dr = np.diagonal(gc), np.diagonal(raw)
         # Squared norms of X_a + X_b (kind 0) and X_a - X_b (kind 1), and
-        # of their summands.
+        # of their summands; the pairs are a < b.
         sq = np.stack([dr[:, None] + dr + 2.0 * raw, dc[:, None] + dc - 2.0 * gc])
         scale = dc[:, None] + dc
         scale = np.stack([scale + 4.0 * g[n, n], scale])
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        near = (sq <= _NEAR_PAIR * scale) & upper
+        near, _, zero, g = _near_pairs(
+            np.where(upper, sq, np.inf), scale,
+            lambda kind, ia, ib: x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib], g, self._rows,
+        )
         kind, ia, ib = np.nonzero(near)
-        sums = x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib]
-        norms = np.linalg.norm(sums, axis=1)
-        zero = norms == 0.0
-        units = sums / np.where(zero, 1.0, norms)[:, None]
-        extra = units @ self.rows.T
-        g = np.block([[g, extra.T], [extra, units @ units.T]])
         use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
         inv = np.zeros_like(sq)
         inv[use] = 1.0 / np.sqrt(sq[use])
@@ -332,19 +354,19 @@ class _OneSampleGram:
 
 class _TwoSampleGram:
     """Every inner product that the two-sample statistics, the permutation
-    cq2 kernel and the nuisance estimators read, from one GEMM over d; the
-    relabelings of a permutation test (``draws``), and the permutation
-    kernels ``cq2`` and ``wmw`` that evaluate them.  The ``wmw`` kernel
-    still reads the pooled rows, one column block at a time.
+    kernels and the nuisance estimators read, from one GEMM over d; the
+    relabelings of a permutation test (``draws``), and the kernels ``cq2``
+    and ``wmw`` that evaluate them.  ``wmw`` reads its pair norms from
+    ``gram``, and the pooled rows one column block at a time.
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
-    (N = m + n): ``rows`` is (N + 1) x d and ``gram = rows rows'``.  Its
+    (N = m + n): ``_rows()`` is (N + 1) x d and ``gram = rows rows'``.  Its
     blocks G_xx, G_xy and G_yy are the Gram matrices of the centred
     samples, its last row and column hold a = rows delta, and its corner
-    ||delta||^2.  Both are formed on first use, so a permutation ``wmw``
-    test alone never forms them.  ``identity`` is the mask of the samples'
-    own labels.
+    ||delta||^2.  ``gram`` is formed on first use, and the rows are dropped
+    once it is: the rare near pair that needs them forms them anew.
+    ``identity`` is the mask of the samples' own labels.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -366,16 +388,18 @@ class _TwoSampleGram:
         self.d = x.shape[1]
         self.identity = np.arange(self.m + self.n)[None, :] < self.m
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        xc, x_mean, x_rest = _centred(self.x)
-        yc, y_mean, y_rest = _centred(self.y)
-        delta = (y_mean - x_mean) + (y_rest - x_rest)
-        return np.vstack([xc, yc, delta])
+    def _rows(self) -> np.ndarray:
+        m, big = self.m, self.m + self.n
+        rows = np.empty((big + 1, self.d))
+        x_mean, x_rest = _centred(self.x, rows[:m])
+        y_mean, y_rest = _centred(self.y, rows[m:big])
+        rows[big] = (y_mean - x_mean) + (y_rest - x_rest)
+        return rows
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self.rows @ self.rows.T
+        rows = self._rows()
+        return rows @ rows.T
 
     def cq2(self, masks: np.ndarray) -> np.ndarray:
         """T_CQ2 for each relabeling in ``masks`` ((R, N) boolean, True =
@@ -434,20 +458,34 @@ class _TwoSampleGram:
 
     @cached_property
     def pair_norms(self):
-        """(norms, dup): ||Z_a - Z_b|| for every pair of the pooled rows Z
-        (x rows, then y rows), taken from the rows one column block at a time,
-        and the mask of coincident pairs.  The norms of the diagonal and of
-        coincident pairs are set to 1, so they divide their zero
-        differences harmlessly."""
-        big = self.m + self.n
-        sq = np.zeros((big, big))
-        for diff in self._pair_differences():
-            sq += np.add.reduce(np.square(diff, out=diff), axis=2)
-        norms = np.sqrt(sq)
-        np.fill_diagonal(norms, 1.0)
-        dup = norms == 0.0
-        norms[dup] = 1.0
-        return norms, dup
+        """(norms, dup): ||Z_a - Z_b|| for every pair of pooled rows Z (x
+        rows, then y rows), 1 on the diagonal and for identical pairs, and
+        the mask of identical pairs.  Z_a - Z_b = P_a - P_b (``cq2``), and
+        c_a - c_b is s_ab = e_a - e_b for the y indicator e, so under
+        ``_near_pairs`` the squared norm is read from ``gram`` as
+        G_aa + G_bb - 2 G_ab + s_ab (2 (a_a - a_b) + s_ab ||delta||^2)."""
+        m, big = self.m, self.m + self.n
+        g = self.gram
+        diag, a, dd = np.diagonal(g)[:big], g[:big, big], g[big, big]
+        e = (np.arange(big) >= m).astype(float)
+        s = e[:, None] - e
+        sq = diag[:, None] + diag - 2.0 * g[:big, :big] + s * (2.0 * (a[:, None] - a) + s * dd)
+        upper = np.triu(np.ones((big, big), dtype=bool), 1)
+
+        def pooled(i):
+            return np.where((i < m)[:, None], self.x[np.minimum(i, m - 1)],
+                            self.y[np.maximum(i - m, 0)])
+
+        # The kernel reads the rows, so it has no use for the extended Gram.
+        near, near_norms, zero, _ = _near_pairs(
+            np.where(upper, sq, np.inf), diag[:, None] + diag + s * s * dd,
+            lambda i, j: pooled(i) - pooled(j), g, self._rows,
+        )
+        norms = np.sqrt(np.where(upper & ~near, sq, 1.0))
+        norms[near] = np.where(zero, 1.0, near_norms)
+        dup = np.zeros_like(near)
+        dup[near] = zero
+        return np.where(upper, norms, norms.T), dup | dup.T
 
     def _pair_differences(self):
         """Z_a - Z_b for every pair of pooled rows, one (N, N, cols) block
@@ -467,13 +505,15 @@ class _TwoSampleGram:
             block = np.vstack([self.x[:, lo : lo + cols], self.y[:, lo : lo + cols]])
             view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
             np.subtract(block[:, None, :], block[None, :, :], out=view)
+            del block  # so the caller's work on the view holds the buffer alone
             yield view
 
     def wmw(self, masks: np.ndarray) -> np.ndarray:
         """T_WMW for each relabeling in ``masks`` ((R, N) boolean, True =
         first group).
 
-        U_ab is the unit vector of Z_a - Z_b (norms from ``pair_norms``).
+        U_ab is the unit vector of Z_a - Z_b, with its norm from ``gram``
+        under the near-pair rule (``pair_norms``).
         For a relabeling with first-group indicator u and v = 1 - u, the
         sums of U_ab over a in the second group (``a_cols``) and over b in
         the first (``b_rows``) are the R_i and C_j of ``t_wmw``, and T is
@@ -532,23 +572,19 @@ class _TwoSampleGram:
         diag = np.diagonal(g)
         scale = diag[:m, None] + diag[None, m:big] + diag[big]
         sq = scale - 2.0 * g[:m, m:big] + 2.0 * (g[big, m:big] - g[:m, big, None])
-        near = sq <= _NEAR_PAIR * scale
+        # The unit vectors of near pairs join the basis (Xc, Yc, delta).
+        near, _, zero, g = _near_pairs(
+            sq, scale, lambda i, j: self.y[j] - self.x[i], g, self._rows
+        )
         ia, ib = np.nonzero(near)
-        diffs = self.y[ib] - self.x[ia]
-        norms = np.linalg.norm(diffs, axis=1)
-        if (norms == 0.0).any():
-            p = int(np.flatnonzero(norms == 0.0)[0])
+        if zero.any():
+            p = int(np.flatnonzero(zero)[0])
             raise ZeroVectorError(
                 f"difference of y observation {int(ib[p])} and "
                 f"x observation {int(ia[p])} is zero"
             )
         w = np.zeros((m, n))
         w[~near] = 1.0 / np.sqrt(sq[~near])
-        if ia.size:
-            # The unit vectors of near pairs join the basis (Xc, Yc, delta).
-            units = diffs / norms[:, None]
-            extra = units @ self.rows.T
-            g = np.block([[g, extra.T], [extra, units @ units.T]])
 
         # Coefficients of R_i (rows :m) and C_j (rows m:) on the basis.
         r_sum = w.sum(axis=1)
@@ -612,10 +648,9 @@ def t_wmw(x, y) -> float:
     T_WMW is location-invariant, and the centring keeps it so in floating
     point.
 
-    Near-coincident pairs: where ||Y_j - X_i||^2 from the Gram matrix is
-    at most ``_NEAR_PAIR`` (G_ii + G_jj + ||delta||^2), the squared norms
-    of its summands, the unit vector of Y_j - X_i is computed from the
-    rows and joins the basis as an extra row and column, with coefficient
-    1 in R_i and C_j.  An exactly zero difference raises ZeroVectorError.
+    Near-coincident pairs (``_near_pairs``, with the summands' squared
+    norms G_ii + G_jj + ||delta||^2) take the unit vector of Y_j - X_i from
+    the rows; it joins the basis as an extra row and column, with
+    coefficient 1 in R_i and C_j.  A zero difference raises ZeroVectorError.
     """
     return _TwoSampleGram(x, y).wmw_closed()

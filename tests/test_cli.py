@@ -313,7 +313,7 @@ class TestUsageErrors:
                  "--out", str(tmp_path / "o.csv"), *flags]
                 for flags in (["--rho", "1.5"], ["--beta", "0"], ["--grid", "0:1"],
                               ["--grid", "10:inf"], ["--tests", "cq1:asym"],
-                              ["--tests", ","], ["--m", "1"])
+                              ["--tests", ","], ["--m", "1"], ["--m", "3"])
             ),
             ["selftest", "--trials", "1", "--seed", "-1"],
         ):

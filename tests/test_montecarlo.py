@@ -11,7 +11,6 @@ from hdsigntest import (
     InvalidSpecError,
     PowerCurvePoint,
     SubsampleTooSmallError,
-    TooFewObservationsError,
     ZeroVectorError,
     parse_plot_data,
     run_power_study,
@@ -79,13 +78,22 @@ class TestRunPowerStudy:
             )
             assert abs(point.std_err - expected) < 1e-12
 
-    def test_failure_carries_provenance(self):
-        # The plan allows m = 3; only the replicate's variance estimate fails.
-        plan = small_plan(m=3)
-        with pytest.raises(TooFewObservationsError,
-                           match=r"^replicate 0 at grid point \(d=20, c=1.0\): two-sample "
-                                 "variance estimation needs at least 4 observations"):
-            run_power_study(plan)
+    def test_failure_carries_provenance(self, monkeypatch):
+        # A typed error inside a replicate's evaluation aborts the study,
+        # prefixed with the replicate and its grid point.
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ZeroVectorError("a relabeling has no sign")
+            return evaluate_two_sample(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_two_sample", failing)
+        with pytest.raises(ZeroVectorError,
+                           match=r"^replicate 2 at grid point \(d=20, c=1.0\): "
+                                 "a relabeling has no sign$"):
+            run_power_study(small_plan())
 
     def test_generator_parameters_checked_before_any_replicate(self, monkeypatch):
         calls = []
@@ -120,6 +128,14 @@ class TestRunPowerStudy:
         for sizes in ({"m": 1}, {"n": 1}, {"m": -3}):
             with pytest.raises(InvalidSpecError, match="sample sizes m and n must be at least 2"):
                 small_plan(**sizes)
+        # An asymptotic test needs 4 rows per sample for its variance; a
+        # permutation test runs with 2.
+        for sizes in ({"m": 3}, {"n": 2}):
+            with pytest.raises(InvalidSpecError, match="m and n of at least 4$"):
+                small_plan(**sizes)
+            with pytest.raises(InvalidSpecError, match="m and n of at least 4$"):
+                small_plan(tests=(("wmw", "permutation"), ("cq2", "asymptotic")), **sizes)
+            small_plan(tests=(("wmw", "permutation"),), **sizes)
 
 
 class TestSubsampleProtocol:

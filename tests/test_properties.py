@@ -352,14 +352,15 @@ def test_permutation_kernels_match_naive(sample, data):
             assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) <= WMW_TOL
 
 
-@given(two_samples(), st.sampled_from([0.0, 1e-10, 1e-7, 1e-3]), st.data())
+@given(two_samples(), st.sampled_from([0.0, 1e-10, 1e-7, 1e-3, 0.2]), st.data())
 def test_pooled_pair_norms(sample, dist, data):
     # Pooled row b is moved to a relative distance ``dist`` from row a (0
-    # makes it a duplicate), then both samples are shifted by a common
-    # offset and y by a separate one, each up to 2^20 per coordinate.
-    # The pair norms of ``_TwoSampleGram`` must match the norms of the
-    # stored row differences, and the coincident pairs must be exactly the
-    # identical rows.
+    # makes it a duplicate; 0.2 is about where the near-pair rule stops
+    # taking the norm from the rows), then both samples are shifted by a
+    # common offset and y by a separate one, each up to 2^20 per
+    # coordinate.  The pair norms of ``_TwoSampleGram`` must match the
+    # norms of the stored row differences, and the coincident pairs must
+    # be exactly the identical rows.
     x, y = sample
     m, d = len(x), x.shape[1]
     pool = np.vstack([x, y])

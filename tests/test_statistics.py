@@ -197,11 +197,14 @@ class TestSignedRankStat:
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
         assert values[0] == t_sr(x)
 
-    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10))
+    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10, 0.2))
     @pytest.mark.parametrize("sign", (1.0, -1.0), ids=("duplicate", "antipodal"))
     def test_near_coincident_pair(self, dist, sign):
         # Rows 0 and 1 nearly coincide (or nearly cancel); from the Gram
-        # matrix alone, ||X_0 -+ X_1|| would lose most of its digits.
+        # matrix alone, ||X_0 -+ X_1|| would lose most of its digits.  At
+        # 0.2 the pair is just outside the near-pair rule (its squared
+        # norm is 3.1% or 1.4% of its summands'), so the Gram matrix gives
+        # its norm.
         rng = np.random.default_rng(61)
         x = rng.standard_normal((7, 20)) + 0.3
         u = rng.standard_normal(20)
@@ -270,10 +273,12 @@ class TestWmw:
         with pytest.raises(ZeroVectorError):
             t_wmw(x, x.copy())
 
-    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10))
+    @pytest.mark.parametrize("dist", (1e-3, 1e-7, 1e-10, 0.2))
     def test_near_coincident_pair(self, dist):
         # y row 2 nearly coincides with x row 1; from the Gram matrix alone,
-        # ||Y_2 - X_1|| would lose most of its digits.
+        # ||Y_2 - X_1|| would lose most of its digits.  At 0.2 the pair is
+        # just outside the near-pair rule (its squared norm is 2.4% of its
+        # summands'), so the Gram matrix gives its norm.
         rng = np.random.default_rng(63)
         x = rng.standard_normal((5, 20)) + 0.3
         y = rng.standard_normal((6, 20))
