@@ -8,11 +8,11 @@ import numpy as np
 
 from . import _naive as naive
 from .generators import RsrmAuxiliary
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_integers, require_seed
 from .inference import one_sample_oracle_terms, two_sample_oracle_terms
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
 from .statistics import _SIGN_BLOCK, _OneSampleGram, _TwoSampleGram
-from .statistics import t_cq1, t_cq2, t_s, t_sr, t_sr_flips, t_wmw
+from .statistics import t_cq1, t_cq2, t_s, t_sr, t_wmw
 
 TOLERANCE = 1e-9
 # Floor of |reference| for the statistics that lie in [-1, 1] (T_S, T_SR,
@@ -32,8 +32,10 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
 
     Returns {check name: max deviation relative to max(|reference|, floor)}.
     """
+    require_integers(InvalidInputError, trials=trials)
     if trials < 1:
         raise InvalidInputError(f"trials must be at least 1, got {trials}")
+    require_seed(InvalidInputError, "seed", seed)
     rng = np.random.default_rng(seed)
     # Flip patterns and relabelings come from their own streams, so the
     # instances above do not depend on them.
@@ -93,7 +95,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         # Two mixed flip patterns: a constant one only reproduces t_sr.
         flips = flip_rng.integers(0, 2, size=(2, mb)) * 2.0 - 1.0
         flips[:, :2] = (1.0, -1.0)
-        for value, eps in zip(t_sr_flips(xb, flips), flips):
+        for value, eps in zip(_OneSampleGram(xb).sr(flips), flips):
             record("t_sr_flips", value, naive.naive_t_sr(xb * eps[:, None]),
                    BOUNDED_FLOOR)
         record("tr_sigma_sq", tr_sigma_sq_hat(xb), naive.naive_tr_sigma_sq(xb))

@@ -1,4 +1,7 @@
-"""Exception types raised by the statistics, estimators and harness."""
+"""Exception types raised by the statistics, estimators and harness, and
+the integer checks that they share."""
+
+import numbers
 
 
 class HDTestError(Exception):
@@ -53,3 +56,19 @@ class EmptyInputError(HDTestError):
 
 class DataFileError(HDTestError):
     """A CSV data file could not be parsed into an observation matrix."""
+
+
+def require_integers(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not a Python
+    or NumPy integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_seed(error, name: str, seed) -> None:
+    """Raise ``error`` unless ``seed`` is an integer of at least 0, as
+    NumPy's seeding accepts it."""
+    require_integers(error, **{name: seed})
+    if seed < 0:
+        raise error(f"{name} must be non-negative, got {seed}")

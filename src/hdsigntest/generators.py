@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonpositiveScaleError
+from .errors import InvalidSpecError, NonpositiveScaleError, require_integers, require_seed
 
 AR1_GAUSS = "ar1-gauss"
 AR1_T5 = "ar1-t5"
@@ -86,6 +86,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise InvalidSpecError(f"unknown model {self.model!r}")
+        require_integers(InvalidSpecError, d=self.d)
+        require_seed(InvalidSpecError, "seed", self.seed)
         if self.d < 1:
             raise InvalidSpecError("dimension must be at least 1")
         if not -1.0 < self.rho < 1.0:
@@ -101,6 +103,12 @@ class GeneratorSpec:
 
     def with_shift(self, style: str, magnitude: float) -> "GeneratorSpec":
         return replace(self, shift=MeanShift(style, magnitude))
+
+
+def _require_size(n) -> None:
+    require_integers(InvalidSpecError, n=n)
+    if n < 1:
+        raise InvalidSpecError("sample size must be at least 1")
 
 
 def _rng_for(spec: GeneratorSpec, rng) -> np.random.Generator:
@@ -121,8 +129,7 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
     """
     if spec.model not in (AR1_GAUSS, AR1_T5):
         raise InvalidSpecError(f"gen_ar1 cannot generate model {spec.model!r}")
-    if n < 1:
-        raise InvalidSpecError("sample size must be at least 1")
+    _require_size(n)
     rng = _rng_for(spec, rng)
     d, rho = spec.d, spec.rho
     if spec.model == AR1_GAUSS:
@@ -172,8 +179,7 @@ def gen_equicorr_gauss(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
         raise InvalidSpecError(
             f"gen_equicorr_gauss cannot generate model {spec.model!r}"
         )
-    if n < 1:
-        raise InvalidSpecError("sample size must be at least 1")
+    _require_size(n)
     rng = _rng_for(spec, rng)
     z = rng.standard_normal((n, spec.d))
     z0 = rng.standard_normal(n)
@@ -200,8 +206,7 @@ def gen_rsrm_custom(
     estimated from data); by default the base is assumed isotropic with
     unit variance, giving tr(Sigma_V^2) = d.
     """
-    if n < 1:
-        raise InvalidSpecError("sample size must be at least 1")
+    _require_size(n)
     rng = _rng_for(spec, rng)
     rows = np.asarray(base(rng, n, spec.d), dtype=float)
     if rows.shape != (n, spec.d):

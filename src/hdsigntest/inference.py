@@ -20,6 +20,7 @@ both are oriented to one mask, so a draw of the swapped split ties too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .errors import (
     InvalidInputError,
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
+    require_integers,
+    require_seed,
 )
 from .generators import RsrmAuxiliary
 from .nuisance import VarianceSnapshot, _one_sample_snapshot, _two_sample_snapshot
@@ -143,12 +146,16 @@ def two_sample_z(
 
 
 def _randomization_pvalues(gram, stats, n_resamples, rng) -> dict:
-    """{stat: (observed, p_value)} over one shared set of ``gram.draws``,
-    with the add-one estimator (1 + #{drawn >= observed}) / (R + 1)."""
+    """{stat: (observed, p_value)} over one shared set of ``gram.draws``
+    from ``np.random.default_rng(rng)``, with the add-one estimator
+    (1 + #{drawn >= observed}) / (R + 1)."""
+    require_integers(InvalidInputError, n_resamples=n_resamples)
     if n_resamples < 1:
         raise InvalidInputError(f"n_resamples must be at least 1, got {n_resamples}")
+    if isinstance(rng, numbers.Integral):
+        require_seed(InvalidInputError, "seed", rng)
     values = {stat: [] for stat in stats}
-    for block in gram.draws(n_resamples, rng):
+    for block in gram.draws(n_resamples, np.random.default_rng(rng)):
         for stat in stats:
             values[stat].append(getattr(gram, stat)(block))
     results = {}
@@ -326,9 +333,7 @@ def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, sna
         variances = oracle_var()
     drawn_stats = _stats_for(tests, resample)
     if drawn_stats:
-        drawn = _randomization_pvalues(
-            gram, drawn_stats, n_resamples, np.random.default_rng(rng)
-        )
+        drawn = _randomization_pvalues(gram, drawn_stats, n_resamples, rng)
 
     seed = rng if isinstance(rng, (int, np.integer)) else None
     reports = {}
@@ -401,30 +406,6 @@ def evaluate_one_sample(
 
     return _evaluate(gram, tests, alpha, n_resamples, rng, METHOD_SIGNFLIP,
                      z, oracle_var, _one_sample_snapshot)
-
-
-def permutation_pvalues_two_sample(x, y, stats, n_resamples, rng) -> dict:
-    """Observed statistics and permutation p-values for several statistics
-    over one shared set of relabelings of the pooled sample, as
-    ``evaluate_two_sample`` runs them.
-
-    Returns {stat: (observed, p_value)}.
-    """
-    tests = [(stat, METHOD_PERMUTATION) for stat in stats]
-    reports = evaluate_two_sample(x, y, tests, n_resamples=n_resamples, rng=rng)
-    return {stat: (r.statistic, r.p_value) for (stat, _), r in reports.items()}
-
-
-def signflip_pvalues_one_sample(x, stats, n_resamples, rng) -> dict:
-    """Observed statistics and sign-flip p-values for several one-sample
-    statistics over one shared set of flip patterns, as
-    ``evaluate_one_sample`` runs them.
-
-    Returns {stat: (observed, p_value)}.
-    """
-    tests = [(stat, METHOD_SIGNFLIP) for stat in stats]
-    reports = evaluate_one_sample(x, tests, n_resamples=n_resamples, rng=rng)
-    return {stat: (r.statistic, r.p_value) for (stat, _), r in reports.items()}
 
 
 def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import (
     HDTestError,
     InvalidSpecError,
     SubsampleTooSmallError,
+    require_integers,
+    require_seed,
 )
 from .generators import SHIFT_FIRST, SHIFT_ZERO, SPHERICAL_T5, GeneratorSpec, generate
 from .inference import (
@@ -58,6 +60,9 @@ class ExperimentPlan:
     shift_style: str = SHIFT_FIRST
 
     def __post_init__(self):
+        require_integers(InvalidSpecError, m=self.m, n=self.n, replications=self.replications,
+                         n_resamples=self.n_resamples)
+        require_seed(InvalidSpecError, "base_seed", self.base_seed)
         if self.m < 2 or self.n < 2:
             raise InvalidSpecError("sample sizes m and n must be at least 2")
         if self.replications < 1:
@@ -82,19 +87,9 @@ class ExperimentPlan:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
+            **asdict(self),
             "grid": [[int(d), float(c)] for d, c in self.grid],
-            "m": self.m,
-            "n": self.n,
             "tests": [[s, meth] for s, meth in self.tests],
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "n_resamples": self.n_resamples,
-            "base_seed": self.base_seed,
-            "rho": self.rho,
-            "beta": self.beta,
-            "df": self.df,
-            "shift_style": self.shift_style,
         }
 
 
@@ -241,8 +236,10 @@ def run_subsample_protocol(
     class_b = as_matrix(class_b, "class_b")
     if not 0.0 < fraction < 1.0:
         raise InvalidSpecError("fraction must be in (0, 1)")
+    require_integers(InvalidSpecError, repetitions=repetitions)
     if repetitions < 1:
         raise InvalidSpecError("repetitions must be at least 1")
+    require_seed(InvalidSpecError, "seed", seed)
     _check_tests(tests, (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), "available on real data")
     rows_a, rows_b = class_a.shape[0], class_b.shape[0]
     k_a = int(fraction * rows_a)

@@ -108,9 +108,8 @@ def tr_sigma_sq_hat(x) -> float:
 
 def tr_sigma_cross_hat(x, y) -> float:
     """Unbiased estimator of tr(Sigma_1 Sigma_2) from two samples: the
-    G_xy block of their ``_TwoSampleGram``; see ``_tr_cross_from_gram``."""
-    gram = _TwoSampleGram(x, y)
-    return _tr_cross_from_gram(gram.gram[: gram.m, gram.m : -1])
+    block ``gxy`` of their ``_TwoSampleGram``; see ``_tr_cross_from_gram``."""
+    return _tr_cross_from_gram(_TwoSampleGram(x, y).gxy)
 
 
 def sigma_sq_hat(x) -> float:
@@ -152,8 +151,8 @@ def gamma1_hat(x, y) -> VarianceSnapshot:
     gamma = 2 tr(S1^2)/(m)_2 + 2 tr(S2^2)/(n)_2 + 4 tr(S1 S2)/(mn), all
     traces replaced by their unbiased estimates; also records the pooled
     marginal variances of both samples.  Every field is read from the
-    blocks of one ``_TwoSampleGram``: tr1 from G_xx, tr2 from G_yy, tr12
-    from G_xy, and sigma1^2 = tr G_xx / (d(m-1)), sigma2^2 likewise.
+    blocks of one ``_TwoSampleGram``: tr1 from ``gxx``, tr2 from ``gyy``,
+    tr12 from ``gxy``, and sigma1^2 = tr gxx / (d(m-1)), sigma2^2 likewise.
     Each block is a Gram matrix of rows centred on their own sample mean,
     so every field is unchanged by separate shifts of x and y.
     """
@@ -167,13 +166,11 @@ def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
         raise TooFewObservationsError(
             "two-sample variance estimation needs at least 4 observations per sample"
         )
-    g = gram.gram
-    tr1 = _tr_sq_from_gram(g[:m, :m])
-    tr2 = _tr_sq_from_gram(g[m:-1, m:-1])
-    tr12 = _tr_cross_from_gram(g[:m, m:-1])
-    diag = np.diagonal(g)
-    sigma1_sq = float(diag[:m].sum() / (d * (m - 1)))
-    sigma2_sq = float(diag[m:-1].sum() / (d * (n - 1)))
+    tr1 = _tr_sq_from_gram(gram.gxx)
+    tr2 = _tr_sq_from_gram(gram.gyy)
+    tr12 = _tr_cross_from_gram(gram.gxy)
+    sigma1_sq = float(np.trace(gram.gxx) / (d * (m - 1)))
+    sigma2_sq = float(np.trace(gram.gyy) / (d * (n - 1)))
     s1, s2 = d * sigma1_sq, d * sigma2_sq
     gamma = _check_gamma(
         _two_sample_gamma(tr1, tr2, tr12, m, n),

@@ -119,12 +119,6 @@ def t_sr(x) -> float:
     return _observed(_OneSampleGram(x), "sr")
 
 
-def t_sr_flips(x, flips) -> np.ndarray:
-    """T_SR of the sample with row i multiplied by flips[r, i] = +-1, for
-    every row r of ``flips``; see ``_OneSampleGram.sr``."""
-    return _OneSampleGram(x).sr(np.asarray(flips, dtype=float))
-
-
 # A row, pair sum or pair difference whose squared norm, taken from a Gram
 # matrix, is at most this fraction of the squared norms of its summands has
 # lost digits to cancellation; it is computed from the rows (``_near_pairs``).
@@ -361,12 +355,13 @@ class _TwoSampleGram:
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
-    (N = m + n): ``_rows()`` is (N + 1) x d and ``gram = rows rows'``.  Its
-    blocks G_xx, G_xy and G_yy are the Gram matrices of the centred
-    samples, its last row and column hold a = rows delta, and its corner
-    ||delta||^2.  ``gram`` is formed on first use, and the rows are dropped
-    once it is: the rare near pair that needs them forms them anew.
-    ``identity`` is the mask of the samples' own labels.
+    (N = m + n): ``_rows()`` is (N + 1) x d and ``gram = rows rows'``,
+    formed in the constructor.  Its blocks ``gxx``, ``gyy`` and ``gxy`` are
+    the Gram matrices of the centred samples and their cross products, its
+    last row and column hold a = rows delta, and its corner ||delta||^2.
+    The rows are dropped once ``gram`` is formed: the rare near pair that
+    needs them forms them anew.  ``identity`` is the mask of the samples'
+    own labels.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -386,7 +381,11 @@ class _TwoSampleGram:
         self.x, self.y = x, y
         self.m, self.n = x.shape[0], y.shape[0]
         self.d = x.shape[1]
-        self.identity = np.arange(self.m + self.n)[None, :] < self.m
+        m, big = self.m, self.m + self.n
+        self.identity = np.arange(big)[None, :] < m
+        rows = self._rows()
+        self.gram = g = rows @ rows.T
+        self.gxx, self.gyy, self.gxy = g[:m, :m], g[m:big, m:big], g[:m, m:big]
 
     def _rows(self) -> np.ndarray:
         m, big = self.m, self.m + self.n
@@ -395,11 +394,6 @@ class _TwoSampleGram:
         y_mean, y_rest = _centred(self.y, rows[m:big])
         rows[big] = (y_mean - x_mean) + (y_rest - x_rest)
         return rows
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        rows = self._rows()
-        return rows @ rows.T
 
     def cq2(self, masks: np.ndarray) -> np.ndarray:
         """T_CQ2 for each relabeling in ``masks`` ((R, N) boolean, True =
@@ -571,7 +565,7 @@ class _TwoSampleGram:
         g = self.gram
         diag = np.diagonal(g)
         scale = diag[:m, None] + diag[None, m:big] + diag[big]
-        sq = scale - 2.0 * g[:m, m:big] + 2.0 * (g[big, m:big] - g[:m, big, None])
+        sq = scale - 2.0 * self.gxy + 2.0 * (g[big, m:big] - g[:m, big, None])
         # The unit vectors of near pairs join the basis (Xc, Yc, delta).
         near, _, zero, g = _near_pairs(
             sq, scale, lambda i, j: self.y[j] - self.x[i], g, self._rows

@@ -26,10 +26,7 @@ from hdsigntest import (
 )
 from hdsigntest._selftest import run_selftest
 from hdsigntest.cli import main
-from hdsigntest.inference import (
-    permutation_pvalues_two_sample,
-    signflip_pvalues_one_sample,
-)
+from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
 
 # Three worst-case binomial standard errors of one rejection rate at 1000
 # replicates, 3*sqrt(0.25/1000); criteria 4 and 6 keep this bar.
@@ -236,15 +233,15 @@ def test_criterion_8_randomization_validity():
         rng = np.random.default_rng((800, r))
         x = rng.standard_normal((15, 30))
         y = rng.standard_normal((15, 30))
-        res = permutation_pvalues_two_sample(
-            x, y, ["wmw"], 200, np.random.default_rng((801, r))
+        res = evaluate_two_sample(
+            x, y, [("wmw", "permutation")], n_resamples=200, rng=np.random.default_rng((801, r))
         )
-        hits_perm += res["wmw"][1] <= 0.05
+        hits_perm += res["wmw", "permutation"].p_value <= 0.05
         z = rng.standard_normal((20, 50))
-        res = signflip_pvalues_one_sample(
-            z, ["s"], 200, np.random.default_rng((802, r))
+        res = evaluate_one_sample(
+            z, [("s", "signflip")], n_resamples=200, rng=np.random.default_rng((802, r))
         )
-        hits_flip += res["s"][1] <= 0.05
+        hits_flip += res["s", "signflip"].p_value <= 0.05
     rate_perm = hits_perm / reps
     rate_flip = hits_flip / reps
     ok = rate_perm <= 0.07 and rate_flip <= 0.07

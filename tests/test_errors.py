@@ -14,6 +14,8 @@ from hdsigntest import (
     InvalidInputError,
     asymptotic_two_sample,
     one_sample_z,
+    randomization_one_sample,
+    randomization_two_sample,
     spatial_sign,
     t_s,
     t_wmw,
@@ -74,8 +76,15 @@ class TestAsMatrix:
     lambda: evaluate_two_sample(np.eye(4), np.eye(4), [("cq1", "asymptotic")]),
     lambda: evaluate_one_sample(np.eye(4), [("s", "permutation")]),
     lambda: run_selftest(0),
+    lambda: run_selftest(1.5),
+    lambda: run_selftest(1, seed=-1),
+    lambda: randomization_two_sample(np.eye(4), np.eye(4), "wmw", n_resamples=2.5),
+    lambda: randomization_two_sample(np.eye(4), np.eye(4), "wmw", seed=-1),
+    lambda: randomization_one_sample(np.eye(4), "sr", n_resamples=2.5),
+    lambda: randomization_one_sample(np.eye(4), "sr", seed=-1),
 ], ids=["sign-empty", "sign-nonfinite", "alpha", "one-sample-z", "two-sample-z",
-        "statistic", "method", "trials"])
+        "statistic", "method", "trials", "trials-fraction", "selftest-seed",
+        "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed"])
 def test_invalid_values(call):
     with pytest.raises(InvalidInputError):
         call()

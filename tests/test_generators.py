@@ -78,6 +78,15 @@ class TestSpecValidation:
             GeneratorSpec(model="spherical-t5", d=10, df=0.0)
         with pytest.raises(InvalidSpecError):
             GeneratorSpec(model="ar1-gauss", d=0)
+        with pytest.raises(InvalidSpecError, match="^d must be an integer, got 10.5$"):
+            GeneratorSpec(model="ar1-gauss", d=10.5)
+        with pytest.raises(InvalidSpecError, match="^seed must be non-negative, got -1$"):
+            GeneratorSpec(model="ar1-gauss", d=10, seed=-1)
+        for model in ("ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"):
+            spec = GeneratorSpec(model=model, d=6, seed=25)
+            with pytest.raises(InvalidSpecError, match="^n must be an integer, got 2.5$"):
+                generate(spec, 2.5)
+            assert generate(spec, np.int64(3))[0].shape == (3, 6)
 
 
 class TestAr1:

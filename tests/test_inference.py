@@ -33,8 +33,6 @@ from hdsigntest.inference import (
     evaluate_one_sample,
     evaluate_two_sample,
     gaussian_sf,
-    permutation_pvalues_two_sample,
-    signflip_pvalues_one_sample,
 )
 from hdsigntest.statistics import _TwoSampleGram
 from hdsigntest._naive import (
@@ -162,10 +160,11 @@ class TestPermutationBackend:
         y = rng.standard_normal((6, 6))
         pool = np.vstack([x, y])
         draw_rng = np.random.default_rng(9)
-        res = permutation_pvalues_two_sample(x, y, ["wmw", "cq2"], 25, draw_rng)
+        res = evaluate_two_sample(x, y, [("wmw", "permutation"), ("cq2", "permutation")],
+                                  n_resamples=25, rng=draw_rng)
         # The observed values must match the plain statistics.
-        assert abs(res["wmw"][0] - t_wmw(x, y)) < 1e-12
-        assert abs(res["cq2"][0] - t_cq2(x, y)) < 1e-12
+        assert abs(res["wmw", "permutation"].statistic - t_wmw(x, y)) < 1e-12
+        assert abs(res["cq2", "permutation"].statistic - t_cq2(x, y)) < 1e-12
         # Identical rng consumption gives identical relabelings, so the
         # plain statistics on each relabeled split give the same p-value.
         check_rng = np.random.default_rng(9)
@@ -176,7 +175,7 @@ class TestPermutationBackend:
             splits.append((pool[sel], pool[~sel]))
         for stat, func in (("wmw", t_wmw), ("cq2", t_cq2)):
             count = sum(func(a, b) >= func(x, y) for a, b in splits)
-            assert res[stat][1] == (1 + count) / 26.0, stat
+            assert res[stat, "permutation"].p_value == (1 + count) / 26.0, stat
 
     @pytest.mark.parametrize("batch", [statistics._PERM_BATCH, 7])
     def test_reproduced_splits_tie_exactly(self, batch, monkeypatch):
@@ -189,13 +188,15 @@ class TestPermutationBackend:
                 rng = np.random.default_rng(500 + seed)
                 x = rng.standard_normal((m, 6))
                 y = rng.standard_normal((n, 6))
-                res = permutation_pvalues_two_sample(
-                    x, y, ["cq2", "wmw"], 300, np.random.default_rng(seed)
+                res = evaluate_two_sample(
+                    x, y, [("cq2", "permutation"), ("wmw", "permutation")],
+                    n_resamples=300, rng=np.random.default_rng(seed),
                 )
                 splits = _replayed_splits(m + n, m, 300, seed)
                 for stat in ("cq2", "wmw"):
                     count = _split_tail_count(x, y, stat, splits)
-                    assert res[stat][1] == (1 + count) / 301.0, (m, n, seed, stat)
+                    assert res[stat, "permutation"].p_value == (1 + count) / 301.0, (
+                        m, n, seed, stat)
 
     @pytest.mark.parametrize("m, n", [(4, 4), (5, 3)])
     def test_matches_exact_permutation_null(self, m, n):
@@ -209,14 +210,16 @@ class TestPermutationBackend:
             x = rng.standard_normal((m, 5))
             y = rng.standard_normal((n, 5)) + shift
             splits = list(itertools.combinations(range(m + n), m))
-            res = permutation_pvalues_two_sample(
-                x, y, ["cq2", "wmw"], resamples, np.random.default_rng(61)
+            res = evaluate_two_sample(
+                x, y, [("cq2", "permutation"), ("wmw", "permutation")],
+                n_resamples=resamples, rng=np.random.default_rng(61),
             )
             for stat in ("cq2", "wmw"):
                 exact = _split_tail_count(x, y, stat, splits) / len(splits)
                 bound = 5.0 * math.sqrt(exact * (1.0 - exact) / resamples)
-                assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
-                    shift, stat, res[stat][1], exact)
+                p = res[stat, "permutation"].p_value
+                assert abs(p - exact) <= bound + 1.0 / (resamples + 1), (
+                    shift, stat, p, exact)
 
     @pytest.mark.parametrize("batch", [statistics._PERM_BATCH, 7])
     def test_draw_follows_permutation_stream(self, batch, monkeypatch):
@@ -252,15 +255,17 @@ class TestPermutationBackend:
             x = rng.standard_normal((m, 20))
             y = rng.standard_normal((n, 20)) + 0.3
             monkeypatch.setattr(statistics, "_SIGN_BLOCK", 1 << 20)
-            want = permutation_pvalues_two_sample(
-                x, y, ["wmw"], 300, np.random.default_rng(seed)
-            )["wmw"]
+            key = ("wmw", "permutation")
+            want = evaluate_two_sample(
+                x, y, [key], n_resamples=300, rng=np.random.default_rng(seed)
+            )[key]
             monkeypatch.setattr(statistics, "_SIGN_BLOCK", (m + n) ** 2 * cols)
-            got = permutation_pvalues_two_sample(
-                x, y, ["wmw"], 300, np.random.default_rng(seed)
-            )["wmw"]
-            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), (m, n, got, want)
-            assert got[1] == want[1], (m, n, got, want)
+            got = evaluate_two_sample(
+                x, y, [key], n_resamples=300, rng=np.random.default_rng(seed)
+            )[key]
+            assert abs(got.statistic - want.statistic) <= 1e-12 * abs(want.statistic), (
+                m, n, got, want)
+            assert got.p_value == want.p_value, (m, n, got, want)
 
     @pytest.mark.parametrize("m, n, d, cols, picks, seed", [
         pytest.param(6, 9, 20, None, 201, 820, id="6-9-20-None-201"),
@@ -304,8 +309,9 @@ class TestPermutationBackend:
         y = rng.standard_normal((6, 20))
         u = rng.standard_normal(20)
         y[2] = x[1] + dist * np.linalg.norm(x[1]) * u / np.linalg.norm(u)
-        res = permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
-        assert abs(res["wmw"][0] - naive_t_wmw(x, y)) < 1e-10
+        key = ("wmw", "permutation")
+        res = evaluate_two_sample(x, y, [key], n_resamples=10, rng=np.random.default_rng(0))
+        assert abs(res[key].statistic - naive_t_wmw(x, y)) < 1e-10
         pool = np.vstack([x, y])
         gram = _TwoSampleGram(x, y)
         masks = np.vstack(list(gram.draws(30, np.random.default_rng(1))))
@@ -327,11 +333,17 @@ class TestPermutationBackend:
         x[1] = x[0]
         match = "identical pooled observations, x row 0 and x row 1$"
         with pytest.raises(ZeroVectorError, match=match):
-            permutation_pvalues_two_sample(x, y, ["wmw"], 50, np.random.default_rng(0))
+            evaluate_two_sample(
+                x, y, [("wmw", "permutation")], n_resamples=50,
+                rng=np.random.default_rng(0),
+            )
         x[1] += 1.0
         y[2] = x[3]
         with pytest.raises(ZeroVectorError, match="x row 3 and y row 2$"):
-            permutation_pvalues_two_sample(x, y, ["wmw"], 50, np.random.default_rng(0))
+            evaluate_two_sample(
+                x, y, [("wmw", "permutation")], n_resamples=50,
+                rng=np.random.default_rng(0),
+            )
 
     def test_wide_data_memory(self):
         # 40 + 40 rows x 2000 columns: an (N, N, d) array of pair
@@ -341,7 +353,10 @@ class TestPermutationBackend:
         y = rng.standard_normal((40, 2000))
         tracemalloc.start()
         try:
-            permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
+            evaluate_two_sample(
+                x, y, [("wmw", "permutation")], n_resamples=10,
+                rng=np.random.default_rng(0),
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +374,10 @@ class TestPermutationBackend:
         y = rng.standard_normal((40, 5000))
         tracemalloc.start()
         try:
-            permutation_pvalues_two_sample(x, y, ["wmw"], 10, np.random.default_rng(0))
+            evaluate_two_sample(
+                x, y, [("wmw", "permutation")], n_resamples=10,
+                rng=np.random.default_rng(0),
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,7 +397,10 @@ class TestPermutationBackend:
         assert len(statistics._spans(501, 64)) == 8
         tracemalloc.start()
         try:
-            permutation_pvalues_two_sample(x, y, ["wmw"], 500, np.random.default_rng(0))
+            evaluate_two_sample(
+                x, y, [("wmw", "permutation")], n_resamples=500,
+                rng=np.random.default_rng(0),
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -404,11 +425,12 @@ class TestPermutationBackend:
         for r in range(reps):
             x = rng.standard_t(3, size=(20, 100))
             y = rng.standard_t(3, size=(20, 100))
-            res = permutation_pvalues_two_sample(
-                x, y, ["cq2", "wmw"], 500, np.random.default_rng((49, r))
+            res = evaluate_two_sample(
+                x, y, [("cq2", "permutation"), ("wmw", "permutation")],
+                n_resamples=500, rng=np.random.default_rng((49, r)),
             )
             for stat in hits:
-                hits[stat] += res[stat][1] <= 0.05
+                hits[stat] += res[stat, "permutation"].p_value <= 0.05
         for stat, count in hits.items():
             assert 0.03 <= count / reps <= 0.07, (stat, count / reps)
 
@@ -432,12 +454,13 @@ class TestSignflipBackend:
             n = x.shape[0]
             flips = np.random.default_rng(8).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
             for stat, func in (("cq1", t_cq1), ("s", t_s), ("sr", t_sr)):
-                res = signflip_pvalues_one_sample(
-                    x, [stat], draws, np.random.default_rng(8)
+                key = (stat, "signflip")
+                res = evaluate_one_sample(
+                    x, [key], n_resamples=draws, rng=np.random.default_rng(8)
                 )
                 direct = np.array([func(x * e[:, None]) for e in flips])
                 count = int(np.sum(direct >= func(x)))
-                assert abs(res[stat][1] - (1 + count) / (draws + 1.0)) < 1e-12, stat
+                assert abs(res[key].p_value - (1 + count) / (draws + 1.0)) < 1e-12, stat
 
     def test_matches_exact_signflip_null(self):
         # All 2^8 flip patterns are equally likely under a symmetric null,
@@ -449,16 +472,18 @@ class TestSignflipBackend:
         flips = np.array(list(itertools.product((1.0, -1.0), repeat=8)))
         for shift in (0.0, 0.8):
             x = rng.standard_normal((8, 5)) + shift
-            res = signflip_pvalues_one_sample(
-                x, ["cq1", "s", "sr"], resamples, np.random.default_rng(58)
+            res = evaluate_one_sample(
+                x, [("cq1", "signflip"), ("s", "signflip"), ("sr", "signflip")],
+                n_resamples=resamples, rng=np.random.default_rng(58),
             )
             for stat, func in (("cq1", t_cq1), ("s", t_s), ("sr", t_sr)):
                 # Row 0 of flips is the all-plus pattern, the observed data.
                 values = np.array([func(x * eps[:, None]) for eps in flips])
                 exact = float(np.mean(values >= values[0]))
                 bound = 5.0 * math.sqrt(exact * (1.0 - exact) / resamples)
-                assert abs(res[stat][1] - exact) <= bound + 1.0 / (resamples + 1), (
-                    shift, stat, res[stat][1], exact)
+                p = res[stat, "signflip"].p_value
+                assert abs(p - exact) <= bound + 1.0 / (resamples + 1), (
+                    shift, stat, p, exact)
 
     @pytest.mark.parametrize("stat", ["cq1", "s", "sr"])
     def test_wide_data_memory(self, stat):
@@ -470,7 +495,9 @@ class TestSignflipBackend:
         x = np.random.default_rng(56).standard_normal((40, 5000))
         tracemalloc.start()
         try:
-            signflip_pvalues_one_sample(x, [stat], 2000, np.random.default_rng(0))
+            evaluate_one_sample(
+                x, [(stat, "signflip")], n_resamples=2000, rng=np.random.default_rng(0)
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -491,11 +518,12 @@ class TestSignflipBackend:
         hits = {"cq1": 0, "s": 0}
         for r in range(reps):
             x = rng.standard_normal((20, 100))
-            res = signflip_pvalues_one_sample(
-                x, ["cq1", "s"], 300, np.random.default_rng((53, r))
+            res = evaluate_one_sample(
+                x, [("cq1", "signflip"), ("s", "signflip")],
+                n_resamples=300, rng=np.random.default_rng((53, r)),
             )
             for stat in hits:
-                hits[stat] += res[stat][1] <= 0.05
+                hits[stat] += res[stat, "signflip"].p_value <= 0.05
         for stat, count in hits.items():
             assert 0.03 <= count / reps <= 0.07, (stat, count / reps)
 

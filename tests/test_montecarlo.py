@@ -114,7 +114,25 @@ class TestRunPowerStudy:
             small_plan(tests=(("wmw", "rsrm-oracle"),))
         assert calls == []
 
-    def test_rejects_bad_plan_parameters(self):
+    def test_rejects_bad_plan_parameters(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_two_sample(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+        # Counts must be integers and the seed non-negative; a refused plan
+        # runs no replicate.
+        for bad, match in (({"replications": 1.5}, "^replications must be an integer"),
+                           ({"n_resamples": 2.5}, "^n_resamples must be an integer"),
+                           ({"m": 5.5}, "^m must be an integer"),
+                           ({"grid": ((10.5, 1.0),)}, r"^grid point \(d=10.5, c=1.0\): d must"),
+                           ({"base_seed": -1}, "^base_seed must be non-negative")):
+            with pytest.raises(InvalidSpecError, match=match):
+                run_power_study(small_plan(**bad))
+        assert calls == []
+        small_plan(m=np.int64(8), replications=np.int32(5), base_seed=np.uint8(1))
         with pytest.raises(InvalidSpecError):
             small_plan(replications=0)
         with pytest.raises(InvalidSpecError):
@@ -242,6 +260,14 @@ class TestSubsampleProtocol:
             run_subsample_protocol(
                 data, data, 0.2, 5, (("wmw", "rsrm-oracle"),), seed=74
             )
+
+    def test_counts_and_seed_checked(self):
+        data = self._dataset(73)
+        tests = (("cq2", "asymptotic"),)
+        with pytest.raises(InvalidSpecError, match="^repetitions must be an integer"):
+            run_subsample_protocol(data, data, 0.2, 1.5, tests, seed=74)
+        with pytest.raises(InvalidSpecError, match="^seed must be non-negative"):
+            run_subsample_protocol(data, data, 0.2, 5, tests, seed=-1)
 
     def test_empty_test_list_rejected(self):
         with pytest.raises(InvalidSpecError, match="test list is empty"):

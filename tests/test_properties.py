@@ -1,12 +1,13 @@
 """Property tests for the Gram kernels against the naive oracles, and the
 invariances they claim: ``t_wmw``, ``t_cq2`` and ``gamma1_hat`` on the
-two-sample side; ``t_cq1``, ``t_s``, ``t_sr``, ``t_sr_flips`` and
-``gamma2_hat`` on the one-sample side, which are not location-invariant
-and are checked under row order, rotation and scale instead; scale
-invariance (``t_cq1`` and ``t_cq2`` scale by c^2) for all five statistics;
-the resampling kernels (permutation ``cq2`` and ``wmw``, sign-flip
-``cq1``, ``s`` and ``sr``) on relabeled or flipped, shifted data; and the
-pooled pair norms that the permutation ``wmw`` kernel divides by.
+two-sample side; ``t_cq1``, ``t_s``, ``t_sr``, the sign-flip kernel
+``_OneSampleGram.sr`` and ``gamma2_hat`` on the one-sample side, which are
+not location-invariant and are checked under row order, rotation and
+scale instead; scale invariance (``t_cq1`` and ``t_cq2`` scale by c^2)
+for all five statistics; the resampling kernels (permutation ``cq2`` and
+``wmw``, sign-flip ``cq1``, ``s`` and ``sr``) on relabeled or flipped,
+shifted data; and the pooled pair norms that the permutation ``wmw``
+kernel divides by.
 
 Entries lie on a grid of eighths, so samples often share rows or nearly
 coincide, and shifted samples are exactly representable: a shift then
@@ -32,7 +33,7 @@ from hdsigntest import (
     t_wmw,
 )
 from hdsigntest.errors import HDTestError
-from hdsigntest.statistics import _OneSampleGram, _TwoSampleGram, t_sr_flips
+from hdsigntest.statistics import _OneSampleGram, _TwoSampleGram
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -218,8 +219,9 @@ def _one_sample_snapshot(x):
 
 
 def _flip_values(x, flips):
-    """t_sr_flips as a tuple, or the type of the package error it raised."""
-    values = _outcome(t_sr_flips, x, flips)
+    """``_OneSampleGram(x).sr(flips)`` as a tuple, or the type of the
+    package error it raised."""
+    values = _outcome(lambda: _OneSampleGram(x).sr(flips))
     return values if isinstance(values, type) else tuple(values)
 
 

@@ -17,11 +17,8 @@ from hdsigntest import (
     t_sr,
     t_wmw,
 )
-from hdsigntest.inference import (
-    permutation_pvalues_two_sample,
-    signflip_pvalues_one_sample,
-)
-from hdsigntest.statistics import t_sr_flips
+from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
+from hdsigntest.statistics import _OneSampleGram
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -121,10 +118,11 @@ class TestCq2:
         base = t_cq2(x, y)
         for offset, tol in ((1e6, 1e-9), (1e8, 1e-7)):
             assert rel_err(t_cq2(x + offset, y + offset), base) < tol
-            res = permutation_pvalues_two_sample(
-                x + offset, y + offset, ["cq2"], 1, np.random.default_rng(0)
+            key = ("cq2", "permutation")
+            res = evaluate_two_sample(
+                x + offset, y + offset, [key], n_resamples=1, rng=np.random.default_rng(0)
             )
-            assert rel_err(res["cq2"][0], base) < tol
+            assert rel_err(res[key].statistic, base) < tol
 
 
 class TestSpatialSignStat:
@@ -153,9 +151,10 @@ class TestSpatialSignStat:
         x[:2] = rng.standard_normal((2, 30)) * norm / np.sqrt(30)
         flips = rng.integers(0, 2, size=(4, 8)) * 2.0 - 1.0
         assert abs(t_s(x) - naive_t_s(x)) < 1e-12
-        res = signflip_pvalues_one_sample(x, ["s"], 4, np.random.default_rng(0))
-        assert abs(res["s"][0] - naive_t_s(x)) < 1e-12
-        for value, eps in zip(t_sr_flips(x, flips), flips):
+        key = ("s", "signflip")
+        res = evaluate_one_sample(x, [key], n_resamples=4, rng=np.random.default_rng(0))
+        assert abs(res[key].statistic - naive_t_s(x)) < 1e-12
+        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
 
 
@@ -192,7 +191,7 @@ class TestSignedRankStat:
     def test_every_flip_matches_naive(self):
         x = np.random.default_rng(60).standard_normal((6, 5)) + 0.3
         flips = np.array(list(itertools.product((1.0, -1.0), repeat=6)))
-        values = t_sr_flips(x, flips)
+        values = _OneSampleGram(x).sr(flips)
         for value, eps in zip(values, flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
         assert values[0] == t_sr(x)
@@ -214,7 +213,7 @@ class TestSignedRankStat:
         flips[:, 0] = 1.0
         flips[:, 1] = np.tile((1.0, -1.0), 8)
         assert abs(t_sr(x) - naive_t_sr(x)) < 1e-10
-        for value, eps in zip(t_sr_flips(x, flips), flips):
+        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-10
 
     @pytest.mark.parametrize("offset", (1e2, 1e6))
@@ -225,7 +224,7 @@ class TestSignedRankStat:
         rng = np.random.default_rng(68)
         flips = rng.integers(0, 2, size=(4, 12)) * 2.0 - 1.0
         x = rng.standard_normal((12, 500)) + offset
-        for value, eps in zip(t_sr_flips(x, flips), flips):
+        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-13
 
     def test_offset_difference_pairs_memory(self):
@@ -237,7 +236,7 @@ class TestSignedRankStat:
         flips = rng.integers(0, 2, size=(501, 40)) * 2.0 - 1.0
         tracemalloc.start()
         try:
-            t_sr_flips(x, flips)
+            _OneSampleGram(x).sr(flips)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -247,9 +246,9 @@ class TestSignedRankStat:
         x = np.random.default_rng(62).standard_normal((5, 3))
         x[3] = x[1]
         kept, split = np.ones((1, 5)), np.array([[1.0, 1.0, 1.0, -1.0, 1.0]])
-        assert t_sr_flips(x, kept)[0] == t_sr(x)
+        assert _OneSampleGram(x).sr(kept)[0] == t_sr(x)
         with pytest.raises(ZeroVectorError):
-            t_sr_flips(x, split)
+            _OneSampleGram(x).sr(split)
 
 
 class TestWmw:
