@@ -5,6 +5,8 @@ inference, synthetic data models and a Monte Carlo power-study harness.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DataFileError,
     DegenerateVarianceError,
@@ -83,4 +85,7 @@ from .dataio import (
     write_matrix_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, without the submodules that the imports above bind, so
+# that a star import does not shadow the standard library's ``statistics``.
+__all__ = [name for name, value in sorted(vars().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

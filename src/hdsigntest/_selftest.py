@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _naive as naive
 from .generators import RsrmAuxiliary
-from .errors import InvalidInputError, require_integers, require_seed
+from .errors import InvalidInputError, require_counts, require_seed
 from .inference import one_sample_oracle_terms, two_sample_oracle_terms
 from .nuisance import tr_sigma_cross_hat, tr_sigma_sq_hat, gamma1_hat
 from .statistics import _SIGN_BLOCK, _OneSampleGram, _TwoSampleGram
@@ -32,9 +32,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
 
     Returns {check name: max deviation relative to max(|reference|, floor)}.
     """
-    require_integers(InvalidInputError, trials=trials)
-    if trials < 1:
-        raise InvalidInputError(f"trials must be at least 1, got {trials}")
+    require_counts(InvalidInputError, trials=trials)
     require_seed(InvalidInputError, "seed", seed)
     rng = np.random.default_rng(seed)
     # Flip patterns and relabelings come from their own streams, so the

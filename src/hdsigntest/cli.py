@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 
 from . import __version__
 from ._selftest import TOLERANCE, run_selftest, selftest_passed
 from .dataio import read_matrix_csv
-from .errors import HDTestError, InvalidSpecError
+from .errors import HDTestError, InvalidInputError, InvalidSpecError
+from .errors import require_counts, require_level, require_seed
 from .generators import MODEL_NAMES, SHIFT_FIRST, SHIFT_SPREAD
 from .inference import (
     METHOD_ASYMPTOTIC,
@@ -90,32 +90,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _integer_at_least(minimum: int):
-    """argparse type: a decimal integer of at least ``minimum``."""
+def _flag_type(convert, rule):
+    """argparse type: the text converted by ``convert``, then checked by the
+    library's ``rule(error, name, value)``; argparse names the flag."""
 
-    def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}"
-            )
-        return int(text)
+    def parse(text: str):
+        try:
+            value = convert(text)
+            rule(InvalidInputError, "value", value)
+        except ValueError as exc:  # InvalidInputError is a ValueError too
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
     return parse
 
 
-_count = _integer_at_least(1)  # --perms, --reps and --trials
-_seed = _integer_at_least(0)  # --seed, as NumPy's seeding accepts it
-
-
-def _level(text: str) -> float:
-    """argparse type of --alpha: a significance level in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a level in (0, 1), got {text!r}")
-    return value
+_count = _flag_type(int, lambda error, name, value: require_counts(error, **{name: value}))
+_seed = _flag_type(int, require_seed)
+_level = _flag_type(float, require_level)
 
 
 def _add_common_test_flags(sub):

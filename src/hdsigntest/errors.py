@@ -1,5 +1,5 @@
 """Exception types raised by the statistics, estimators and harness, and
-the integer checks that they share."""
+the argument checks that they share."""
 
 import numbers
 
@@ -64,6 +64,21 @@ def require_integers(error, **values) -> None:
     for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_counts(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an
+    integer of at least 1."""
+    require_integers(error, **values)
+    for name, value in values.items():
+        if value < 1:
+            raise error(f"{name} must be at least 1, got {value}")
+
+
+def require_level(error, name: str, value) -> None:
+    """Raise ``error`` unless ``value`` lies in the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must be in (0, 1), got {value}")
 
 
 def require_seed(error, name: str, seed) -> None:

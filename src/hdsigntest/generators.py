@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonpositiveScaleError, require_integers, require_seed
+from .errors import InvalidSpecError, NonpositiveScaleError
+from .errors import require_counts, require_integers, require_seed
 
 AR1_GAUSS = "ar1-gauss"
 AR1_T5 = "ar1-t5"
@@ -105,12 +106,6 @@ class GeneratorSpec:
         return replace(self, shift=MeanShift(style, magnitude))
 
 
-def _require_size(n) -> None:
-    require_integers(InvalidSpecError, n=n)
-    if n < 1:
-        raise InvalidSpecError("sample size must be at least 1")
-
-
 def _rng_for(spec: GeneratorSpec, rng) -> np.random.Generator:
     return np.random.default_rng(spec.seed) if rng is None else rng
 
@@ -129,7 +124,7 @@ def gen_ar1(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
     """
     if spec.model not in (AR1_GAUSS, AR1_T5):
         raise InvalidSpecError(f"gen_ar1 cannot generate model {spec.model!r}")
-    _require_size(n)
+    require_counts(InvalidSpecError, n=n)
     rng = _rng_for(spec, rng)
     d, rho = spec.d, spec.rho
     if spec.model == AR1_GAUSS:
@@ -179,7 +174,7 @@ def gen_equicorr_gauss(spec: GeneratorSpec, n: int, rng=None) -> np.ndarray:
         raise InvalidSpecError(
             f"gen_equicorr_gauss cannot generate model {spec.model!r}"
         )
-    _require_size(n)
+    require_counts(InvalidSpecError, n=n)
     rng = _rng_for(spec, rng)
     z = rng.standard_normal((n, spec.d))
     z0 = rng.standard_normal(n)
@@ -206,7 +201,7 @@ def gen_rsrm_custom(
     estimated from data); by default the base is assumed isotropic with
     unit variance, giving tr(Sigma_V^2) = d.
     """
-    _require_size(n)
+    require_counts(InvalidSpecError, n=n)
     rng = _rng_for(spec, rng)
     rows = np.asarray(base(rng, n, spec.d), dtype=float)
     if rows.shape != (n, spec.d):
@@ -237,6 +232,5 @@ def generate(spec: GeneratorSpec, n: int, rng=None):
         return gen_ar1(spec, n, rng), None
     if spec.model == SPHERICAL_T5:
         return gen_spherical_t(spec, n, rng)
-    if spec.model == EQUICORR_GAUSS:
-        return gen_equicorr_gauss(spec, n, rng), None
-    raise InvalidSpecError(f"unknown model {spec.model!r}")
+    # ``GeneratorSpec`` refuses any other model.
+    return gen_equicorr_gauss(spec, n, rng), None

@@ -8,13 +8,15 @@ and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
 one dataset and builds each shared input once; the ``asymptotic_*``,
 ``randomization_*`` and ``rsrm_oracle_*`` functions, the study harness and
 the command line all call it.  Both share one report loop and one
-randomization core over the dataset's Gram object.  Randomization p-values use the add-one
-estimator (1 + #{resampled >= observed}) / (n_resamples + 1), which is
-valid at any finite resample count and never exactly zero.  The observed
-statistic is computed on the resampling path, as the identity relabeling
-or the all-plus flip pattern, so draws that reproduce it tie exactly.
-With m = n a relabeling and its swap give the same two-sample statistic;
-both are oriented to one mask, so a draw of the swapped split ties too.
+randomization core over the dataset's Gram object.  Every report of a
+statistic shows one observed value, whatever its method.  Randomization
+p-values use the add-one estimator (1 + #{resampled >= observed}) /
+(n_resamples + 1), which is valid at any finite resample count and never
+exactly zero.  The core counts ties against the statistic on its own
+resampling path, the identity relabeling or the all-plus flip pattern,
+so draws that reproduce it tie exactly.  With m = n a relabeling and its
+swap give the same two-sample statistic; both are oriented to one mask,
+so a draw of the swapped split ties too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .errors import (
     InvalidInputError,
     MismatchedAuxiliaryError,
     NonpositiveScaleError,
-    require_integers,
+    require_counts,
+    require_level,
     require_seed,
 )
 from .generators import RsrmAuxiliary
@@ -86,11 +89,6 @@ def gaussian_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def one_sample_z(kind: str, value: float, d: int, sigma_sq: float, gamma: float) -> float:
     """Standardized score of a one-sample statistic under the null."""
     root = math.sqrt(gamma)
@@ -122,12 +120,13 @@ def two_sample_z(
 # own resamples (``draws``): blocks of relabeling masks of the pooled rows
 # for ``_TwoSampleGram``, one block of flip patterns for ``_OneSampleGram``,
 # each led by the identity relabeling or the all-plus flip pattern.  Each
-# statistic is the Gram object's batch kernel of that name on each block,
-# so the observed statistic comes from the same code path as the draws and
-# a draw that reproduces it ties exactly.  With m = n both two-sample
-# statistics are symmetric in the groups, so every relabeling is oriented
-# to put pooled row 0 in the first group: a draw of the swapped split is
-# then the identity mask and ties too.
+# statistic is the Gram object's batch kernel of that name on each block.
+# The core returns only p-values: it counts ties against the identity row
+# of its first block, so a draw that reproduces the data ties exactly,
+# while the reports show the one observed value of ``_observed``.  With
+# m = n both two-sample statistics are symmetric in the groups, so every
+# relabeling is oriented to put pooled row 0 in the first group: a draw of
+# the swapped split is then the identity mask and ties too.
 #
 # Every kernel reads the dataset's one Gram matrix: permutation cq2 and
 # wmw the pooled Gram of ``_TwoSampleGram``, and sign-flip cq1, s and sr
@@ -146,24 +145,18 @@ def two_sample_z(
 
 
 def _randomization_pvalues(gram, stats, n_resamples, rng) -> dict:
-    """{stat: (observed, p_value)} over one shared set of ``gram.draws``
-    from ``np.random.default_rng(rng)``, with the add-one estimator
-    (1 + #{drawn >= observed}) / (R + 1)."""
-    require_integers(InvalidInputError, n_resamples=n_resamples)
-    if n_resamples < 1:
-        raise InvalidInputError(f"n_resamples must be at least 1, got {n_resamples}")
-    if isinstance(rng, numbers.Integral):
-        require_seed(InvalidInputError, "seed", rng)
+    """{stat: p_value} over one shared set of ``gram.draws`` from
+    ``np.random.default_rng(rng)``, with the add-one estimator
+    (1 + #{drawn >= identity}) / (R + 1)."""
     values = {stat: [] for stat in stats}
     for block in gram.draws(n_resamples, np.random.default_rng(rng)):
         for stat in stats:
             values[stat].append(getattr(gram, stat)(block))
-    results = {}
+    p_values = {}
     for stat, parts in values.items():
         drawn = np.concatenate(parts)
-        p = (1.0 + int(np.sum(drawn[1:] >= drawn[0]))) / drawn.shape[0]
-        results[stat] = float(drawn[0]), float(p)
-    return results
+        p_values[stat] = (1.0 + int(np.sum(drawn[1:] >= drawn[0]))) / drawn.shape[0]
+    return p_values
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +289,11 @@ def _report(kind, value, p, alpha, method, **fields) -> TestReport:
     )
 
 
-def _check_tests(tests, stats, methods, alpha, aux) -> None:
-    _check_alpha(alpha)
+def _check_tests(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
+    require_level(InvalidInputError, "alpha", alpha)
+    require_counts(InvalidInputError, n_resamples=n_resamples)
+    if isinstance(rng, numbers.Integral):
+        require_seed(InvalidInputError, "seed", rng)
     for stat, method in tests:
         if stat not in stats:
             raise InvalidInputError(f"statistic must be one of {stats}, not {stat!r}")
@@ -307,11 +303,6 @@ def _check_tests(tests, stats, methods, alpha, aux) -> None:
             raise MismatchedAuxiliaryError(
                 f"the {stat} {method} test needs the latent scales (aux), got None"
             )
-
-
-def _stats_for(tests, *methods) -> list:
-    """Distinct statistics requested with any of ``methods``, in order."""
-    return list(dict.fromkeys(stat for stat, method in tests if method in methods))
 
 
 def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, snapshot):
@@ -324,32 +315,28 @@ def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, sna
     each statistic.
     """
     methods = {method for _, method in tests}
-    values = {
-        stat: _observed(gram, stat)
-        for stat in _stats_for(tests, METHOD_ASYMPTOTIC, METHOD_RSRM_ORACLE)
-    }
+    # The draws run first, so a randomization test meets its kernel's
+    # error before any other.
+    resampled = dict.fromkeys(stat for stat, method in tests if method == resample)
+    if resampled:
+        p_values = _randomization_pvalues(gram, resampled, n_resamples, rng)
+    values = {stat: _observed(gram, stat) for stat in dict.fromkeys(s for s, _ in tests)}
     snap = snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
     if METHOD_RSRM_ORACLE in methods:
         variances = oracle_var()
-    drawn_stats = _stats_for(tests, resample)
-    if drawn_stats:
-        drawn = _randomization_pvalues(gram, drawn_stats, n_resamples, rng)
 
     seed = rng if isinstance(rng, (int, np.integer)) else None
     reports = {}
     for stat, method in tests:
         if method == resample:
-            report = _report(stat, *drawn[stat], alpha, method,
-                             n_resamples=n_resamples, seed=seed)
+            p, fields = p_values[stat], {"n_resamples": n_resamples, "seed": seed}
         elif method == METHOD_ASYMPTOTIC:
             score = z(stat, values[stat], snap, snap.gamma)
-            report = _report(stat, values[stat], gaussian_sf(score), alpha, method,
-                             z=score, nuisance=snap)
+            p, fields = gaussian_sf(score), {"z": score, "nuisance": snap}
         else:
             score = z(stat, values[stat], None, variances[stat])
-            report = _report(stat, values[stat], gaussian_sf(score), alpha, method,
-                             z=score)
-        reports[(stat, method)] = report
+            p, fields = gaussian_sf(score), {"z": score}
+        reports[(stat, method)] = _report(stat, values[stat], p, alpha, method, **fields)
     return reports
 
 
@@ -363,7 +350,7 @@ def evaluate_two_sample(
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
-    _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, aux)
+    _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     # d enters the statistics, the nuisance estimates and the permutation
     # kernels through this object's one Gram matrix.
     gram = _TwoSampleGram(x, y)
@@ -389,7 +376,7 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, aux)
+    _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
     gram = _OneSampleGram(x)

@@ -21,7 +21,9 @@ from .errors import (
     HDTestError,
     InvalidSpecError,
     SubsampleTooSmallError,
+    require_counts,
     require_integers,
+    require_level,
     require_seed,
 )
 from .generators import SHIFT_FIRST, SHIFT_ZERO, SPHERICAL_T5, GeneratorSpec, generate
@@ -60,17 +62,13 @@ class ExperimentPlan:
     shift_style: str = SHIFT_FIRST
 
     def __post_init__(self):
-        require_integers(InvalidSpecError, m=self.m, n=self.n, replications=self.replications,
-                         n_resamples=self.n_resamples)
+        require_integers(InvalidSpecError, m=self.m, n=self.n)
+        require_counts(InvalidSpecError, replications=self.replications,
+                       n_resamples=self.n_resamples)
         require_seed(InvalidSpecError, "base_seed", self.base_seed)
         if self.m < 2 or self.n < 2:
             raise InvalidSpecError("sample sizes m and n must be at least 2")
-        if self.replications < 1:
-            raise InvalidSpecError("replications must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidSpecError("alpha must be in (0, 1)")
-        if self.n_resamples < 1:
-            raise InvalidSpecError("n_resamples must be at least 1")
+        require_level(InvalidSpecError, "alpha", self.alpha)
         if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
             raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
         _check_tests(self.tests, TWO_SAMPLE_METHODS, "a two-sample method")
@@ -234,11 +232,8 @@ def run_subsample_protocol(
     """
     class_a = as_matrix(class_a, "class_a")
     class_b = as_matrix(class_b, "class_b")
-    if not 0.0 < fraction < 1.0:
-        raise InvalidSpecError("fraction must be in (0, 1)")
-    require_integers(InvalidSpecError, repetitions=repetitions)
-    if repetitions < 1:
-        raise InvalidSpecError("repetitions must be at least 1")
+    require_level(InvalidSpecError, "fraction", fraction)
+    require_counts(InvalidSpecError, repetitions=repetitions)
     require_seed(InvalidSpecError, "seed", seed)
     _check_tests(tests, (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), "available on real data")
     rows_a, rows_b = class_a.shape[0], class_b.shape[0]

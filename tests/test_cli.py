@@ -15,6 +15,7 @@ from hdsigntest import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from hdsigntest import cli
 from hdsigntest.cli import build_parser, main
 from hdsigntest.generators import MODEL_NAMES
 from hdsigntest.statistics import ONE_SAMPLE_STATS, TWO_SAMPLE_STATS
@@ -68,6 +69,10 @@ class TestCsvIo:
     def test_empty_file(self):
         with pytest.raises(DataFileError):
             parse_matrix_csv("\n\n")
+
+    def test_header_only(self):
+        with pytest.raises(DataFileError, match="only a header line, no data rows$"):
+            parse_matrix_csv("a,b,c\n")
 
 
 class TestTwoSampleCommand:
@@ -137,6 +142,27 @@ class TestTwoSampleCommand:
         assert code == 0
         header, row = out.strip().splitlines()
         assert header.startswith("stat_kind,statistic,z,p_value,reject")
+
+    def test_text_format(self, sample_csvs):
+        xp, yp, _, _ = sample_csvs
+        code, out, err = run_cli(
+            ["two-sample", "--x", xp, "--y", yp, "--stat", "cq2",
+             "--method", "asymptotic", "--alpha", "0.1", "--format", "text"]
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "statistic cq2", "method", "z-score", "p-value", "reject at alpha=0.1"]
+        code, out, err = run_cli(
+            ["two-sample", "--x", xp, "--y", yp, "--stat", "wmw",
+             "--method", "permutation", "--perms", "20", "--seed", "3",
+             "--format", "text"]
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[1] == "method: permutation"
+        assert not any(line.startswith("z-score") for line in lines)
+        assert lines[-1] == "resamples: 20 (seed 3)"
 
 
 class TestOneSampleCommand:
@@ -275,6 +301,14 @@ class TestSelftestCommand:
         code, _, _ = run_cli(["selftest", "--trials", "0"])
         assert code == 2
 
+    def test_failed_check_exit_code(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_selftest", lambda trials, seed: {"t_cq1": 1.0,
+                                                                     "t_s": 0.0})
+        code, out, _ = run_cli(["selftest", "--trials", "1"])
+        assert code == 1
+        assert "[FAIL]" in out and "[ok]" in out
+        assert out.endswith("selftest FAILED\n")
+
 
 class TestUsageErrors:
     def test_unknown_stat_choice(self, sample_csvs):
@@ -313,13 +347,29 @@ class TestUsageErrors:
                  "--out", str(tmp_path / "o.csv"), *flags]
                 for flags in (["--rho", "1.5"], ["--beta", "0"], ["--grid", "0:1"],
                               ["--grid", "10:inf"], ["--tests", "cq1:asym"],
-                              ["--tests", ","], ["--m", "1"], ["--m", "3"])
+                              ["--tests", ","], ["--tests", "wmw"], ["--m", "1"],
+                              ["--m", "3"])
             ),
             ["selftest", "--trials", "1", "--seed", "-1"],
         ):
             code, _, err = run_cli(argv)
             assert code == 2, argv
             assert "usage error:" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--perms", "0", "value must be at least 1, got 0"),
+        ("--perms", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("--seed", "-1", "value must be non-negative, got -1"),
+        ("--alpha", "1.5", "value must be in (0, 1), got 1.5"),
+        ("--alpha", "nan", "value must be in (0, 1), got nan"),
+    ])
+    def test_flag_error_names_the_flag(self, sample_csvs, flag, value, message):
+        # The flag types apply the library's rules; argparse names the flag.
+        xp, yp, _, _ = sample_csvs
+        code, _, err = run_cli(["two-sample", "--x", xp, "--y", yp, "--stat", "wmw",
+                                "--method", "permutation", flag, value])
+        assert code == 2
+        assert f"usage error: argument {flag}: {message}\n" in err
 
     def test_missing_required_flag(self):
         code, _, _ = run_cli(["two-sample", "--stat", "cq2", "--method", "asymptotic"])

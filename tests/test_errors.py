@@ -1,9 +1,12 @@
 """Typed input errors: every invalid argument raises InvalidInputError, an
 HDTestError that is also a ValueError, and no module of the package
-raises a bare ValueError or TypeError."""
+raises a bare ValueError or TypeError.  Also the package namespace: a star
+import binds no submodule."""
 
 import ast
 import pathlib
+import statistics
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import hdsigntest
 from hdsigntest import (
     HDTestError,
     InvalidInputError,
+    RsrmAuxiliary,
     asymptotic_two_sample,
     one_sample_z,
     randomization_one_sample,
@@ -37,6 +41,15 @@ def test_no_untyped_raise_in_package():
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
                     found.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert not found, found
+
+
+def test_star_import_binds_no_module():
+    assert not [name for name in hdsigntest.__all__
+                if isinstance(getattr(hdsigntest, name), types.ModuleType)]
+    namespace = {}
+    exec("import statistics\nfrom hdsigntest import *", namespace)
+    assert namespace["statistics"] is statistics
+    assert namespace["t_wmw"] is hdsigntest.t_wmw
 
 
 def test_invalid_input_error_is_a_value_error():
@@ -82,17 +95,26 @@ class TestAsMatrix:
     lambda: randomization_two_sample(np.eye(4), np.eye(4), "wmw", seed=-1),
     lambda: randomization_one_sample(np.eye(4), "sr", n_resamples=2.5),
     lambda: randomization_one_sample(np.eye(4), "sr", seed=-1),
+    lambda: evaluate_two_sample(np.eye(4), np.eye(4), [("wmw", "asymptotic")], n_resamples=0),
+    lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], rng=-1),
+    lambda: evaluate_one_sample(np.eye(4), [("cq1", "rsrm-oracle")], n_resamples=2.5,
+                                aux=RsrmAuxiliary(np.ones(4), 1.0, 4.0)),
 ], ids=["sign-empty", "sign-nonfinite", "alpha", "one-sample-z", "two-sample-z",
         "statistic", "method", "trials", "trials-fraction", "selftest-seed",
-        "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed"])
+        "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed",
+        "asym-count", "asym-seed", "oracle-count-fraction"])
 def test_invalid_values(call):
     with pytest.raises(InvalidInputError):
         call()
 
 
 def test_resample_count_checked_once_for_both_cores():
+    # Both evaluators check the count for every test list, before any
+    # statistic is computed.
     x = np.random.default_rng(0).standard_normal((5, 3))
     with pytest.raises(InvalidInputError, match="n_resamples must be at least 1, got 0"):
         evaluate_two_sample(x, x + 1.0, [("wmw", "permutation")], n_resamples=0)
     with pytest.raises(InvalidInputError, match="n_resamples must be at least 1, got -2"):
         evaluate_one_sample(x, [("sr", "signflip")], n_resamples=-2)
+    with pytest.raises(InvalidInputError, match="n_resamples must be at least 1, got 0"):
+        evaluate_two_sample(x, x[:1], [("cq2", "asymptotic")], n_resamples=0)

@@ -86,7 +86,18 @@ class TestSpecValidation:
             spec = GeneratorSpec(model=model, d=6, seed=25)
             with pytest.raises(InvalidSpecError, match="^n must be an integer, got 2.5$"):
                 generate(spec, 2.5)
+            with pytest.raises(InvalidSpecError, match="must be at least 1"):
+                generate(spec, 0)
             assert generate(spec, np.int64(3))[0].shape == (3, 6)
+
+    @pytest.mark.parametrize("gen, model", [
+        (gen_ar1, "spherical-t5"),
+        (gen_spherical_t, "ar1-gauss"),
+        (gen_equicorr_gauss, "ar1-t5"),
+    ])
+    def test_generator_refuses_other_model(self, gen, model):
+        with pytest.raises(InvalidSpecError, match=f"cannot generate model '{model}'$"):
+            gen(GeneratorSpec(model=model, d=4, seed=26), 3)
 
 
 class TestAr1:
@@ -242,6 +253,14 @@ class TestRsrmCustom:
         spec = GeneratorSpec(model="spherical-t5", d=4, seed=23)
         with pytest.raises(NonpositiveScaleError):
             gen_rsrm_custom(spec, 6, self._gauss_base, lambda rng, n: np.zeros(n))
+
+    def test_base_and_scale_counts_checked(self):
+        spec = GeneratorSpec(model="spherical-t5", d=4, seed=23)
+        with pytest.raises(InvalidSpecError, match=r"returned shape \(6, 5\), expected \(6, 4\)$"):
+            gen_rsrm_custom(spec, 6, lambda rng, n, d: rng.standard_normal((n, d + 1)),
+                            lambda rng, n: np.ones(n))
+        with pytest.raises(InvalidSpecError, match="^scale law returned 5 values for n=6$"):
+            gen_rsrm_custom(spec, 6, self._gauss_base, lambda rng, n: np.ones(n - 1))
 
     def test_seed_determinism(self):
         spec = GeneratorSpec(model="spherical-t5", d=4, seed=24)

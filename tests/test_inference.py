@@ -30,6 +30,8 @@ from hdsigntest import (
     two_sample_z,
 )
 from hdsigntest.inference import (
+    ONE_SAMPLE_METHODS,
+    TWO_SAMPLE_METHODS,
     evaluate_one_sample,
     evaluate_two_sample,
     gaussian_sf,
@@ -248,24 +250,23 @@ class TestPermutationBackend:
     def test_column_blocks_match_one_block(self, cols, monkeypatch):
         # The wmw kernel reads the pair differences in blocks of ``cols``
         # columns (20 = 20 x 1, 6 x 3 + 2, 2 x 7 + 6).  Its three terms are
-        # sums over coordinates, so the values agree with one block to
+        # sums over coordinates, so every row agrees with one block to
         # rounding and the p-values exactly.
+        key = ("wmw", "permutation")
         for m, n, seed in ((4, 4, 0), (5, 3, 1), (6, 9, 2)):
             rng = np.random.default_rng(700 + seed)
             x = rng.standard_normal((m, 20))
             y = rng.standard_normal((n, 20)) + 0.3
-            monkeypatch.setattr(statistics, "_SIGN_BLOCK", 1 << 20)
-            key = ("wmw", "permutation")
-            want = evaluate_two_sample(
-                x, y, [key], n_resamples=300, rng=np.random.default_rng(seed)
-            )[key]
-            monkeypatch.setattr(statistics, "_SIGN_BLOCK", (m + n) ** 2 * cols)
-            got = evaluate_two_sample(
-                x, y, [key], n_resamples=300, rng=np.random.default_rng(seed)
-            )[key]
-            assert abs(got.statistic - want.statistic) <= 1e-12 * abs(want.statistic), (
-                m, n, got, want)
-            assert got.p_value == want.p_value, (m, n, got, want)
+            gram = _TwoSampleGram(x, y)
+            masks = np.vstack(list(gram.draws(300, np.random.default_rng(seed))))
+            results = []
+            for block in (1 << 20, (m + n) ** 2 * cols):
+                monkeypatch.setattr(statistics, "_SIGN_BLOCK", block)
+                results.append((gram.wmw(masks), evaluate_two_sample(
+                    x, y, [key], n_resamples=300, rng=np.random.default_rng(seed))[key]))
+            (want, want_report), (got, got_report) = results
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all(), (m, n)
+            assert got_report.p_value == want_report.p_value, (m, n)
 
     @pytest.mark.parametrize("m, n, d, cols, picks, seed", [
         pytest.param(6, 9, 20, None, 201, 820, id="6-9-20-None-201"),
@@ -529,6 +530,39 @@ class TestSignflipBackend:
 
 
 class TestReportContract:
+    @pytest.mark.parametrize("variant", ["plain", "offset", "near-pair"])
+    def test_one_statistic_per_evaluation(self, variant):
+        # Every report of a statistic shows one observed value, bit for bit
+        # the public function's, whatever its method: the resampling path
+        # rounds differently (a block's GEMM, wmw's column blocks).
+        rng = np.random.default_rng(72)
+        m, n, d = 7, 9, 40
+        x = rng.standard_t(5, size=(m, d))
+        y = rng.standard_t(5, size=(n, d)) + 0.2
+        if variant == "offset":
+            x += 1e6
+            y += 1e6
+        elif variant == "near-pair":
+            # A cross pair for wmw and a pair sum for sr, both at relative
+            # distance 1e-7.
+            y[0] = x[0] * (1.0 + 1e-7)
+            x[1] = -x[0] * (1.0 + 1e-7)
+        p, q = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
+        aux = RsrmAuxiliary(p_scales=p, sigma_v_sq=1.0, tr_sigma_v_sq=float(d),
+                            q_scales=q, sigma_w_sq=1.0, tr_sigma_w_sq=float(d),
+                            tr_sigma_vw=float(d))
+        two = [(stat, method) for stat in ("cq2", "wmw") for method in TWO_SAMPLE_METHODS]
+        one = [(stat, method) for stat in ("cq1", "s", "sr") for method in ONE_SAMPLE_METHODS]
+        reports = {
+            **evaluate_two_sample(x, y, two, 0.05, 60, 3, aux),
+            **evaluate_one_sample(x, one, 0.05, 60, 3, aux),
+        }
+        want = {"cq2": t_cq2(x, y), "wmw": t_wmw(x, y),
+                "cq1": t_cq1(x), "s": t_s(x), "sr": t_sr(x)}
+        assert len(reports) == 15
+        for (stat, method), report in reports.items():
+            assert report.statistic.hex() == want[stat].hex(), (stat, method)
+
     def test_reject_iff_p_below_alpha(self):
         rng = np.random.default_rng(54)
         x = rng.standard_normal((10, 30))
@@ -651,6 +685,17 @@ class TestRsrmOracleTwoSample:
             evaluate_two_sample(x, y, tests)
         with pytest.raises(MismatchedAuxiliaryError, match="the wmw rsrm-oracle test needs"):
             rsrm_oracle_two_sample(x, y, None, "wmw")
+
+    def test_aux_without_second_sample(self):
+        # A one-sample aux has neither the second sample's scales nor the
+        # cross traces that the two-sample terms read.
+        aux = RsrmAuxiliary(p_scales=np.ones(5), sigma_v_sq=1.0, tr_sigma_v_sq=3.0)
+        with pytest.raises(MismatchedAuxiliaryError, match="needs second-sample scales$"):
+            two_sample_oracle_terms(aux, 5, 4)
+        aux = RsrmAuxiliary(p_scales=np.ones(5), sigma_v_sq=1.0, tr_sigma_v_sq=3.0,
+                            q_scales=np.ones(4), sigma_w_sq=1.0)
+        with pytest.raises(MismatchedAuxiliaryError, match="needs all three trace values$"):
+            two_sample_oracle_terms(aux, 5, 4)
 
     def test_mismatched_scales(self):
         aux = RsrmAuxiliary(

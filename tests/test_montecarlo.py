@@ -133,8 +133,10 @@ class TestRunPowerStudy:
                 run_power_study(small_plan(**bad))
         assert calls == []
         small_plan(m=np.int64(8), replications=np.int32(5), base_seed=np.uint8(1))
-        with pytest.raises(InvalidSpecError):
-            small_plan(replications=0)
+        for bad in ({"replications": 0}, {"n_resamples": 0}, {"alpha": 0.0}, {"alpha": 1.0},
+                    {"alpha": math.nan}):
+            with pytest.raises(InvalidSpecError, match="^(replications|n_resamples|alpha) must"):
+                small_plan(**bad)
         with pytest.raises(InvalidSpecError):
             small_plan(tests=(("cq1", "asymptotic"),))
         with pytest.raises(InvalidSpecError):
@@ -268,6 +270,11 @@ class TestSubsampleProtocol:
             run_subsample_protocol(data, data, 0.2, 1.5, tests, seed=74)
         with pytest.raises(InvalidSpecError, match="^seed must be non-negative"):
             run_subsample_protocol(data, data, 0.2, 5, tests, seed=-1)
+        with pytest.raises(InvalidSpecError, match="^repetitions must be at least 1"):
+            run_subsample_protocol(data, data, 0.2, 0, tests, seed=74)
+        for fraction in (0.0, 1.0, -0.5):
+            with pytest.raises(InvalidSpecError, match=r"^fraction must be in \(0, 1\)"):
+                run_subsample_protocol(data, data, fraction, 5, tests, seed=74)
 
     def test_empty_test_list_rejected(self):
         with pytest.raises(InvalidSpecError, match="test list is empty"):
@@ -483,3 +490,11 @@ class TestPlotData:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             summarize_to_plot_data([])
+        with pytest.raises(EmptyInputError, match="^no subsample rows to render$"):
+            subsample_table_csv([])
+
+    def test_wrong_header(self):
+        with pytest.raises(EmptyInputError, match="^not a plot-data CSV$"):
+            parse_plot_data("stat,method,size,power\ncq2,asymptotic,0.05,0.9\n")
+        with pytest.raises(EmptyInputError, match="^not a plot-data CSV$"):
+            parse_plot_data("")

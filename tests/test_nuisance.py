@@ -96,6 +96,10 @@ class TestSigmaSq:
     def test_two_point_example(self):
         assert sigma_sq_hat([[0.0], [2.0]]) == 2.0
 
+    def test_needs_two_rows(self):
+        with pytest.raises(TooFewObservationsError):
+            sigma_sq_hat(np.ones((1, 3)))
+
     def test_monte_carlo(self):
         rng = np.random.default_rng(26)
         reps = 1000
@@ -191,6 +195,10 @@ class TestGamma1:
 
 
 class TestGamma2:
+    def test_needs_four_rows(self):
+        with pytest.raises(TooFewObservationsError):
+            gamma2_hat(np.random.default_rng(31).standard_normal((3, 2)))
+
     def test_constant_matrix_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             gamma2_hat(np.full((6, 3), 1.5))
