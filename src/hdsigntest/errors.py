@@ -75,8 +75,18 @@ def require_counts(error, **values) -> None:
             raise error(f"{name} must be at least 1, got {value}")
 
 
+def require_reals(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not a real
+    number (a Python or NumPy integer or float)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+
+
 def require_level(error, name: str, value) -> None:
-    """Raise ``error`` unless ``value`` lies in the open interval (0, 1)."""
+    """Raise ``error`` unless ``value`` is a real number in the open
+    interval (0, 1)."""
+    require_reals(error, **{name: value})
     if not 0.0 < value < 1.0:
         raise error(f"{name} must be in (0, 1), got {value}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidSpecError, NonpositiveScaleError
-from .errors import require_counts, require_integers, require_seed
+from .errors import require_counts, require_integers, require_reals, require_seed
 
 AR1_GAUSS = "ar1-gauss"
 AR1_T5 = "ar1-t5"
@@ -60,8 +60,9 @@ class MeanShift:
     def __post_init__(self):
         if self.style not in (SHIFT_FIRST, SHIFT_SPREAD, SHIFT_ZERO):
             raise InvalidSpecError(f"unknown shift style {self.style!r}")
-        if self.magnitude < 0.0:
-            raise InvalidSpecError("shift magnitude must be nonnegative")
+        require_reals(InvalidSpecError, magnitude=self.magnitude)
+        if not 0.0 <= self.magnitude < math.inf:
+            raise InvalidSpecError(f"shift must be finite and nonnegative, got {self.magnitude}")
 
     def mean_vector(self, d: int) -> np.ndarray:
         mu = np.zeros(d)
@@ -89,6 +90,7 @@ class GeneratorSpec:
             raise InvalidSpecError(f"unknown model {self.model!r}")
         require_integers(InvalidSpecError, d=self.d)
         require_seed(InvalidSpecError, "seed", self.seed)
+        require_reals(InvalidSpecError, rho=self.rho, beta=self.beta, df=self.df)
         if self.d < 1:
             raise InvalidSpecError("dimension must be at least 1")
         if not -1.0 < self.rho < 1.0:

@@ -127,20 +127,6 @@ def two_sample_z(
 # m = n both two-sample statistics are symmetric in the groups, so every
 # relabeling is oriented to put pooled row 0 in the first group: a draw of
 # the swapped split is then the identity mask and ties too.
-#
-# Every kernel reads the dataset's one Gram matrix: permutation cq2 and
-# wmw the pooled Gram of ``_TwoSampleGram``, and sign-flip cq1, s and sr
-# the (n + 1) x (n + 1) Gram matrix of ``_OneSampleGram``, O(n^2) per flip
-# pattern for cq1 and s and O(n^3) for sr, so their memory does not grow
-# with d times the number of patterns.  Every pair norm comes from the Gram
-# matrix under one near-pair rule (``statistics._near_pairs``).  Only the
-# permutation wmw kernel still reads the rows per relabeling: it forms
-# the pairwise unit differences one block of columns at a time, O(N^2 d)
-# per relabeling, in one reused buffer of about ``statistics._SIGN_BLOCK``
-# coefficients.  Each batch kernel frees its batch or chunk products
-# before it forms the next: wmw holds one (64, N, block) product at a
-# time, sr at most two arrays of about ``statistics._FLIP_BATCH``
-# coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -277,28 +263,32 @@ def one_sample_oracle_terms(aux: RsrmAuxiliary, n: int) -> OneSampleOracleTerms:
 # ---------------------------------------------------------------------------
 
 
-def _report(kind, value, p, alpha, method, **fields) -> TestReport:
-    return TestReport(
-        stat_kind=kind,
-        statistic=value,
-        p_value=p,
-        alpha=alpha,
-        reject=p <= alpha,
-        method=method,
-        **fields,
-    )
+def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
+    """The one test-list rule of the evaluators and the studies: raise
+    ``error`` unless ``tests`` is a nonempty list of distinct (stat, method)
+    pairs from ``stats`` and ``methods``, with a valid level and count."""
+    require_level(error, "alpha", alpha)
+    require_counts(error, n_resamples=n_resamples)
+    if not tests:
+        raise error("test list is empty")
+    seen = set()
+    for stat, method in tests:
+        if stat not in stats:
+            raise error(f"statistic must be one of {stats}, not {stat!r}")
+        if method not in methods:
+            raise error(f"method must be one of {methods}, not {method!r}")
+        if (stat, method) in seen:
+            raise error(f"the {stat} {method} test is listed twice")
+        seen.add((stat, method))
 
 
-def _check_tests(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
-    require_level(InvalidInputError, "alpha", alpha)
-    require_counts(InvalidInputError, n_resamples=n_resamples)
+def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
+    """An evaluator's checks: ``_check_tests``, then a seed ``rng`` is
+    non-negative and oracle tests have their latent scales ``aux``."""
+    _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
     if isinstance(rng, numbers.Integral):
         require_seed(InvalidInputError, "seed", rng)
     for stat, method in tests:
-        if stat not in stats:
-            raise InvalidInputError(f"statistic must be one of {stats}, not {stat!r}")
-        if method not in methods:
-            raise InvalidInputError(f"method must be one of {methods}, not {method!r}")
         if method == METHOD_RSRM_ORACLE and aux is None:
             raise MismatchedAuxiliaryError(
                 f"the {stat} {method} test needs the latent scales (aux), got None"
@@ -336,7 +326,9 @@ def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, sna
         else:
             score = z(stat, values[stat], None, variances[stat])
             p, fields = gaussian_sf(score), {"z": score}
-        reports[(stat, method)] = _report(stat, values[stat], p, alpha, method, **fields)
+        reports[(stat, method)] = TestReport(
+            stat_kind=stat, statistic=values[stat], p_value=p, alpha=alpha,
+            reject=p <= alpha, method=method, **fields)
     return reports
 
 
@@ -350,7 +342,7 @@ def evaluate_two_sample(
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
-    _check_tests(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
+    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     # d enters the statistics, the nuisance estimates and the permutation
     # kernels through this object's one Gram matrix.
     gram = _TwoSampleGram(x, y)
@@ -376,7 +368,7 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    _check_tests(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
+    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
     gram = _OneSampleGram(x)

@@ -32,6 +32,7 @@ from .inference import (
     METHOD_PERMUTATION,
     METHOD_RSRM_ORACLE,
     TWO_SAMPLE_METHODS,
+    _check_tests,
     evaluate_two_sample,
 )
 from .statistics import TWO_SAMPLE_STATS, as_matrix
@@ -63,15 +64,14 @@ class ExperimentPlan:
 
     def __post_init__(self):
         require_integers(InvalidSpecError, m=self.m, n=self.n)
-        require_counts(InvalidSpecError, replications=self.replications,
-                       n_resamples=self.n_resamples)
+        require_counts(InvalidSpecError, replications=self.replications)
         require_seed(InvalidSpecError, "base_seed", self.base_seed)
         if self.m < 2 or self.n < 2:
             raise InvalidSpecError("sample sizes m and n must be at least 2")
-        require_level(InvalidSpecError, "alpha", self.alpha)
-        if not self.grid or not all(math.isfinite(c) for _, c in self.grid):
-            raise InvalidSpecError("grid must hold at least one (d, c) point, every c finite")
-        _check_tests(self.tests, TWO_SAMPLE_METHODS, "a two-sample method")
+        if not self.grid:
+            raise InvalidSpecError("grid must hold at least one (d, c) point")
+        _check_tests(InvalidSpecError, self.tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS,
+                     self.alpha, self.n_resamples)
         methods = {method for _, method in self.tests}
         if min(self.m, self.n) < 4 and METHOD_ASYMPTOTIC in methods:
             raise InvalidSpecError("an asymptotic test needs m and n of at least 4")
@@ -107,16 +107,6 @@ class PowerCurvePoint:
 
 def _binomial_se(rate: float, reps: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / reps)
-
-
-def _check_tests(tests, methods, what) -> None:
-    if not tests:
-        raise InvalidSpecError("test list is empty")
-    for stat, method in tests:
-        if stat not in TWO_SAMPLE_STATS:
-            raise InvalidSpecError(f"unknown two-sample statistic {stat!r}")
-        if method not in methods:
-            raise InvalidSpecError(f"method {method!r} is not {what}")
 
 
 def _rejections(replicates, tests, alpha, n_resamples) -> dict:
@@ -235,7 +225,8 @@ def run_subsample_protocol(
     require_level(InvalidSpecError, "fraction", fraction)
     require_counts(InvalidSpecError, repetitions=repetitions)
     require_seed(InvalidSpecError, "seed", seed)
-    _check_tests(tests, (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), "available on real data")
+    _check_tests(InvalidSpecError, tests, TWO_SAMPLE_STATS,
+                 (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), alpha, n_resamples)
     rows_a, rows_b = class_a.shape[0], class_b.shape[0]
     k_a = int(fraction * rows_a)
     k_b = int(fraction * rows_b)

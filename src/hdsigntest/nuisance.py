@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, TooFewObservationsError
-from .statistics import _OneSampleGram, _TwoSampleGram
+from .errors import DegenerateVarianceError
+from .statistics import _OneSampleGram, _TwoSampleGram, _require_rows
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,7 @@ def tr_sigma_sq_hat(x) -> float:
     """Unbiased estimator of tr(Sigma^2) from one sample: the centred
     block Gc of its ``_OneSampleGram``; see ``_tr_sq_from_gram``."""
     gram = _OneSampleGram(x)
-    if gram.n < 4:
-        raise TooFewObservationsError(
-            f"tr(Sigma^2) estimator needs at least 4 observations, got {gram.n}"
-        )
+    _require_rows(gram.x, 4, "x")
     return _tr_sq_from_gram(gram.gc)
 
 
@@ -119,10 +116,7 @@ def sigma_sq_hat(x) -> float:
     the same value as the ``sigma1_sq`` that the variance snapshots record.
     """
     gram = _OneSampleGram(x)
-    if gram.n < 2:
-        raise TooFewObservationsError(
-            f"variance estimator needs at least 2 observations, got {gram.n}"
-        )
+    _require_rows(gram.x, 2, "x")
     return float(np.trace(gram.gc) / (gram.d * (gram.n - 1)))
 
 
@@ -162,10 +156,8 @@ def gamma1_hat(x, y) -> VarianceSnapshot:
 def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
     """``gamma1_hat`` from the samples' ``_TwoSampleGram``."""
     m, n, d = gram.m, gram.n, gram.d
-    if m < 4 or n < 4:
-        raise TooFewObservationsError(
-            "two-sample variance estimation needs at least 4 observations per sample"
-        )
+    _require_rows(gram.x, 4, "x")
+    _require_rows(gram.y, 4, "y")
     tr1 = _tr_sq_from_gram(gram.gxx)
     tr2 = _tr_sq_from_gram(gram.gyy)
     tr12 = _tr_cross_from_gram(gram.gxy)
@@ -195,10 +187,7 @@ def gamma2_hat(x) -> VarianceSnapshot:
 def _one_sample_snapshot(gram: _OneSampleGram) -> VarianceSnapshot:
     """``gamma2_hat`` from the sample's ``_OneSampleGram``."""
     n, d = gram.n, gram.d
-    if n < 4:
-        raise TooFewObservationsError(
-            "one-sample variance estimation needs at least 4 observations"
-        )
+    _require_rows(gram.x, 4, "x")
     tr1 = _tr_sq_from_gram(gram.gc)
     sigma1_sq = float(np.trace(gram.gc) / (d * (n - 1)))
     s1 = d * sigma1_sq

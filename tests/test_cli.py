@@ -348,7 +348,7 @@ class TestUsageErrors:
                 for flags in (["--rho", "1.5"], ["--beta", "0"], ["--grid", "0:1"],
                               ["--grid", "10:inf"], ["--tests", "cq1:asym"],
                               ["--tests", ","], ["--tests", "wmw"], ["--m", "1"],
-                              ["--m", "3"])
+                              ["--m", "3"], ["--tests", "cq2:asym,cq2:asym"])
             ),
             ["selftest", "--trials", "1", "--seed", "-1"],
         ):

@@ -84,6 +84,8 @@ class TestAsMatrix:
     lambda: spatial_sign([]),
     lambda: spatial_sign([1.0, np.inf]),
     lambda: asymptotic_two_sample(np.eye(4), np.eye(4), "wmw", alpha=1.5),
+    lambda: asymptotic_two_sample(np.eye(4), np.eye(4), "wmw", alpha="0.05"),
+    lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], alpha=None),
     lambda: one_sample_z("wmw", 1.0, 3, 1.0, 1.0),
     lambda: two_sample_z("sr", 1.0, 3, 1.0, 1.0, 1.0),
     lambda: evaluate_two_sample(np.eye(4), np.eye(4), [("cq1", "asymptotic")]),
@@ -99,8 +101,9 @@ class TestAsMatrix:
     lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], rng=-1),
     lambda: evaluate_one_sample(np.eye(4), [("cq1", "rsrm-oracle")], n_resamples=2.5,
                                 aux=RsrmAuxiliary(np.ones(4), 1.0, 4.0)),
-], ids=["sign-empty", "sign-nonfinite", "alpha", "one-sample-z", "two-sample-z",
-        "statistic", "method", "trials", "trials-fraction", "selftest-seed",
+], ids=["sign-empty", "sign-nonfinite", "alpha", "alpha-string", "alpha-none",
+        "one-sample-z", "two-sample-z", "statistic", "method", "trials",
+        "trials-fraction", "selftest-seed",
         "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed",
         "asym-count", "asym-seed", "oracle-count-fraction"])
 def test_invalid_values(call):

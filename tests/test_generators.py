@@ -80,6 +80,8 @@ class TestSpecValidation:
             GeneratorSpec(model="ar1-gauss", d=0)
         with pytest.raises(InvalidSpecError, match="^d must be an integer, got 10.5$"):
             GeneratorSpec(model="ar1-gauss", d=10.5)
+        with pytest.raises(InvalidSpecError, match="^rho must be a real number, got '0.5'$"):
+            GeneratorSpec(model="ar1-gauss", d=10, rho="0.5")
         with pytest.raises(InvalidSpecError, match="^seed must be non-negative, got -1$"):
             GeneratorSpec(model="ar1-gauss", d=10, seed=-1)
         for model in ("ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"):

@@ -8,6 +8,7 @@ import pytest
 from hdsigntest import (
     EmptyInputError,
     ExperimentPlan,
+    InvalidInputError,
     InvalidSpecError,
     PowerCurvePoint,
     SubsampleTooSmallError,
@@ -128,13 +129,15 @@ class TestRunPowerStudy:
                            ({"n_resamples": 2.5}, "^n_resamples must be an integer"),
                            ({"m": 5.5}, "^m must be an integer"),
                            ({"grid": ((10.5, 1.0),)}, r"^grid point \(d=10.5, c=1.0\): d must"),
+                           ({"grid": ((20, "1.0"),)},
+                            r"^grid point \(d=20, c=1.0\): magnitude must be a real number"),
                            ({"base_seed": -1}, "^base_seed must be non-negative")):
             with pytest.raises(InvalidSpecError, match=match):
                 run_power_study(small_plan(**bad))
         assert calls == []
         small_plan(m=np.int64(8), replications=np.int32(5), base_seed=np.uint8(1))
         for bad in ({"replications": 0}, {"n_resamples": 0}, {"alpha": 0.0}, {"alpha": 1.0},
-                    {"alpha": math.nan}):
+                    {"alpha": math.nan}, {"alpha": "0.05"}):
             with pytest.raises(InvalidSpecError, match="^(replications|n_resamples|alpha) must"):
                 small_plan(**bad)
         with pytest.raises(InvalidSpecError):
@@ -292,6 +295,37 @@ class TestSubsampleProtocol:
         assert run_subsample_protocol(data_a, data_b, **args) == run_subsample_protocol(
             data_a, data_b, **args
         )
+
+
+@pytest.mark.parametrize("tests, alpha, n_resamples, message", [
+    ((("cq1", "asymptotic"),), 0.05, 50,
+     r"^statistic must be one of \('cq2', 'wmw'\), not 'cq1'$"),
+    ((("cq2", "bootstrap"),), 0.05, 50, r"^method must be one of \(.*\), not 'bootstrap'$"),
+    ((), 0.05, 50, "^test list is empty$"),
+    ((("wmw", "asymptotic"), ("cq2", "permutation"), ("wmw", "asymptotic")), 0.05, 50,
+     "^the wmw asymptotic test is listed twice$"),
+    ((("cq2", "asymptotic"),), 1.5, 50, r"^alpha must be in \(0, 1\), got 1.5$"),
+    ((("cq2", "permutation"),), 0.05, 0, "^n_resamples must be at least 1, got 0$"),
+], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples"])
+def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
+    # The evaluators, the study plans and the subsample protocol share one
+    # test-list rule; both study entry points refuse a bad list before any
+    # replicate runs.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate_two_sample(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+    data = np.random.default_rng(78).standard_normal((40, 10))
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate_two_sample(data[:8], data[8:16], tests, alpha, n_resamples)
+    with pytest.raises(InvalidSpecError, match=message):
+        small_plan(tests=tests, alpha=alpha, n_resamples=n_resamples)
+    with pytest.raises(InvalidSpecError, match=message):
+        run_subsample_protocol(data[:20], data[20:], 0.2, 5, tests, alpha, n_resamples)
+    assert calls == []
 
 
 class TestPinnedSeededOutputs:
