@@ -73,9 +73,9 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         for mask in masks:
             mask[[1, m]] = True
             mask[relabel_rng.permutation(others)[: m - 2]] = True
-        two = _TwoSampleGram(x, y)
-        for values, oracle in ((two.cq2(masks), naive.naive_t_cq2),
-                               (two.wmw(masks), naive.naive_t_wmw)):
+        two = _TwoSampleGram([x], [y])
+        for values, oracle in ((two.cq2(masks)[0], naive.naive_t_cq2),
+                               (two.wmw(masks)[0], naive.naive_t_wmw)):
             for value, mask in zip(values, masks):
                 record("permutation_kernels", value, oracle(pool[mask], pool[~mask]))
         record(
@@ -114,7 +114,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
     masks[0, :m] = True
     for mask in masks[1:]:
         mask[wide_rng.permutation(m + n)[:m]] = True
-    values = _TwoSampleGram(pool[:m], pool[m:]).wmw(masks)
+    values = _TwoSampleGram([pool[:m]], [pool[m:]]).wmw(masks)[0]
     for value, mask in zip(values, masks):
         record("permutation_kernels", value, naive.naive_t_wmw(pool[mask], pool[~mask]))
 

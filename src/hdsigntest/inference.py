@@ -6,9 +6,14 @@ nonnegative squared-norm quantity, so only large values are evidence
 against the null.  One evaluator per sample count, ``evaluate_two_sample``
 and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
 one dataset and builds each shared input once; the ``asymptotic_*``,
-``randomization_*`` and ``rsrm_oracle_*`` functions, the study harness and
-the command line all call it.  Both share one report loop and one
-randomization core over the dataset's Gram object.  Every report of a
+``randomization_*`` and ``rsrm_oracle_*`` functions and the command line
+call it.  ``evaluate_two_sample`` is the block of one of the batched core
+``_evaluate_two_sample_block``, which the study harness calls on blocks of
+datasets of one shape: one Gram object for the block, whose Gram products,
+``cq2`` kernel, closed-form ``wmw`` and nuisance sums take a leading batch
+axis, and a dataset's bits do not depend on its block.  Both evaluators
+share one report loop and one randomization core over the Gram object,
+whose draws come from each dataset's own generator.  Every report of a
 statistic shows one observed value, whatever its method.  Randomization
 p-values use the add-one estimator (1 + #{resampled >= observed}) /
 (n_resamples + 1), which is valid at any finite resample count and never
@@ -116,10 +121,12 @@ def two_sample_z(
 # ---------------------------------------------------------------------------
 # Randomization backends.
 #
-# One core serves both sample counts.  The dataset's Gram object draws its
-# own resamples (``draws``): blocks of relabeling masks of the pooled rows
-# for ``_TwoSampleGram``, one block of flip patterns for ``_OneSampleGram``,
-# each led by the identity relabeling or the all-plus flip pattern.  Each
+# One core serves both sample counts.  The Gram object draws each
+# dataset's resamples from the dataset's own generator (``draws``): blocks
+# of relabeling masks of the pooled rows, with a leading axis over the
+# datasets, for ``_TwoSampleGram``, one block of flip patterns for
+# ``_OneSampleGram``, each led by the identity relabeling or the all-plus
+# flip pattern.  Each
 # statistic is the Gram object's batch kernel of that name on each block.
 # The core returns only p-values: it counts ties against the identity row
 # of its first block, so a draw that reproduces the data ties exactly,
@@ -130,18 +137,20 @@ def two_sample_z(
 # ---------------------------------------------------------------------------
 
 
-def _randomization_pvalues(gram, stats, n_resamples, rng) -> dict:
-    """{stat: p_value} over one shared set of ``gram.draws`` from
-    ``np.random.default_rng(rng)``, with the add-one estimator
+def _randomization_pvalues(gram, stats, n_resamples, rngs) -> dict:
+    """{stat: p-values, one per dataset of ``gram``} over one shared set of
+    ``gram.draws`` per dataset, each from ``np.random.default_rng`` of its
+    entry of ``rngs``, with the add-one estimator
     (1 + #{drawn >= identity}) / (R + 1)."""
     values = {stat: [] for stat in stats}
-    for block in gram.draws(n_resamples, np.random.default_rng(rng)):
+    for block in gram.draws(n_resamples, [np.random.default_rng(rng) for rng in rngs]):
         for stat in stats:
             values[stat].append(getattr(gram, stat)(block))
     p_values = {}
     for stat, parts in values.items():
-        drawn = np.concatenate(parts)
-        p_values[stat] = (1.0 + int(np.sum(drawn[1:] >= drawn[0]))) / drawn.shape[0]
+        drawn = np.concatenate(parts, axis=-1)
+        ties = np.sum(drawn[..., 1:] >= drawn[..., :1], axis=-1)
+        p_values[stat] = ((1.0 + ties) / drawn.shape[-1]).reshape(-1).tolist()
     return p_values
 
 
@@ -265,10 +274,15 @@ def one_sample_oracle_terms(aux: RsrmAuxiliary, n: int) -> OneSampleOracleTerms:
 
 def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
     """The one test-list rule of the evaluators and the studies: raise
-    ``error`` unless ``tests`` is a nonempty list of distinct (stat, method)
-    pairs from ``stats`` and ``methods``, with a valid level and count."""
+    ``error`` unless ``tests`` is a nonempty list or tuple of distinct
+    (stat, method) pairs from ``stats`` and ``methods``, with a valid level
+    and count.  A one-shot iterator is refused, as a check would use it
+    up."""
     require_level(error, "alpha", alpha)
     require_counts(error, n_resamples=n_resamples)
+    if not isinstance(tests, (list, tuple)):
+        raise error(f"tests must be a list or tuple of (stat, method) pairs, "
+                    f"not {type(tests).__name__}")
     if not tests:
         raise error("test list is empty")
     seen = set()
@@ -282,70 +296,89 @@ def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
         seen.add((stat, method))
 
 
-def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
-    """An evaluator's checks: ``_check_tests``, then a seed ``rng`` is
-    non-negative and oracle tests have their latent scales ``aux``."""
+def _check_call(tests, stats, methods, alpha, n_resamples, rngs, auxes) -> None:
+    """An evaluator's checks: ``_check_tests``, then each seed in ``rngs``
+    is non-negative and oracle tests have each dataset's latent scales
+    ``auxes``."""
     _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
-    if isinstance(rng, numbers.Integral):
-        require_seed(InvalidInputError, "seed", rng)
-    for stat, method in tests:
-        if method == METHOD_RSRM_ORACLE and aux is None:
-            raise MismatchedAuxiliaryError(
-                f"the {stat} {method} test needs the latent scales (aux), got None"
-            )
+    for rng, aux in zip(rngs, auxes, strict=True):
+        if isinstance(rng, numbers.Integral):
+            require_seed(InvalidInputError, "seed", rng)
+        for stat, method in tests:
+            if method == METHOD_RSRM_ORACLE and aux is None:
+                raise MismatchedAuxiliaryError(
+                    f"the {stat} {method} test needs the latent scales (aux), got None"
+                )
 
 
-def _evaluate(gram, tests, alpha, n_resamples, rng, resample, z, oracle_var, snapshot):
-    """The report loop of both evaluators, on the dataset of ``gram``.
+def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, snapshot):
+    """The report loop of both evaluators: one {(stat, method):
+    TestReport} per dataset of ``gram``, in order, with ``rngs`` the
+    datasets' generators or seeds.
 
     ``resample`` is the randomization method.  ``z(stat, value, snap,
-    gamma)`` standardizes a value by the plug-in nuisance snapshot
-    ``snap`` (from ``snapshot(gram)``) or, for the oracle, by unit
-    scales (``snap`` None); ``oracle_var()`` gives the oracle variance of
-    each statistic.
+    gamma)`` standardizes a value by a plug-in nuisance snapshot ``snap``
+    (from ``snapshot(gram)``, one per dataset) or, for the oracle, by unit
+    scales (``snap`` None); ``oracle_var()`` gives each dataset's oracle
+    variance of each statistic.
     """
     methods = {method for _, method in tests}
     # The draws run first, so a randomization test meets its kernel's
     # error before any other.
     resampled = dict.fromkeys(stat for stat, method in tests if method == resample)
     if resampled:
-        p_values = _randomization_pvalues(gram, resampled, n_resamples, rng)
-    values = {stat: _observed(gram, stat) for stat in dict.fromkeys(s for s, _ in tests)}
-    snap = snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
+        p_values = _randomization_pvalues(gram, resampled, n_resamples, rngs)
+    values = {stat: _observed(gram, stat).tolist()
+              for stat in dict.fromkeys(s for s, _ in tests)}
+    snaps = snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
     if METHOD_RSRM_ORACLE in methods:
         variances = oracle_var()
 
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    reports = {}
-    for stat, method in tests:
-        if method == resample:
-            p, fields = p_values[stat], {"n_resamples": n_resamples, "seed": seed}
-        elif method == METHOD_ASYMPTOTIC:
-            score = z(stat, values[stat], snap, snap.gamma)
-            p, fields = gaussian_sf(score), {"z": score, "nuisance": snap}
-        else:
-            score = z(stat, values[stat], None, variances[stat])
-            p, fields = gaussian_sf(score), {"z": score}
-        reports[(stat, method)] = TestReport(
-            stat_kind=stat, statistic=values[stat], p_value=p, alpha=alpha,
-            reject=p <= alpha, method=method, **fields)
-    return reports
+    out = []
+    for b, rng in enumerate(rngs):
+        seed = rng if isinstance(rng, (int, np.integer)) else None
+        reports = {}
+        for stat, method in tests:
+            value = values[stat][b]
+            if method == resample:
+                p, fields = p_values[stat][b], {"n_resamples": n_resamples, "seed": seed}
+            elif method == METHOD_ASYMPTOTIC:
+                score = z(stat, value, snaps[b], snaps[b].gamma)
+                p, fields = gaussian_sf(score), {"z": score, "nuisance": snaps[b]}
+            else:
+                score = z(stat, value, None, variances[b][stat])
+                p, fields = gaussian_sf(score), {"z": score}
+            reports[(stat, method)] = TestReport(
+                stat_kind=stat, statistic=value, p_value=p, alpha=alpha,
+                reject=p <= alpha, method=method, **fields)
+        out.append(reports)
+    return out
 
 
 def evaluate_two_sample(
     x, y, tests, alpha: float = 0.05, n_resamples: int = 500, rng=None, aux=None
 ) -> dict:
     """{(stat, method): TestReport} for every pair in ``tests`` on the
-    samples x and y, with stat in {cq2, wmw}.
+    samples x and y, with stat in {cq2, wmw}: the block of one of
+    ``_evaluate_two_sample_block``.
 
     Only permutation tests draw from ``rng`` (a Generator, or a seed for
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
-    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
+    return _evaluate_two_sample_block([x], [y], tests, alpha, n_resamples, [rng], [aux])[0]
+
+
+def _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, rngs, auxes) -> list:
+    """``evaluate_two_sample`` on each dataset (xs[b], ys[b]) of a block of
+    one shape, with its own ``rngs[b]`` and ``auxes[b]``: one report dict
+    per dataset, in order, each with the bits that the dataset gives in a
+    block of one.  A failure raises one dataset's error, not always the
+    first failing dataset's."""
+    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rngs, auxes)
     # d enters the statistics, the nuisance estimates and the permutation
-    # kernels through this object's one Gram matrix.
-    gram = _TwoSampleGram(x, y)
+    # kernels through this object's batched Gram matrices.
+    gram = _TwoSampleGram(xs, ys)
 
     def z(stat, value, snap, gamma):
         # The oracle's plug-in z is at sigma1^2 + sigma2^2 = 1.
@@ -353,11 +386,11 @@ def evaluate_two_sample(
         return two_sample_z(stat, value, gram.d, s1, s2, gamma)
 
     def oracle_var():
-        terms = two_sample_oracle_terms(aux, gram.m, gram.n)
         # Variances of d * T_WMW and T_CQ2.
-        return {"wmw": terms.s2, "cq2": terms.s3}
+        return [{"wmw": terms.s2, "cq2": terms.s3}
+                for terms in (two_sample_oracle_terms(aux, gram.m, gram.n) for aux in auxes)]
 
-    return _evaluate(gram, tests, alpha, n_resamples, rng, METHOD_PERMUTATION,
+    return _evaluate(gram, tests, alpha, n_resamples, rngs, METHOD_PERMUTATION,
                      z, oracle_var, _two_sample_snapshot)
 
 
@@ -368,7 +401,7 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
+    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, [rng], [aux])
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
     gram = _OneSampleGram(x)
@@ -381,10 +414,10 @@ def evaluate_one_sample(
     def oracle_var():
         terms = one_sample_oracle_terms(aux, gram.n)
         # Variances of d * T_S, d * T_SR and T_CQ1.
-        return {"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}
+        return [{"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}]
 
-    return _evaluate(gram, tests, alpha, n_resamples, rng, METHOD_SIGNFLIP,
-                     z, oracle_var, _one_sample_snapshot)
+    return _evaluate(gram, tests, alpha, n_resamples, [rng], METHOD_SIGNFLIP,
+                     z, oracle_var, lambda g: [_one_sample_snapshot(g)])[0]
 
 
 def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:

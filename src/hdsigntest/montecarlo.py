@@ -4,7 +4,10 @@ two-class subsample protocol for real datasets.
 Every replicate draws its randomness from a seed sequence derived from
 (base seed, grid index, replicate index), so results do not depend on
 execution order and extending the replicate count leaves earlier
-replicates unchanged.
+replicates unchanged.  Both studies run one replicate loop
+(``_rejections``), which evaluates consecutive replicates in blocks
+through the batched two-sample core; a replicate's reports do not depend
+on its block, and a failure names the first replicate that fails.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .inference import (
     METHOD_RSRM_ORACLE,
     TWO_SAMPLE_METHODS,
     _check_tests,
-    evaluate_two_sample,
+    _evaluate_two_sample_block,
 )
 from .statistics import TWO_SAMPLE_STATS, as_matrix
 
@@ -109,27 +112,79 @@ def _binomial_se(rate: float, reps: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / reps)
 
 
+# Replicates per evaluation block of ``_rejections``, and the most
+# coefficients that a block's samples and their centred rows hold (2 MB).
+# Blocks stay small: when a larger block is freed, the C allocator can
+# hand its memory back to the system, and the next block then takes a
+# page fault on every page of it (about 65 per dataset with blocks of 4
+# at 26 x 2000).
+_BLOCK = 8
+_BLOCK_COEFS = 1 << 18
+
+
 def _rejections(replicates, tests, alpha, n_resamples) -> dict:
     """{(stat, method): rejections} of every test over ``replicates``.
 
     Each replicate is (where, key, draw): ``key`` seeds one stream for its
     data and one for its resamples, ``draw(rng)`` returns its dataset
     (x, y, aux) from the data stream, and ``where`` names it in the
-    message of any failure.  A failed replicate aborts the study;
+    message of any failure.  Consecutive replicates of one shape are
+    evaluated in blocks of up to ``_BLOCK``, fewer where their samples
+    and centred rows would pass ``_BLOCK_COEFS`` coefficients; a
+    dataset's reports do not depend on its block.  A failed replicate
+    aborts the study, with the error of the first replicate that fails;
     silently skipping it would bias the rates.
     """
     counts = {(stat, method): 0 for stat, method in tests}
+    block = []
     for where, key, draw in replicates:
         data_seq, resample_seq = np.random.SeedSequence(key).spawn(2)
         try:
             x, y, aux = draw(np.random.default_rng(data_seq))
-            reports = evaluate_two_sample(x, y, tests, alpha, n_resamples, resample_seq, aux)
-            del x, y, aux  # so that the next draw does not hold two datasets
         except HDTestError as exc:
+            # The replicates drawn before it come first.
+            _count_block(block, counts, tests, alpha, n_resamples)
             raise type(exc)(f"{where}: {exc}") from exc
-        for test, report in reports.items():
-            counts[test] += int(report.reject)
+        if block and (np.shape(x), np.shape(y)) != (np.shape(block[0][1]), np.shape(block[0][2])):
+            _count_block(block, counts, tests, alpha, n_resamples)
+        block.append((where, x, y, resample_seq, aux))
+        if len(block) >= _block_size(x, y):
+            _count_block(block, counts, tests, alpha, n_resamples)
+        del x, y, aux  # so that the next draw holds only the block
+    _count_block(block, counts, tests, alpha, n_resamples)
     return counts
+
+
+def _block_size(x, y) -> int:
+    """Replicates per block for datasets of the shape of (x, y): ``_BLOCK``,
+    or fewer so that their samples and centred rows, (2 (m + n) + 1) d
+    coefficients per dataset, stay within ``_BLOCK_COEFS``."""
+    (m, d), n = np.shape(x), np.shape(y)[0]
+    return max(1, min(_BLOCK, _BLOCK_COEFS // ((2 * (m + n) + 1) * d)))
+
+
+def _count_block(block, counts, tests, alpha, n_resamples) -> None:
+    """Add the rejections of the replicates in ``block`` to ``counts`` and
+    empty it.  If the block fails, its replicates are evaluated one at a
+    time, so that the first failing replicate raises the error that it
+    raises alone, prefixed with its ``where``."""
+    if not block:
+        return
+    wheres, xs, ys, seqs, auxes = zip(*block)
+    block.clear()
+    try:
+        reports = _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, seqs, auxes)
+    except HDTestError:
+        reports = []
+        for where, x, y, seq, aux in zip(wheres, xs, ys, seqs, auxes):
+            try:
+                reports += _evaluate_two_sample_block([x], [y], tests, alpha, n_resamples,
+                                                      [seq], [aux])
+            except HDTestError as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+    for dataset in reports:
+        for test, report in dataset.items():
+            counts[test] += int(report.reject)
 
 
 def _point_specs(plan, d, c):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .statistics import _OneSampleGram, _TwoSampleGram, _require_rows
+from .statistics import _dot, _OneSampleGram, _TwoSampleGram, _require_rows
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class VarianceSnapshot:
         }
 
 
-def _tr_sq_from_gram(g: np.ndarray) -> float:
-    """tr(Sigma^2) estimate from the Gram matrix G = XX' of one sample.
+def _tr_sq_from_gram(g: np.ndarray) -> np.ndarray:
+    """tr(Sigma^2) estimates from the Gram matrices G = XX' of one sample,
+    one per matrix along the leading axes of ``g``.
 
     The average of [(X_i1 - X_i2)'(X_i3 - X_i4)]^2 over ordered quadruples
     of distinct indices, divided by 4.  Expanding the square and counting
@@ -58,21 +59,22 @@ def _tr_sq_from_gram(g: np.ndarray) -> float:
     involves differences of rows, so G of the centred sample gives the
     same value and keeps the reduction well conditioned under any shift.
     """
-    m = g.shape[0]
-    diag = np.diagonal(g)
-    rows = g.sum(axis=1) - diag
-    s2 = np.einsum("ij,ij->", g, g) - diag @ diag
-    s3 = rows @ rows - s2
-    tot = rows.sum()
+    m = g.shape[-1]
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    rows = g.sum(axis=-1) - diag
+    s2 = np.einsum("...ij,...ij->...", g, g) - _dot(diag, diag)
+    s3 = _dot(rows, rows) - s2
+    tot = rows.sum(axis=-1)
     s4 = tot * tot - 4.0 * s3 - 2.0 * s2
     quad = (m - 2) * (m - 3) * s2 - 2.0 * (m - 3) * s3 + s4
     value = quad / (m * (m - 1) * (m - 2) * (m - 3))
     # The exact U-statistic is an average of squares; clamp float noise.
-    return float(max(value, 0.0))
+    return np.where(value < 0.0, 0.0, value)
 
 
-def _tr_cross_from_gram(h: np.ndarray) -> float:
-    """tr(Sigma_1 Sigma_2) estimate from the cross Gram matrix H = XY'.
+def _tr_cross_from_gram(h: np.ndarray) -> np.ndarray:
+    """tr(Sigma_1 Sigma_2) estimates from the cross Gram matrices H = XY',
+    one per matrix along the leading axes of ``h``.
 
     The average of [(X_i1 - X_i2)'(Y_j1 - Y_j2)]^2 over distinct i-pairs
     and j-pairs, divided by 4, reduces to sums over H:
@@ -82,17 +84,18 @@ def _tr_cross_from_gram(h: np.ndarray) -> float:
     As for ``_tr_sq_from_gram``, H of the centred samples is the one to
     use.
     """
-    m, n = h.shape
-    sq = np.einsum("ij,ij->", h, h)
-    rows = h.sum(axis=1)
-    cols = h.sum(axis=0)
-    s_row = rows @ rows - sq
-    s_col = cols @ cols - sq
-    tot = h.sum()
-    s_disj = tot * tot - rows @ rows - cols @ cols + sq
+    m, n = h.shape[-2:]
+    sq = np.einsum("...ij,...ij->...", h, h)
+    rows = h.sum(axis=-1)
+    cols = h.sum(axis=-2)
+    rows_sq, cols_sq = _dot(rows, rows), _dot(cols, cols)
+    s_row = rows_sq - sq
+    s_col = cols_sq - sq
+    tot = h.sum(axis=(-2, -1))
+    s_disj = tot * tot - rows_sq - cols_sq + sq
     quad = (m - 1) * (n - 1) * sq - (m - 1) * s_row - (n - 1) * s_col + s_disj
     value = quad / (m * (m - 1) * n * (n - 1))
-    return float(max(value, 0.0))
+    return np.where(value < 0.0, 0.0, value)
 
 
 def tr_sigma_sq_hat(x) -> float:
@@ -100,13 +103,13 @@ def tr_sigma_sq_hat(x) -> float:
     block Gc of its ``_OneSampleGram``; see ``_tr_sq_from_gram``."""
     gram = _OneSampleGram(x)
     _require_rows(gram.x, 4, "x")
-    return _tr_sq_from_gram(gram.gc)
+    return float(_tr_sq_from_gram(gram.gc))
 
 
 def tr_sigma_cross_hat(x, y) -> float:
     """Unbiased estimator of tr(Sigma_1 Sigma_2) from two samples: the
     block ``gxy`` of their ``_TwoSampleGram``; see ``_tr_cross_from_gram``."""
-    return _tr_cross_from_gram(_TwoSampleGram(x, y).gxy)
+    return float(_tr_cross_from_gram(_TwoSampleGram([x], [y]).gxy)[0])
 
 
 def sigma_sq_hat(x) -> float:
@@ -150,32 +153,39 @@ def gamma1_hat(x, y) -> VarianceSnapshot:
     Each block is a Gram matrix of rows centred on their own sample mean,
     so every field is unchanged by separate shifts of x and y.
     """
-    return _two_sample_snapshot(_TwoSampleGram(x, y))
+    return _two_sample_snapshot(_TwoSampleGram([x], [y]))[0]
 
 
-def _two_sample_snapshot(gram: _TwoSampleGram) -> VarianceSnapshot:
-    """``gamma1_hat`` from the samples' ``_TwoSampleGram``."""
+def _two_sample_snapshot(gram: _TwoSampleGram) -> list:
+    """``gamma1_hat`` of each dataset of a ``_TwoSampleGram`` block: the
+    sums over its Gram blocks are batched, and each dataset's few scalar
+    steps run on Python floats."""
     m, n, d = gram.m, gram.n, gram.d
-    _require_rows(gram.x, 4, "x")
-    _require_rows(gram.y, 4, "y")
-    tr1 = _tr_sq_from_gram(gram.gxx)
-    tr2 = _tr_sq_from_gram(gram.gyy)
-    tr12 = _tr_cross_from_gram(gram.gxy)
-    sigma1_sq = float(np.trace(gram.gxx) / (d * (m - 1)))
-    sigma2_sq = float(np.trace(gram.gyy) / (d * (n - 1)))
-    s1, s2 = d * sigma1_sq, d * sigma2_sq
-    gamma = _check_gamma(
-        _two_sample_gamma(tr1, tr2, tr12, m, n),
-        _two_sample_gamma(s1 * s1, s2 * s2, s1 * s2, m, n),
+    _require_rows(gram.xs[0], 4, "x")
+    _require_rows(gram.ys[0], 4, "y")
+    fields = zip(
+        _tr_sq_from_gram(gram.gxx).tolist(),
+        _tr_sq_from_gram(gram.gyy).tolist(),
+        _tr_cross_from_gram(gram.gxy).tolist(),
+        (np.trace(gram.gxx, axis1=1, axis2=2) / (d * (m - 1))).tolist(),
+        (np.trace(gram.gyy, axis1=1, axis2=2) / (d * (n - 1))).tolist(),
     )
-    return VarianceSnapshot(
-        tr_sigma1_sq=tr1,
-        tr_sigma2_sq=tr2,
-        tr_sigma_cross=tr12,
-        gamma=gamma,
-        sigma1_sq=sigma1_sq,
-        sigma2_sq=sigma2_sq,
-    )
+    snaps = []
+    for tr1, tr2, tr12, sigma1_sq, sigma2_sq in fields:
+        s1, s2 = d * sigma1_sq, d * sigma2_sq
+        gamma = _check_gamma(
+            _two_sample_gamma(tr1, tr2, tr12, m, n),
+            _two_sample_gamma(s1 * s1, s2 * s2, s1 * s2, m, n),
+        )
+        snaps.append(VarianceSnapshot(
+            tr_sigma1_sq=tr1,
+            tr_sigma2_sq=tr2,
+            tr_sigma_cross=tr12,
+            gamma=gamma,
+            sigma1_sq=sigma1_sq,
+            sigma2_sq=sigma2_sq,
+        ))
+    return snaps
 
 
 def gamma2_hat(x) -> VarianceSnapshot:
@@ -188,7 +198,7 @@ def _one_sample_snapshot(gram: _OneSampleGram) -> VarianceSnapshot:
     """``gamma2_hat`` from the sample's ``_OneSampleGram``."""
     n, d = gram.n, gram.d
     _require_rows(gram.x, 4, "x")
-    tr1 = _tr_sq_from_gram(gram.gc)
+    tr1 = float(_tr_sq_from_gram(gram.gc))
     sigma1_sq = float(np.trace(gram.gc) / (d * (n - 1)))
     s1 = d * sigma1_sq
     gamma = _check_gamma(2.0 * tr1 / (n * (n - 1)), 2.0 * s1 * s1 / (n * (n - 1)))

@@ -3,14 +3,16 @@
 All five statistics are U-statistics: averages of a kernel over ordered
 tuples of distinct observation indices.  Each function here evaluates the
 closed-form reduction of that sum on one Gram matrix per dataset
-(``_OneSampleGram``, ``_TwoSampleGram``), which also draws the dataset's
-resamples and evaluates each statistic on a batch of them; the matching
+(``_OneSampleGram``, and ``_TwoSampleGram`` for a block of two-sample
+datasets), which also draws the dataset's resamples and evaluates each
+statistic on a batch of them; the matching
 naive index-loop versions live in ``_naive`` and are compared against
 these in the test suite and in the ``selftest`` CLI command.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -87,7 +89,7 @@ def t_cq1(x) -> float:
     1e6 on 8 x 30 data), while the part of the value that is not the
     offset's loses digits as ||mu||^2 grows.
     """
-    return _observed(_OneSampleGram(x), "cq1")
+    return float(_observed(_OneSampleGram(x), "cq1")[0])
 
 
 def t_s(x) -> float:
@@ -102,7 +104,7 @@ def t_s(x) -> float:
     spread of the data, keeps a relative accuracy of only about
     eps / (1 - T_S).
     """
-    return _observed(_OneSampleGram(x), "s")
+    return float(_observed(_OneSampleGram(x), "s")[0])
 
 
 def t_sr(x) -> float:
@@ -116,7 +118,7 @@ def t_sr(x) -> float:
     up to 1e6 on 8 x 30 data, and 2.7e-16 for mixed flip patterns).
     1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).
     """
-    return _observed(_OneSampleGram(x), "sr")
+    return float(_observed(_OneSampleGram(x), "sr")[0])
 
 
 # A row, pair sum or pair difference whose squared norm, taken from a Gram
@@ -133,12 +135,19 @@ _PERM_BATCH = 1024
 _SIGN_BLOCK = 1 << 19
 
 
-def _observed(gram, stat: str) -> float:
-    """``stat`` on the data of ``gram``: the ``gram.identity`` row of its
-    batch kernel, or for wmw the closed form ``gram.wmw_closed()``."""
+def _observed(gram, stat: str) -> np.ndarray:
+    """``stat`` on each dataset of ``gram``: the ``gram.identity`` row of
+    its batch kernel, or for wmw the closed form ``gram.wmw_closed()``."""
     if stat == "wmw":
         return gram.wmw_closed()
-    return float(getattr(gram, stat)(gram.identity)[0])
+    return getattr(gram, stat)(gram.identity).reshape(-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the last axes of ``a`` and ``b`` as a batched
+    matmul, which runs for each the BLAS ddot of ``a @ b`` on 1-d
+    operands."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _spans(total: int, cap: int) -> list:
@@ -217,10 +226,11 @@ class _OneSampleGram:
         rows[-1] = mean + rest
         return rows
 
-    def draws(self, n_resamples: int, rng):
+    def draws(self, n_resamples: int, rngs):
         """The flip patterns of a sign-flip test, as one block: the
         all-plus ``identity``, then ``n_resamples`` patterns of fair +-1
-        from one ``rng.integers`` call."""
+        from one ``rng.integers`` call of the one generator in ``rngs``."""
+        (rng,) = rngs
         flips = rng.integers(0, 2, size=(n_resamples, self.n)) * 2.0 - 1.0
         yield np.vstack([self.identity, flips])
 
@@ -348,20 +358,27 @@ class _OneSampleGram:
 
 class _TwoSampleGram:
     """Every inner product that the two-sample statistics, the permutation
-    kernels and the nuisance estimators read, from one GEMM over d; the
-    relabelings of a permutation test (``draws``), and the kernels ``cq2``
-    and ``wmw`` that evaluate them.  ``wmw`` reads its pair norms from
-    ``gram``, and the pooled rows one column block at a time.
+    kernels and the nuisance estimators read, for a block of B datasets of
+    one shape, from one batched GEMM over d; the relabelings of a
+    permutation test (``draws``), and the kernels ``cq2`` and ``wmw`` that
+    evaluate them.  Every array of the block has a leading axis of B, and
+    every kernel takes (B, R, N) masks, or masks that broadcast to them, and
+    gives (B, R) values; one dataset is the block of one.  A dataset's bits
+    do not depend on its block: a batched matmul runs, for each dataset, the
+    BLAS call that the same product of one dataset runs, and the sums and
+    contractions run over the same axes in the same order.
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
-    (N = m + n): ``_rows()`` is (N + 1) x d and ``gram = rows rows'``,
+    (N = m + n): ``_rows()`` is (B, N + 1, d) and ``gram = rows rows'``,
     formed in the constructor.  Its blocks ``gxx``, ``gyy`` and ``gxy`` are
     the Gram matrices of the centred samples and their cross products, its
     last row and column hold a = rows delta, and its corner ||delta||^2.
     The rows are dropped once ``gram`` is formed: the rare near pair that
     needs them forms them anew.  ``identity`` is the mask of the samples'
-    own labels.
+    own labels.  ``wmw``, ``pair_norms`` and a near pair of ``wmw_closed``
+    are per dataset, on ``datasets``: each dataset of the block as a block
+    of one that shares its arrays.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -373,32 +390,52 @@ class _TwoSampleGram:
     reads them, are unchanged by separate shifts too.
     """
 
-    def __init__(self, x, y):
-        x, y = as_matrix(x, "x"), as_matrix(y, "y")
-        _require_same_dim(x, y)
-        _require_rows(x, 2, "x")
-        _require_rows(y, 2, "y")
-        self.x, self.y = x, y
-        self.m, self.n = x.shape[0], y.shape[0]
-        self.d = x.shape[1]
-        m, big = self.m, self.m + self.n
-        self.identity = np.arange(big)[None, :] < m
+    def __init__(self, xs, ys):
+        """``xs`` and ``ys``: the B first and second samples of the block,
+        each dataset with the shapes of the first."""
+        self.xs = [as_matrix(x, "x") for x in xs]
+        self.ys = [as_matrix(y, "y") for y in ys]
+        for x, y in zip(self.xs, self.ys, strict=True):
+            _require_same_dim(x, y)
+            _require_rows(x, 2, "x")
+            _require_rows(y, 2, "y")
+        self.m, self.n = self.xs[0].shape[0], self.ys[0].shape[0]
+        self.d = self.xs[0].shape[1]
+        self.identity = np.arange(self.m + self.n)[None, :] < self.m
         rows = self._rows()
-        self.gram = g = rows @ rows.T
-        self.gxx, self.gyy, self.gxy = g[:m, :m], g[m:big, m:big], g[:m, m:big]
+        self._set_gram(rows @ rows.transpose(0, 2, 1))
+
+    def _set_gram(self, g):
+        m, big = self.m, self.m + self.n
+        self.gram = g
+        self.gxx, self.gyy, self.gxy = g[:, :m, :m], g[:, m:big, m:big], g[:, :m, m:big]
 
     def _rows(self) -> np.ndarray:
         m, big = self.m, self.m + self.n
-        rows = np.empty((big + 1, self.d))
-        x_mean, x_rest = _centred(self.x, rows[:m])
-        y_mean, y_rest = _centred(self.y, rows[m:big])
-        rows[big] = (y_mean - x_mean) + (y_rest - x_rest)
+        rows = np.empty((len(self.xs), big + 1, self.d))
+        for x, y, out in zip(self.xs, self.ys, rows):
+            x_mean, x_rest = _centred(x, out[:m])
+            y_mean, y_rest = _centred(y, out[m:big])
+            out[big] = (y_mean - x_mean) + (y_rest - x_rest)
         return rows
 
+    @cached_property
+    def datasets(self) -> list:
+        """Each dataset of the block as a block of one, sharing its arrays."""
+        if len(self.xs) == 1:
+            return [self]
+        ones = []
+        for b in range(len(self.xs)):
+            one = copy.copy(self)
+            one.xs, one.ys = self.xs[b : b + 1], self.ys[b : b + 1]
+            one._set_gram(self.gram[b : b + 1])
+            ones.append(one)
+        return ones
+
     def cq2(self, masks: np.ndarray) -> np.ndarray:
-        """T_CQ2 for each relabeling in ``masks`` ((R, N) boolean, True =
-        first group): sum_{i1!=i2} X_i1'X_i2 / (m)_2 plus the same over y
-        less 2 sum_{i,j} X_i'Y_j / (mn).
+        """T_CQ2 for each relabeling in ``masks`` (True = first group):
+        sum_{i1!=i2} X_i1'X_i2 / (m)_2 plus the same over y less
+        2 sum_{i,j} X_i'Y_j / (mn).
 
         The rows centred on the pooled mean are P_i = Xc_i + c_i delta,
         with c_i = -n/N on x rows and m/N on y rows, so every inner product
@@ -412,54 +449,64 @@ class _TwoSampleGram:
 
         and as u_i = u_i^2 this is v'Kv - sum_i ||P_i||^2 / (n)_2 for the
         ``gram`` scaled by kappa, less 1/(m)_2 - 1/(n)_2 times ||P_i||^2 on
-        its first N diagonal entries: one product v K per batch.
+        its first N diagonal entries: one product v K per dataset.
         """
         m, n = self.m, self.n
         big = m + n
         g = self.gram
         c = np.where(np.arange(big) < m, -n / big, m / big)
-        norms = np.diagonal(g)[:big] + c * (2.0 * g[:big, big] + g[big, big] * c)
+        norms = np.diagonal(g, axis1=1, axis2=2)[:, :big] + c * (
+            2.0 * g[:, :big, big] + g[:, big, big, None] * c)
         mm, nn = m * (m - 1), n * (n - 1)
         k = (1.0 / mm + 1.0 / nn + 2.0 / (m * n)) * g
         idx = np.arange(big)
-        k[idx, idx] -= (1.0 / mm - 1.0 / nn) * norms
-        v = np.empty((masks.shape[0], big + 1))
-        v[:, :big] = masks
-        v[:, big] = v[:, :big] @ c
-        return ((v @ k) * v).sum(axis=1) - norms.sum() / nn
+        k[:, idx, idx] -= (1.0 / mm - 1.0 / nn) * norms
+        v = np.empty((g.shape[0], masks.shape[-2], big + 1))
+        v[..., :big] = masks
+        v[..., big] = v[..., :big] @ c
+        vk = v @ k
+        vk *= v
+        return vk.sum(axis=2) - norms.sum(axis=1)[:, None] / nn
 
-    def draws(self, n_resamples: int, rng):
-        """Boolean relabeling masks of the N pooled rows (True = first
-        group), in blocks of ``_PERM_BATCH`` rows as ``_spans`` cuts them:
-        the identity, then ``n_resamples`` draws.
+    def draws(self, n_resamples: int, rngs):
+        """(B, R, N) boolean relabeling masks of the N pooled rows (True =
+        first group), in blocks of ``_PERM_BATCH`` relabelings as
+        ``_spans`` cuts them: the identity, then ``n_resamples`` draws, each
+        dataset's from its own generator in ``rngs``.
 
-        The draws consume ``rng`` exactly as ``n_resamples`` calls of
-        ``rng.permutation(N)[:m]`` would, and give the same masks.  With
+        The draws consume each generator exactly as ``n_resamples`` calls
+        of ``rng.permutation(N)[:m]`` would, and give the same masks.  With
         m = n each mask is oriented to hold pooled row 0.
         """
         m, big = self.m, self.m + self.n
         for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
             lead = int(start == 0)
-            masks = np.zeros((stop - start, big), dtype=bool)
-            masks[:lead] = self.identity
-            picks = rng.permuted(np.tile(np.arange(big), (stop - start - lead, 1)), axis=1)
-            np.put_along_axis(masks[lead:], picks[:, :m], True, axis=1)
+            masks = np.zeros((len(rngs), stop - start, big), dtype=bool)
+            masks[:, :lead] = self.identity
+            labels = np.tile(np.arange(big), (stop - start - lead, 1))
+            picks = np.empty((len(rngs),) + labels.shape, dtype=labels.dtype)
+            for b, rng in enumerate(rngs):
+                rng.permuted(labels, axis=1, out=picks[b])
+            # Each draw's first m labels, as flat indices into ``masks``.
+            rows = np.arange(0, masks.size, big).reshape(masks.shape[:2])
+            masks.reshape(-1)[picks[..., :m] + rows[:, lead:, None]] = True
             # Hold no work array while the caller's kernels run on the block.
-            del picks
+            del labels, picks, rows
             if m == self.n:
-                masks ^= ~masks[:, :1]
+                masks ^= ~masks[..., :1]
             yield masks
 
     @cached_property
     def pair_norms(self):
-        """(norms, dup): ||Z_a - Z_b|| for every pair of pooled rows Z (x
-        rows, then y rows), 1 on the diagonal and for identical pairs, and
-        the mask of identical pairs.  Z_a - Z_b = P_a - P_b (``cq2``), and
-        c_a - c_b is s_ab = e_a - e_b for the y indicator e, so under
-        ``_near_pairs`` the squared norm is read from ``gram`` as
+        """(norms, dup) of the block's one dataset: ||Z_a - Z_b|| for every
+        pair of pooled rows Z (x rows, then y rows), 1 on the diagonal and
+        for identical pairs, and the mask of identical pairs.
+        Z_a - Z_b = P_a - P_b (``cq2``), and c_a - c_b is s_ab = e_a - e_b
+        for the y indicator e, so under ``_near_pairs`` the squared norm is
+        read from ``gram`` as
         G_aa + G_bb - 2 G_ab + s_ab (2 (a_a - a_b) + s_ab ||delta||^2)."""
+        (x,), (y,), (g,) = self.xs, self.ys, self.gram
         m, big = self.m, self.m + self.n
-        g = self.gram
         diag, a, dd = np.diagonal(g)[:big], g[:big, big], g[big, big]
         e = (np.arange(big) >= m).astype(float)
         s = e[:, None] - e
@@ -467,13 +514,12 @@ class _TwoSampleGram:
         upper = np.triu(np.ones((big, big), dtype=bool), 1)
 
         def pooled(i):
-            return np.where((i < m)[:, None], self.x[np.minimum(i, m - 1)],
-                            self.y[np.maximum(i - m, 0)])
+            return np.where((i < m)[:, None], x[np.minimum(i, m - 1)], y[np.maximum(i - m, 0)])
 
         # The kernel reads the rows, so it has no use for the extended Gram.
         near, near_norms, zero, _ = _near_pairs(
             np.where(upper, sq, np.inf), diag[:, None] + diag + s * s * dd,
-            lambda i, j: pooled(i) - pooled(j), g, self._rows,
+            lambda i, j: pooled(i) - pooled(j), g, lambda: self._rows()[0],
         )
         norms = np.sqrt(np.where(upper & ~near, sq, 1.0))
         norms[near] = np.where(zero, 1.0, near_norms)
@@ -482,29 +528,30 @@ class _TwoSampleGram:
         return np.where(upper, norms, norms.T), dup | dup.T
 
     def _pair_differences(self):
-        """Z_a - Z_b for every pair of pooled rows, one (N, N, cols) block
-        of consecutive columns at a time, with about ``_SIGN_BLOCK``
-        coefficients per block; each block's columns are taken from x and
-        y.
+        """Z_a - Z_b for every pair of pooled rows of the block's one
+        dataset, one (N, N, cols) block of consecutive columns at a time,
+        with about ``_SIGN_BLOCK`` coefficients per block; each block's
+        columns are taken from x and y.
 
         Every block is written into one buffer allocated once, so each block
         overwrites the one before it: a caller must be done with a block,
         and may modify it in place, before it asks for the next.  Each block,
         the short last one too, is a contiguous view of that buffer.
         """
+        (x,), (y,) = self.xs, self.ys
         big, d = self.m + self.n, self.d
         cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
         buffer = np.empty(big * big * cols)
         for lo in range(0, d, cols):
-            block = np.vstack([self.x[:, lo : lo + cols], self.y[:, lo : lo + cols]])
+            block = np.vstack([x[:, lo : lo + cols], y[:, lo : lo + cols]])
             view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
             np.subtract(block[:, None, :], block[None, :, :], out=view)
             del block  # so the caller's work on the view holds the buffer alone
             yield view
 
     def wmw(self, masks: np.ndarray) -> np.ndarray:
-        """T_WMW for each relabeling in ``masks`` ((R, N) boolean, True =
-        first group).
+        """T_WMW for each relabeling in ``masks`` (True = first group),
+        one dataset at a time.
 
         U_ab is the unit vector of Z_a - Z_b, with its norm from ``gram``
         under the near-pair rule (``pair_norms``).
@@ -526,6 +573,10 @@ class _TwoSampleGram:
         A relabeling that splits a pair of identical pooled rows has no
         sign for it and raises ZeroVectorError naming the first such pair.
         """
+        masks = np.broadcast_to(masks, (len(self.xs),) + masks.shape[-2:])
+        if len(self.xs) > 1:
+            return np.concatenate([one.wmw(part) for one, part in zip(self.datasets, masks)])
+        masks = masks[0]
         m, n = self.m, self.n
         norms, dup = self.pair_norms
         first, second = np.nonzero(np.triu(dup))
@@ -556,46 +607,57 @@ class _TwoSampleGram:
                 c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
                 del b_rows
         out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
-        return np.clip(out, -1.0, 1.0)
+        return np.clip(out, -1.0, 1.0)[None]
 
-    def wmw_closed(self) -> float:
-        """T_WMW of the samples' own labels in closed form; see ``t_wmw``."""
+    def wmw_closed(self) -> np.ndarray:
+        """T_WMW of the samples' own labels in closed form, one per dataset;
+        see ``t_wmw``.  A block with a near pair is evaluated one dataset
+        at a time, as each dataset's basis grows by its own near pairs."""
         m, n = self.m, self.n
         big = m + n
         g = self.gram
-        diag = np.diagonal(g)
-        scale = diag[:m, None] + diag[None, m:big] + diag[big]
-        sq = scale - 2.0 * self.gxy + 2.0 * (g[big, m:big] - g[:m, big, None])
-        # The unit vectors of near pairs join the basis (Xc, Yc, delta).
-        near, _, zero, g = _near_pairs(
-            sq, scale, lambda i, j: self.y[j] - self.x[i], g, self._rows
-        )
-        ia, ib = np.nonzero(near)
-        if zero.any():
-            p = int(np.flatnonzero(zero)[0])
-            raise ZeroVectorError(
-                f"difference of y observation {int(ib[p])} and "
-                f"x observation {int(ia[p])} is zero"
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        scale = diag[:, :m, None] + diag[:, None, m:big] + diag[:, big, None, None]
+        sq = scale - 2.0 * self.gxy + 2.0 * (g[:, big, None, m:big] - g[:, :m, big, None])
+        ia = ib = np.zeros(0, dtype=int)
+        if not (sq <= _NEAR_PAIR * scale).any():  # the rule of ``_near_pairs``
+            w = 1.0 / np.sqrt(sq)
+        elif len(self.xs) > 1:
+            return np.concatenate([one.wmw_closed() for one in self.datasets])
+        else:
+            # The unit vectors of near pairs join the basis (Xc, Yc, delta).
+            (x,), (y,) = self.xs, self.ys
+            near, _, zero, g = _near_pairs(
+                sq[0], scale[0], lambda i, j: y[j] - x[i], g[0], lambda: self._rows()[0]
             )
-        w = np.zeros((m, n))
-        w[~near] = 1.0 / np.sqrt(sq[~near])
+            ia, ib = np.nonzero(near)
+            if zero.any():
+                p = int(np.flatnonzero(zero)[0])
+                raise ZeroVectorError(
+                    f"difference of y observation {int(ib[p])} and "
+                    f"x observation {int(ia[p])} is zero"
+                )
+            w = np.zeros(sq.shape)
+            w[0, ~near] = 1.0 / np.sqrt(sq[0, ~near])
+            g = g[None]
 
         # Coefficients of R_i (rows :m) and C_j (rows m:) on the basis.
-        r_sum = w.sum(axis=1)
-        c_sum = w.sum(axis=0)
-        beta = np.zeros((big, g.shape[0]))
-        beta[:m, m:big] = w
-        beta[m:, :m] = -w.T
-        np.fill_diagonal(beta, np.concatenate([-r_sum, c_sum]))
-        beta[:, big] = np.concatenate([r_sum, c_sum])
+        r_sum = w.sum(axis=2)
+        c_sum = w.sum(axis=1)
+        beta = np.zeros((g.shape[0], big, g.shape[-1]))
+        beta[:, :m, m:big] = w
+        beta[:, m:, :m] = -w.transpose(0, 2, 1)
+        idx = np.arange(big)
+        beta[:, idx, idx] = np.concatenate([-r_sum, c_sum], axis=1)
+        beta[:, :, big] = np.concatenate([r_sum, c_sum], axis=1)
         col = big + 1 + np.arange(ia.size)
-        beta[ia, col] = 1.0
-        beta[m + ib, col] = 1.0
+        beta[:, ia, col] = 1.0
+        beta[:, m + ib, col] = 1.0
         bg = beta @ g
-        t_norm = bg[:m].sum(axis=0) @ beta[:m].sum(axis=0)
-        quad = t_norm - np.einsum("ij,ij->", bg, beta) + m * n
+        t_norm = _dot(bg[:, :m].sum(axis=1), beta[:, :m].sum(axis=1))
+        quad = t_norm - np.einsum("bij,bij->b", bg, beta) + m * n
         value = quad / (m * (m - 1) * n * (n - 1))
-        return float(np.clip(value, -1.0, 1.0))
+        return np.clip(value, -1.0, 1.0)
 
 
 def t_cq2(x, y) -> float:
@@ -607,7 +669,7 @@ def t_cq2(x, y) -> float:
     of that kernel: it reads the rows centred on the pooled mean, so the
     centring cancels the shift before any product is formed.
     """
-    return _observed(_TwoSampleGram(x, y), "cq2")
+    return float(_observed(_TwoSampleGram([x], [y]), "cq2")[0])
 
 
 def t_wmw(x, y) -> float:
@@ -647,4 +709,4 @@ def t_wmw(x, y) -> float:
     the rows; it joins the basis as an extra row and column, with
     coefficient 1 in R_i and C_j.  A zero difference raises ZeroVectorError.
     """
-    return _TwoSampleGram(x, y).wmw_closed()
+    return float(_TwoSampleGram([x], [y]).wmw_closed()[0])

@@ -232,8 +232,8 @@ class TestPermutationBackend:
         monkeypatch.setattr(statistics, "_PERM_BATCH", batch)
         for big, m in ((40, 20), (26, 13), (19, 13), (8, 4)):
             rng = np.random.default_rng(big)
-            gram = _TwoSampleGram(np.zeros((m, 1)), np.zeros((big - m, 1)))
-            blocks = list(gram.draws(98, rng))
+            gram = _TwoSampleGram([np.zeros((m, 1))], [np.zeros((big - m, 1))])
+            blocks = [block[0] for block in gram.draws(98, [rng])]
             masks = np.vstack(blocks)
             assert min(len(block) for block in blocks) >= 2
             check_rng = np.random.default_rng(big)
@@ -257,12 +257,12 @@ class TestPermutationBackend:
             rng = np.random.default_rng(700 + seed)
             x = rng.standard_normal((m, 20))
             y = rng.standard_normal((n, 20)) + 0.3
-            gram = _TwoSampleGram(x, y)
-            masks = np.vstack(list(gram.draws(300, np.random.default_rng(seed))))
+            gram = _TwoSampleGram([x], [y])
+            masks = np.hstack(list(gram.draws(300, [np.random.default_rng(seed)])))[0]
             results = []
             for block in (1 << 20, (m + n) ** 2 * cols):
                 monkeypatch.setattr(statistics, "_SIGN_BLOCK", block)
-                results.append((gram.wmw(masks), evaluate_two_sample(
+                results.append((gram.wmw(masks)[0], evaluate_two_sample(
                     x, y, [key], n_resamples=300, rng=np.random.default_rng(seed))[key]))
             (want, want_report), (got, got_report) = results
             assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all(), (m, n)
@@ -290,10 +290,10 @@ class TestPermutationBackend:
         x = rng.standard_t(5, size=(m, d))
         y = rng.standard_t(5, size=(n, d)) + 0.3
         pool = np.vstack([x, y])
-        gram = _TwoSampleGram(x, y)
-        masks = np.vstack(list(gram.draws(200, rng)))
+        gram = _TwoSampleGram([x], [y])
+        masks = np.hstack(list(gram.draws(200, [rng])))[0]
         assert len(statistics._spans(len(masks), 64)) == 4
-        values = gram.wmw(masks)
+        values = gram.wmw(masks)[0]
         for r in np.linspace(0, len(masks) - 1, picks).astype(int):
             want = naive_t_wmw(pool[masks[r]], pool[~masks[r]])
             assert abs(values[r] - want) <= 1e-12 * max(abs(want), 1e-2), (r, values[r], want)
@@ -314,10 +314,10 @@ class TestPermutationBackend:
         res = evaluate_two_sample(x, y, [key], n_resamples=10, rng=np.random.default_rng(0))
         assert abs(res[key].statistic - naive_t_wmw(x, y)) < 1e-10
         pool = np.vstack([x, y])
-        gram = _TwoSampleGram(x, y)
-        masks = np.vstack(list(gram.draws(30, np.random.default_rng(1))))
+        gram = _TwoSampleGram([x], [y])
+        masks = np.hstack(list(gram.draws(30, [np.random.default_rng(1)])))[0]
         assert (masks[:, 1] != masks[:, 7]).any() and (masks[:, 1] == masks[:, 7]).any()
-        values = gram.wmw(masks)
+        values = gram.wmw(masks)[0]
         for value, mask in zip(values, masks):
             assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) < 1e-10
 

@@ -1,6 +1,7 @@
 """Tests for the power-study harness and subsample protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from hdsigntest import (
     summarize_to_plot_data,
 )
 from hdsigntest.generators import SHIFT_SPREAD, SHIFT_ZERO, GeneratorSpec, generate
-from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
+from hdsigntest.inference import (
+    _evaluate_two_sample_block,
+    evaluate_one_sample,
+    evaluate_two_sample,
+)
 from hdsigntest import montecarlo
 from hdsigntest.montecarlo import _grid_replicates, _rejections
 
@@ -81,29 +86,60 @@ class TestRunPowerStudy:
 
     def test_failure_carries_provenance(self, monkeypatch):
         # A typed error inside a replicate's evaluation aborts the study,
-        # prefixed with the replicate and its grid point.
-        calls = []
+        # prefixed with the replicate and its grid point.  Replicates 2 and
+        # 10 are each the third of their block of 8: the block fails, and
+        # its replicates run one at a time up to the failing one.
+        for bad in (2, 10):
+            blocks = []
 
-        def failing(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise ZeroVectorError("a relabeling has no sign")
-            return evaluate_two_sample(*args, **kwargs)
+            def failing(xs, ys, tests, alpha, n_resamples, rngs, auxes):
+                replicates = [seq.entropy[2] for seq in rngs]
+                blocks.append(replicates)
+                if bad in replicates:
+                    raise ZeroVectorError("a relabeling has no sign")
+                return _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, rngs, auxes)
 
-        monkeypatch.setattr(montecarlo, "evaluate_two_sample", failing)
-        with pytest.raises(ZeroVectorError,
-                           match=r"^replicate 2 at grid point \(d=20, c=1.0\): "
-                                 "a relabeling has no sign$"):
-            run_power_study(small_plan())
+            monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", failing)
+            with pytest.raises(ZeroVectorError,
+                               match=rf"^replicate {bad} at grid point \(d=20, c=1.0\): "
+                                     "a relabeling has no sign$"):
+                run_power_study(small_plan())
+            first = bad - 2
+            assert blocks[-4:] == [list(range(first, first + 8)), [first], [first + 1], [bad]]
+
+    def test_first_failing_replicate_wins(self):
+        # Replicate 1 fails in evaluation (its y row 0 equals its x row 0);
+        # replicate 3 of the same block fails in its draw, before that
+        # block is evaluated.  The earlier replicate's error is raised.
+        def draw(rng):
+            return rng.standard_normal((6, 5)), rng.standard_normal((6, 5)), None
+
+        def duplicate(rng):
+            x, y, _ = draw(rng)
+            y[0] = x[0]
+            return x, y, None
+
+        def broken(rng):
+            raise InvalidSpecError("no such model")
+
+        tests = (("wmw", "asymptotic"),)
+        replicates = [(f"replicate {r}", (5, r), kind)
+                      for r, kind in enumerate((draw, duplicate, draw, broken, draw))]
+        with pytest.raises(ZeroVectorError, match=(
+                "^replicate 1: difference of y observation 0 and x observation 0 is zero$")):
+            _rejections(replicates, tests, 0.05, 10)
+        replicates[1] = ("replicate 1", (5, 1), draw)
+        with pytest.raises(InvalidSpecError, match="^replicate 3: no such model$"):
+            _rejections(replicates, tests, 0.05, 10)
 
     def test_generator_parameters_checked_before_any_replicate(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return evaluate_two_sample(*args, **kwargs)
+            return _evaluate_two_sample_block(*args)
 
-        monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
         with pytest.raises(InvalidSpecError,
                            match=r"^grid point \(d=0, c=1.0\): dimension must be at least 1$"):
             small_plan(grid=((20, 1.0), (0, 1.0)), replications=5)
@@ -118,11 +154,11 @@ class TestRunPowerStudy:
     def test_rejects_bad_plan_parameters(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return evaluate_two_sample(*args, **kwargs)
+            return _evaluate_two_sample_block(*args)
 
-        monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
         # Counts must be integers and the seed non-negative; a refused plan
         # runs no replicate.
         for bad, match in (({"replications": 1.5}, "^replications must be an integer"),
@@ -306,18 +342,20 @@ class TestSubsampleProtocol:
      "^the wmw asymptotic test is listed twice$"),
     ((("cq2", "asymptotic"),), 1.5, 50, r"^alpha must be in \(0, 1\), got 1.5$"),
     ((("cq2", "permutation"),), 0.05, 0, "^n_resamples must be at least 1, got 0$"),
-], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples"])
+    ((t for t in [("cq2", "asymptotic")]), 0.05, 50,
+     r"^tests must be a list or tuple of \(stat, method\) pairs, not generator$"),
+], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples", "generator"])
 def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
     # The evaluators, the study plans and the subsample protocol share one
     # test-list rule; both study entry points refuse a bad list before any
     # replicate runs.
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return evaluate_two_sample(*args, **kwargs)
+        return _evaluate_two_sample_block(*args)
 
-    monkeypatch.setattr(montecarlo, "evaluate_two_sample", counting)
+    monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
     data = np.random.default_rng(78).standard_normal((40, 10))
     with pytest.raises(InvalidInputError, match=message):
         evaluate_two_sample(data[:8], data[8:16], tests, alpha, n_resamples)
@@ -326,6 +364,86 @@ def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
     with pytest.raises(InvalidSpecError, match=message):
         run_subsample_protocol(data[:20], data[20:], 0.2, 5, tests, alpha, n_resamples)
     assert calls == []
+
+
+class TestBlocks:
+    # ``_rejections`` evaluates replicates in blocks; a dataset's reports
+    # must not depend on its block.
+
+    @staticmethod
+    def _run(monkeypatch, block, study):
+        """The result of ``study()`` with blocks of ``block`` replicates,
+        every report it made, in replicate order, and its block sizes."""
+        reports, sizes = [], []
+
+        def recording(*args):
+            out = _evaluate_two_sample_block(*args)
+            reports.extend(repr(sorted(dataset.items())) for dataset in out)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", recording)
+        return repr(study()), reports, max(sizes)
+
+    @staticmethod
+    def _classes(rows_b):
+        rng = np.random.default_rng(80)
+        class_a = rng.standard_normal((30, 40))
+        class_b = rng.standard_normal((rows_b, 40))
+        class_b[:, :5] += 0.8
+        return class_a, class_b
+
+    @pytest.mark.parametrize("study", [
+        lambda: run_power_study(ExperimentPlan(
+            model="spherical-t5", grid=((60, 1.5), (120, 2.5)), m=10, n=10,
+            tests=tuple((stat, method) for stat in ("wmw", "cq2")
+                        for method in ("asymptotic", "permutation", "rsrm-oracle")),
+            replications=10, n_resamples=40, base_seed=81)),
+        lambda: run_power_study(ExperimentPlan(
+            model="ar1-gauss", grid=((50, 0.0), (50, 3.0)), m=12, n=9,
+            tests=(("wmw", "asymptotic"), ("cq2", "asymptotic")), replications=10,
+            base_seed=82)),
+        # Groups of 9 and 6 rows in the power phase.
+        lambda: run_subsample_protocol(
+            *TestBlocks._classes(20), 0.3, 10,
+            (("cq2", "asymptotic"), ("wmw", "asymptotic"), ("cq2", "permutation"),
+             ("wmw", "permutation")), n_resamples=40, seed=83),
+        # Groups of 9 and 9 rows in every phase.
+        lambda: run_subsample_protocol(
+            *TestBlocks._classes(30), 0.3, 10,
+            (("cq2", "asymptotic"), ("wmw", "asymptotic"), ("cq2", "permutation"),
+             ("wmw", "permutation")), n_resamples=40, seed=84),
+    ], ids=["spherical-all-methods", "ar1-asymptotic", "subsample-unequal", "subsample-equal"])
+    def test_results_do_not_depend_on_block(self, monkeypatch, study):
+        runs = [self._run(monkeypatch, block, study) for block in (1, 3, montecarlo._BLOCK)]
+        assert [size for *_, size in runs] == [1, 3, montecarlo._BLOCK]
+        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+
+    @pytest.mark.parametrize("d, block", [(1_600, 2), (50_000, 1)])
+    def test_block_memory(self, monkeypatch, d, block):
+        # m = n = 20: a dataset and its centred rows hold 81 d coefficients,
+        # so the budget holds blocks of 2 at d = 1,600 and of 1 at 50,000.
+        # The traced peak stays within the block's coefficient budget plus
+        # one dataset's working set, the peak of the same study in blocks
+        # of one.
+        assert montecarlo._block_size(np.zeros((20, d)), np.zeros((20, d))) == block
+        plan = ExperimentPlan(
+            model="spherical-t5", grid=((d, 1.0),), m=20, n=20,
+            tests=(("wmw", "asymptotic"), ("cq2", "asymptotic"), ("cq2", "permutation"),
+                   ("wmw", "rsrm-oracle")),
+            replications=4, n_resamples=20, base_seed=85)
+        peaks = []
+        for size in (1, montecarlo._BLOCK):
+            monkeypatch.setattr(montecarlo, "_BLOCK", size)
+            tracemalloc.start()
+            try:
+                run_power_study(plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        single, blocked = peaks
+        assert blocked <= 8 * montecarlo._BLOCK_COEFS + single, peaks
 
 
 class TestPinnedSeededOutputs:

@@ -337,8 +337,8 @@ def test_permutation_kernels_match_naive(sample, data):
     for mask in masks:
         mask[data.draw(st.permutations(range(m + n)))[:m]] = True
     shift = data.draw(shifts(x.shape[1]))
-    gram = _TwoSampleGram(x + shift, y + shift)
-    cq2 = gram.cq2(masks)
+    gram = _TwoSampleGram([x + shift], [y + shift])
+    cq2 = gram.cq2(masks)[0]
     dup = gram.pair_norms[1]
     for mask, cq2_value in zip(masks, cq2):
         a, b = pool[mask], pool[~mask]
@@ -346,11 +346,11 @@ def test_permutation_kernels_match_naive(sample, data):
         want = _outcome(naive_t_wmw, a, b)
         # The kernel refuses a relabeling that splits a coincident pair.
         assert (want == ZeroVectorError) == bool(dup[np.ix_(mask, ~mask)].any())
-        got = _outcome(lambda: gram.wmw(mask[None])[0])
+        got = _outcome(lambda: gram.wmw(mask[None])[0, 0])
         assert _agree(got, want, WMW_TOL), (got, want)
     if not any(dup[np.ix_(mask, ~mask)].any() for mask in masks):
         # One batch of all three gives the same values.
-        for mask, value in zip(masks, gram.wmw(masks)):
+        for mask, value in zip(masks, gram.wmw(masks)[0]):
             assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) <= WMW_TOL
 
 
@@ -371,7 +371,7 @@ def test_pooled_pair_norms(sample, dist, data):
     pool[b] = pool[a] + dist * np.linalg.norm(pool[a]) * u / np.linalg.norm(u)
     common = data.draw(shifts(d))
     x, y = pool[:m] + common, pool[m:] + common + data.draw(shifts(d))
-    norms, dup = _TwoSampleGram(x, y).pair_norms
+    norms, dup = _TwoSampleGram([x], [y]).pair_norms
     rows = np.vstack([x, y])
     want = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
     off = ~np.eye(len(rows), dtype=bool)
