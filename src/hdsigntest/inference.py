@@ -142,8 +142,13 @@ def _randomization_pvalues(gram, stats, n_resamples, rngs) -> dict:
     ``gram.draws`` per dataset, each from ``np.random.default_rng`` of its
     entry of ``rngs``, with the add-one estimator
     (1 + #{drawn >= identity}) / (R + 1)."""
+    try:
+        rngs = [np.random.default_rng(rng) for rng in rngs]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"seed must be one that np.random.default_rng takes: {exc}") from exc
     values = {stat: [] for stat in stats}
-    for block in gram.draws(n_resamples, [np.random.default_rng(rng) for rng in rngs]):
+    for block in gram.draws(n_resamples, rngs):
         for stat in stats:
             values[stat].append(getattr(gram, stat)(block))
     p_values = {}
@@ -286,7 +291,10 @@ def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
     if not tests:
         raise error("test list is empty")
     seen = set()
-    for stat, method in tests:
+    for test in tests:
+        if not isinstance(test, (list, tuple)) or len(test) != 2:
+            raise error(f"each test must be a (stat, method) pair, not {test!r}")
+        stat, method = test
         if stat not in stats:
             raise error(f"statistic must be one of {stats}, not {stat!r}")
         if method not in methods:
@@ -297,17 +305,19 @@ def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
 
 
 def _check_call(tests, stats, methods, alpha, n_resamples, rngs, auxes) -> None:
-    """An evaluator's checks: ``_check_tests``, then each seed in ``rngs``
-    is non-negative and oracle tests have each dataset's latent scales
-    ``auxes``."""
+    """An evaluator's checks: ``_check_tests``, then each integer seed in
+    ``rngs`` is non-negative and oracle tests have each dataset's latent
+    scales ``auxes``, an ``RsrmAuxiliary``.  A seed of a type that
+    ``np.random.default_rng`` refuses is refused where the randomization
+    core builds its generator."""
     _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
     for rng, aux in zip(rngs, auxes, strict=True):
         if isinstance(rng, numbers.Integral):
             require_seed(InvalidInputError, "seed", rng)
         for stat, method in tests:
-            if method == METHOD_RSRM_ORACLE and aux is None:
+            if method == METHOD_RSRM_ORACLE and not isinstance(aux, RsrmAuxiliary):
                 raise MismatchedAuxiliaryError(
-                    f"the {stat} {method} test needs the latent scales (aux), got None"
+                    f"the {stat} {method} test needs the latent scales (aux), got {aux!r}"
                 )
 
 

@@ -206,10 +206,11 @@ def _grid_replicates(plan, g_idx):
         y, aux_y = generate(y_spec, plan.n, rng)
         if aux_x is None:
             return x, y, None
-        # Both samples share the isotropic latent component, so the cross
-        # trace equals the marginal ones.
+        # Both samples share the latent covariance Sigma_V, so the cross
+        # trace tr(Sigma_V Sigma_W) is the first sample's tr(Sigma_V^2).
         return x, y, replace(aux_x, q_scales=aux_y.p_scales, sigma_w_sq=aux_y.sigma_v_sq,
-                             tr_sigma_w_sq=aux_y.tr_sigma_v_sq, tr_sigma_vw=float(d))
+                             tr_sigma_w_sq=aux_y.tr_sigma_v_sq,
+                             tr_sigma_vw=aux_x.tr_sigma_v_sq)
 
     return (
         (f"replicate {r} at grid point (d={d}, c={c})", (plan.base_seed, g_idx, r), draw)

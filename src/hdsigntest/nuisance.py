@@ -115,8 +115,12 @@ def tr_sigma_cross_hat(x, y) -> float:
 def sigma_sq_hat(x) -> float:
     """Marginal variance pooled over coordinates: the per-coordinate sample
     variance (denominator n-1) averaged over the d coordinates, which is
-    tr Gc / (d (n-1)) for the centred block Gc of its ``_OneSampleGram``,
-    the same value as the ``sigma1_sq`` that the variance snapshots record.
+    tr Gc / (d (n-1)) for the centred block Gc of its ``_OneSampleGram``.
+    It has the bits of ``gamma2_hat(x).sigma1_sq``.  ``gamma1_hat(x, y)``
+    reads the same trace from the diagonal of the larger pooled Gram
+    product of ``_TwoSampleGram``, which BLAS may round differently, so its
+    ``sigma1_sq`` can differ from this value by a few ulps (up to 3 on 300
+    random shapes, where 24 differed).
     """
     gram = _OneSampleGram(x)
     _require_rows(gram.x, 2, "x")

@@ -12,7 +12,6 @@ these in the test suite and in the ``selftest`` CLI command.
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 
 import numpy as np
@@ -31,12 +30,16 @@ TWO_SAMPLE_STATS = ("cq2", "wmw")
 def as_matrix(x, name: str = "x") -> np.ndarray:
     """Validate and convert input to an n-by-d float matrix.
 
-    Accepts anything array-like with two dimensions.  Every entry must be
-    finite; rows are observations, columns are coordinates.  The result is
-    C-ordered (a copy only if the input is not), so a Fortran-ordered input
-    gives the same bits as the same values in C order.
+    Accepts anything array-like with two dimensions of booleans, integers
+    or real floats (not complex numbers, strings or objects).  Every entry
+    must be finite; rows are observations, columns are coordinates.  The
+    result is C-ordered (a copy only if the input is not), so a
+    Fortran-ordered input gives the same bits as the same values in C order.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x).astype(float, copy=False, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -370,15 +373,15 @@ class _TwoSampleGram:
 
     Each sample is centred on its own mean (``_centred``), and the centred
     rows are stacked x first, then y, then delta = Ybar - Xbar as row N
-    (N = m + n): ``_rows()`` is (B, N + 1, d) and ``gram = rows rows'``,
-    formed in the constructor.  Its blocks ``gxx``, ``gyy`` and ``gxy`` are
-    the Gram matrices of the centred samples and their cross products, its
-    last row and column hold a = rows delta, and its corner ||delta||^2.
-    The rows are dropped once ``gram`` is formed: the rare near pair that
-    needs them forms them anew.  ``identity`` is the mask of the samples'
-    own labels.  ``wmw``, ``pair_norms`` and a near pair of ``wmw_closed``
-    are per dataset, on ``datasets``: each dataset of the block as a block
-    of one that shares its arrays.
+    (N = m + n), (N + 1, d) per dataset (``_rows``), and ``gram = rows
+    rows'`` is formed in the constructor.  Its blocks ``gxx``, ``gyy`` and
+    ``gxy`` are the Gram matrices of the centred samples and their cross
+    products, its last row and column hold a = rows delta, and its corner
+    ||delta||^2.  The rows are dropped once ``gram`` is formed: the rare
+    near pair that needs them forms them anew.  ``identity`` is the mask of
+    the samples' own labels.  ``pair_norms`` and the permutation ``wmw``
+    kernel run per dataset, by its index; so does ``wmw_closed`` on a block
+    with a near pair, through each dataset's block of one.
 
     delta is (mean_y - mean_x) + (rest_y - rest_x), from the two passes
     of ``_centred``: under a common offset the first difference is exact,
@@ -399,38 +402,24 @@ class _TwoSampleGram:
             _require_same_dim(x, y)
             _require_rows(x, 2, "x")
             _require_rows(y, 2, "y")
-        self.m, self.n = self.xs[0].shape[0], self.ys[0].shape[0]
-        self.d = self.xs[0].shape[1]
-        self.identity = np.arange(self.m + self.n)[None, :] < self.m
-        rows = self._rows()
-        self._set_gram(rows @ rows.transpose(0, 2, 1))
-
-    def _set_gram(self, g):
+        (self.m, self.d), self.n = self.xs[0].shape, self.ys[0].shape[0]
         m, big = self.m, self.m + self.n
-        self.gram = g
+        self.identity = np.arange(big)[None, :] < m
+        rows = np.empty((len(self.xs), big + 1, self.d))
+        for b, out in enumerate(rows):
+            self._rows(b, out)
+        self.gram = g = rows @ rows.transpose(0, 2, 1)
         self.gxx, self.gyy, self.gxy = g[:, :m, :m], g[:, m:big, m:big], g[:, :m, m:big]
 
-    def _rows(self) -> np.ndarray:
+    def _rows(self, b: int, out=None) -> np.ndarray:
+        """The (N + 1, d) rows Xc, Yc and delta of dataset ``b``, written
+        into ``out`` if given."""
         m, big = self.m, self.m + self.n
-        rows = np.empty((len(self.xs), big + 1, self.d))
-        for x, y, out in zip(self.xs, self.ys, rows):
-            x_mean, x_rest = _centred(x, out[:m])
-            y_mean, y_rest = _centred(y, out[m:big])
-            out[big] = (y_mean - x_mean) + (y_rest - x_rest)
-        return rows
-
-    @cached_property
-    def datasets(self) -> list:
-        """Each dataset of the block as a block of one, sharing its arrays."""
-        if len(self.xs) == 1:
-            return [self]
-        ones = []
-        for b in range(len(self.xs)):
-            one = copy.copy(self)
-            one.xs, one.ys = self.xs[b : b + 1], self.ys[b : b + 1]
-            one._set_gram(self.gram[b : b + 1])
-            ones.append(one)
-        return ones
+        out = np.empty((big + 1, self.d)) if out is None else out
+        x_mean, x_rest = _centred(self.xs[b], out[:m])
+        y_mean, y_rest = _centred(self.ys[b], out[m:big])
+        out[big] = (y_mean - x_mean) + (y_rest - x_rest)
+        return out
 
     def cq2(self, masks: np.ndarray) -> np.ndarray:
         """T_CQ2 for each relabeling in ``masks`` (True = first group):
@@ -497,57 +486,37 @@ class _TwoSampleGram:
             yield masks
 
     @cached_property
-    def pair_norms(self):
-        """(norms, dup) of the block's one dataset: ||Z_a - Z_b|| for every
-        pair of pooled rows Z (x rows, then y rows), 1 on the diagonal and
-        for identical pairs, and the mask of identical pairs.
+    def pair_norms(self) -> list:
+        """One (norms, dup) per dataset: ||Z_a - Z_b|| for every pair of
+        pooled rows Z (x rows, then y rows), 1 on the diagonal and for
+        identical pairs, and the mask of identical pairs.
         Z_a - Z_b = P_a - P_b (``cq2``), and c_a - c_b is s_ab = e_a - e_b
         for the y indicator e, so under ``_near_pairs`` the squared norm is
         read from ``gram`` as
         G_aa + G_bb - 2 G_ab + s_ab (2 (a_a - a_b) + s_ab ||delta||^2)."""
-        (x,), (y,), (g,) = self.xs, self.ys, self.gram
         m, big = self.m, self.m + self.n
-        diag, a, dd = np.diagonal(g)[:big], g[:big, big], g[big, big]
         e = (np.arange(big) >= m).astype(float)
         s = e[:, None] - e
-        sq = diag[:, None] + diag - 2.0 * g[:big, :big] + s * (2.0 * (a[:, None] - a) + s * dd)
         upper = np.triu(np.ones((big, big), dtype=bool), 1)
+        out = []
+        for b, (x, y, g) in enumerate(zip(self.xs, self.ys, self.gram)):
+            diag, a, dd = np.diagonal(g)[:big], g[:big, big], g[big, big]
+            sq = diag[:, None] + diag - 2.0 * g[:big, :big] + s * (2.0 * (a[:, None] - a) + s * dd)
 
-        def pooled(i):
-            return np.where((i < m)[:, None], x[np.minimum(i, m - 1)], y[np.maximum(i - m, 0)])
+            def pooled(i):
+                return np.where((i < m)[:, None], x[np.minimum(i, m - 1)], y[np.maximum(i - m, 0)])
 
-        # The kernel reads the rows, so it has no use for the extended Gram.
-        near, near_norms, zero, _ = _near_pairs(
-            np.where(upper, sq, np.inf), diag[:, None] + diag + s * s * dd,
-            lambda i, j: pooled(i) - pooled(j), g, lambda: self._rows()[0],
-        )
-        norms = np.sqrt(np.where(upper & ~near, sq, 1.0))
-        norms[near] = np.where(zero, 1.0, near_norms)
-        dup = np.zeros_like(near)
-        dup[near] = zero
-        return np.where(upper, norms, norms.T), dup | dup.T
-
-    def _pair_differences(self):
-        """Z_a - Z_b for every pair of pooled rows of the block's one
-        dataset, one (N, N, cols) block of consecutive columns at a time,
-        with about ``_SIGN_BLOCK`` coefficients per block; each block's
-        columns are taken from x and y.
-
-        Every block is written into one buffer allocated once, so each block
-        overwrites the one before it: a caller must be done with a block,
-        and may modify it in place, before it asks for the next.  Each block,
-        the short last one too, is a contiguous view of that buffer.
-        """
-        (x,), (y,) = self.xs, self.ys
-        big, d = self.m + self.n, self.d
-        cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
-        buffer = np.empty(big * big * cols)
-        for lo in range(0, d, cols):
-            block = np.vstack([x[:, lo : lo + cols], y[:, lo : lo + cols]])
-            view = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
-            np.subtract(block[:, None, :], block[None, :, :], out=view)
-            del block  # so the caller's work on the view holds the buffer alone
-            yield view
+            # The kernel reads the rows, so it has no use for the extended Gram.
+            near, near_norms, zero, _ = _near_pairs(
+                np.where(upper, sq, np.inf), diag[:, None] + diag + s * s * dd,
+                lambda i, j: pooled(i) - pooled(j), g, lambda: self._rows(b),
+            )
+            norms = np.sqrt(np.where(upper & ~near, sq, 1.0))
+            norms[near] = np.where(zero, 1.0, near_norms)
+            dup = np.zeros_like(near)
+            dup[near] = zero
+            out.append((np.where(upper, norms, norms.T), dup | dup.T))
+        return out
 
     def wmw(self, masks: np.ndarray) -> np.ndarray:
         """T_WMW for each relabeling in ``masks`` (True = first group),
@@ -558,41 +527,51 @@ class _TwoSampleGram:
         For a relabeling with first-group indicator u and v = 1 - u, the
         sums of U_ab over a in the second group (``a_cols``) and over b in
         the first (``b_rows``) are the R_i and C_j of ``t_wmw``, and T is
-        their total.  ||T||^2, sum ||R_i||^2 and sum ||C_j||^2 are sums
-        over coordinates, accumulated over the column blocks of
-        ``_pair_differences``, each made unit vectors in place.  Both sums
+        their total.  ||T||^2, sum ||R_i||^2 and sum ||C_j||^2 are sums over
+        coordinates, accumulated over blocks of consecutive columns: each
+        block's Z_a - Z_b, about ``_SIGN_BLOCK`` coefficients from x and y,
+        overwrites one buffer and is made unit vectors in place.  Both sums
         are GEMMs over the block's first axis, so neither copies it: since
         U_ba = -U_ab, the second gives -b_rows, and only ||b_rows||^2 is
-        used.  The rest are two-operand reductions: the squared row norms
-        of ``a_cols`` and ``b_rows``, weighted by u and v, and T as one
-        stacked matmul.  The masks are reduced in chunks of 64 rows, and
-        each chunk holds one (64, N, cols) product at a time: ``a_cols`` is
-        reduced to ``t_norm`` and ``r_term`` and freed before ``b_rows`` is
-        formed, and ``b_rows`` is freed before the next chunk.
+        used.  The rest are two-operand reductions: the squared row norms of
+        ``a_cols`` and ``b_rows``, weighted by u and v, and T as one stacked
+        matmul.  The masks are reduced in chunks of 64 rows, and each chunk
+        holds one (64, N, cols) product at a time: ``a_cols`` is reduced to
+        ``t_norm`` and ``r_term`` and freed before ``b_rows`` is formed, and
+        ``b_rows`` is freed before the next chunk.
 
         A relabeling that splits a pair of identical pooled rows has no
         sign for it and raises ZeroVectorError naming the first such pair.
         """
         masks = np.broadcast_to(masks, (len(self.xs),) + masks.shape[-2:])
-        if len(self.xs) > 1:
-            return np.concatenate([one.wmw(part) for one, part in zip(self.datasets, masks)])
-        masks = masks[0]
-        m, n = self.m, self.n
-        norms, dup = self.pair_norms
+        return np.stack([self._wmw(b, part) for b, part in enumerate(masks)])
+
+    def _wmw(self, b: int, masks: np.ndarray) -> np.ndarray:
+        """``wmw`` of dataset ``b`` on its (R, N) masks."""
+        m, n, d = self.m, self.n, self.d
+        big = m + n
+        x, y = self.xs[b], self.ys[b]
+        norms, dup = self.pair_norms[b]
         first, second = np.nonzero(np.triu(dup))
         split = (masks[:, first] != masks[:, second]).any(axis=0)
         if split.any():
-            a, b = (f"x row {i}" if i < m else f"y row {i - m}"
-                    for i in (first[split][0], second[split][0]))
+            one, other = (f"x row {i}" if i < m else f"y row {i - m}"
+                          for i in (first[split][0], second[split][0]))
             raise ZeroVectorError(
-                f"a relabeling pairs two identical pooled observations, {a} and {b}"
+                f"a relabeling pairs two identical pooled observations, {one} and {other}"
             )
         count = masks.shape[0]
         u_all = masks.astype(float)
         v_all = 1.0 - u_all
         t_norm, r_term, c_term = np.zeros((3, count))
         spans = _spans(count, 64)
-        for signs in self._pair_differences():
+        cols = min(d, max(1, _SIGN_BLOCK // (big * big)))
+        buffer = np.empty(big * big * cols)
+        for lo in range(0, d, cols):
+            block = np.vstack([x[:, lo : lo + cols], y[:, lo : lo + cols]])
+            signs = buffer[: big * big * block.shape[1]].reshape(big, big, -1)
+            np.subtract(block[:, None, :], block[None, :, :], out=signs)
+            del block  # so the chunks below hold the buffer alone
             signs /= norms[:, :, None]
             for start, stop in spans:
                 u, v = u_all[start:stop], v_all[start:stop]
@@ -607,7 +586,7 @@ class _TwoSampleGram:
                 c_term[part] += np.einsum("ra,ra->r", np.einsum("rad,rad->ra", b_rows, b_rows), v)
                 del b_rows
         out = (t_norm - r_term - c_term + m * n) / (m * (m - 1) * n * (n - 1))
-        return np.clip(out, -1.0, 1.0)[None]
+        return np.clip(out, -1.0, 1.0)
 
     def wmw_closed(self) -> np.ndarray:
         """T_WMW of the samples' own labels in closed form, one per dataset;
@@ -623,12 +602,13 @@ class _TwoSampleGram:
         if not (sq <= _NEAR_PAIR * scale).any():  # the rule of ``_near_pairs``
             w = 1.0 / np.sqrt(sq)
         elif len(self.xs) > 1:
-            return np.concatenate([one.wmw_closed() for one in self.datasets])
+            return np.concatenate([_TwoSampleGram([x], [y]).wmw_closed()
+                                   for x, y in zip(self.xs, self.ys)])
         else:
             # The unit vectors of near pairs join the basis (Xc, Yc, delta).
             (x,), (y,) = self.xs, self.ys
             near, _, zero, g = _near_pairs(
-                sq[0], scale[0], lambda i, j: y[j] - x[i], g[0], lambda: self._rows()[0]
+                sq[0], scale[0], lambda i, j: y[j] - x[i], g[0], lambda: self._rows(0)
             )
             ia, ib = np.nonzero(near)
             if zero.any():

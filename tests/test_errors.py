@@ -21,6 +21,7 @@ from hdsigntest import (
     randomization_one_sample,
     randomization_two_sample,
     spatial_sign,
+    t_cq2,
     t_s,
     t_wmw,
     two_sample_z,
@@ -83,6 +84,9 @@ class TestAsMatrix:
 @pytest.mark.parametrize("call", [
     lambda: spatial_sign([]),
     lambda: spatial_sign([1.0, np.inf]),
+    # Every statistic, estimator and evaluator enters through as_matrix.
+    lambda: t_wmw(np.eye(4) * (1 + 1j), np.eye(4) + 1.0),
+    lambda: t_cq2([["1", "x"], ["2", "3"]], np.eye(2)),
     lambda: asymptotic_two_sample(np.eye(4), np.eye(4), "wmw", alpha=1.5),
     lambda: asymptotic_two_sample(np.eye(4), np.eye(4), "wmw", alpha="0.05"),
     lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], alpha=None),
@@ -97,14 +101,20 @@ class TestAsMatrix:
     lambda: randomization_two_sample(np.eye(4), np.eye(4), "wmw", seed=-1),
     lambda: randomization_one_sample(np.eye(4), "sr", n_resamples=2.5),
     lambda: randomization_one_sample(np.eye(4), "sr", seed=-1),
+    lambda: randomization_two_sample(np.eye(4), np.eye(4), "wmw", seed=3.0),
+    lambda: randomization_one_sample(np.eye(4), "sr", seed="7"),
+    lambda: evaluate_two_sample(np.eye(4), np.eye(4) + 1.0, [("cq2", "permutation")],
+                                rng=[1, -2]),
     lambda: evaluate_two_sample(np.eye(4), np.eye(4), [("wmw", "asymptotic")], n_resamples=0),
     lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], rng=-1),
     lambda: evaluate_one_sample(np.eye(4), [("cq1", "rsrm-oracle")], n_resamples=2.5,
                                 aux=RsrmAuxiliary(np.ones(4), 1.0, 4.0)),
-], ids=["sign-empty", "sign-nonfinite", "alpha", "alpha-string", "alpha-none",
+], ids=["sign-empty", "sign-nonfinite", "complex-data", "string-data",
+        "alpha", "alpha-string", "alpha-none",
         "one-sample-z", "two-sample-z", "statistic", "method", "trials",
         "trials-fraction", "selftest-seed",
         "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed",
+        "perm-seed-float", "flip-seed-string", "perm-seed-sequence",
         "asym-count", "asym-seed", "oracle-count-fraction"])
 def test_invalid_values(call):
     with pytest.raises(InvalidInputError):

@@ -676,8 +676,9 @@ class TestRsrmOracleTwoSample:
         assert abs(terms.l5 - l5) / l5 < 1e-12
 
     def test_missing_aux(self):
-        # Without latent scales an oracle test is refused by name, before
-        # any statistic is computed, and not with an AttributeError.
+        # Without latent scales (no aux, or anything but an RsrmAuxiliary)
+        # an oracle test is refused by name, before any statistic is
+        # computed, and not with an AttributeError.
         rng = np.random.default_rng(69)
         x, y = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
         tests = [("wmw", "asymptotic"), ("cq2", "rsrm-oracle")]
@@ -685,6 +686,8 @@ class TestRsrmOracleTwoSample:
             evaluate_two_sample(x, y, tests)
         with pytest.raises(MismatchedAuxiliaryError, match="the wmw rsrm-oracle test needs"):
             rsrm_oracle_two_sample(x, y, None, "wmw")
+        with pytest.raises(MismatchedAuxiliaryError, match=r"\(aux\), got 'junk'$"):
+            rsrm_oracle_two_sample(x, y, "junk", "wmw")
 
     def test_aux_without_second_sample(self):
         # A one-sample aux has neither the second sample's scales nor the

@@ -26,8 +26,9 @@ from hdsigntest.inference import (
     evaluate_one_sample,
     evaluate_two_sample,
 )
-from hdsigntest import montecarlo
+from hdsigntest import montecarlo, statistics
 from hdsigntest.montecarlo import _grid_replicates, _rejections
+from hdsigntest.statistics import _TwoSampleGram
 
 
 def small_plan(**overrides):
@@ -344,7 +345,13 @@ class TestSubsampleProtocol:
     ((("cq2", "permutation"),), 0.05, 0, "^n_resamples must be at least 1, got 0$"),
     ((t for t in [("cq2", "asymptotic")]), 0.05, 50,
      r"^tests must be a list or tuple of \(stat, method\) pairs, not generator$"),
-], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples", "generator"])
+    ((("wmw",),), 0.05, 50, r"^each test must be a \(stat, method\) pair, not \('wmw',\)$"),
+    ([("wmw", "asymptotic", "x")], 0.05, 50,
+     r"^each test must be a \(stat, method\) pair, not \('wmw', 'asymptotic', 'x'\)$"),
+    (("wmw:asymptotic",), 0.05, 50,
+     r"^each test must be a \(stat, method\) pair, not 'wmw:asymptotic'$"),
+], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples", "generator",
+        "one-element", "three-elements", "string"])
 def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
     # The evaluators, the study plans and the subsample protocol share one
     # test-list rule; both study entry points refuse a bad list before any
@@ -444,6 +451,42 @@ class TestBlocks:
                 tracemalloc.stop()
         single, blocked = peaks
         assert blocked <= 8 * montecarlo._BLOCK_COEFS + single, peaks
+
+
+    def test_datasets_by_index(self, monkeypatch):
+        # Dataset 1 holds a cross pair at relative distance 1e-7 and dataset
+        # 2 a duplicated x row; with 7 columns per block of pair
+        # differences, d = 30 takes five blocks, the last one short.  Every
+        # per-dataset result of the block has the bits of the dataset's
+        # block of one.
+        monkeypatch.setattr(statistics, "_SIGN_BLOCK", 13 * 13 * 7)
+        rng = np.random.default_rng(86)
+        m, n, d = 6, 7, 30
+        xs = [rng.standard_normal((m, d)) for _ in range(4)]
+        ys = [rng.standard_normal((n, d)) + 0.3 for _ in range(4)]
+        u = rng.standard_normal(d)
+        ys[1][3] = xs[1][0] + 1e-7 * np.linalg.norm(xs[1][0]) * u / np.linalg.norm(u)
+        xs[2][4] = xs[2][1]
+        masks = []
+        while len(masks) < 4 * 20:
+            mask = np.zeros(m + n, dtype=bool)
+            mask[rng.permutation(m + n)[:m]] = True
+            if mask[1] == mask[4]:
+                masks.append(mask)
+        masks = np.reshape(masks, (4, 20, m + n))
+        block = _TwoSampleGram(xs, ys)
+        values, closed = block.wmw(masks), block.wmw_closed()
+        for b, (x, y) in enumerate(zip(xs, ys)):
+            one = _TwoSampleGram([x], [y])
+            for got, want in zip(block.pair_norms[b], one.pair_norms[0]):
+                assert got.tobytes() == want.tobytes(), b
+            assert values[b].tobytes() == one.wmw(masks[b][None])[0].tobytes(), b
+            assert closed[b].tobytes() == one.wmw_closed()[0].tobytes(), b
+        assert block.pair_norms[2][1][1, 4] and not block.pair_norms[1][1].any()
+        masks[2, 7, [1, 4]] = True, False
+        want = "^a relabeling pairs two identical pooled observations, x row 1 and x row 4$"
+        with pytest.raises(ZeroVectorError, match=want):
+            block.wmw(masks)
 
 
 class TestPinnedSeededOutputs:

@@ -113,7 +113,7 @@ class TestSigmaSq:
         # The one-sample snapshot reads the same centred Gram block, so it
         # records the same bits.  The two-sample snapshot reads the x block
         # of the pooled Gram matrix, whose larger GEMM may round a diagonal
-        # entry differently: there the values agree to a few ulps.
+        # entry differently: there the values agree to within 4 ulps.
         rng = np.random.default_rng(27)
         for _ in range(100):
             m, n, d = (int(v) for v in rng.integers((4, 4, 1), (30, 30, 400)))
@@ -122,7 +122,7 @@ class TestSigmaSq:
             value = sigma_sq_hat(x)
             assert value == gamma2_hat(x).sigma1_sq, (m, d)
             pooled = gamma1_hat(x, y).sigma1_sq
-            assert abs(value - pooled) <= 4 * np.finfo(float).eps * value, (m, n, d)
+            assert abs(value - pooled) <= 4 * np.spacing(value), (m, n, d)
 
 
 def _one_odd_row_cases(count=3000):
