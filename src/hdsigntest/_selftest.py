@@ -58,12 +58,12 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         record("t_wmw", t_wmw(x, y), naive.naive_t_wmw(x, y), BOUNDED_FLOOR)
         flips = signflip_rng.integers(0, 2, size=(2, m)) * 2.0 - 1.0
         flips[:, :2] = (1.0, -1.0)
-        one = _OneSampleGram(x)
+        one = _OneSampleGram([x])
         for kernel, oracle, floor in (
             (one.cq1, naive.naive_t_cq1, 1e-12),
             (one.s, naive.naive_t_s, BOUNDED_FLOOR),
         ):
-            for value, eps in zip(kernel(flips), flips):
+            for value, eps in zip(kernel(flips)[0], flips):
                 record("signflip_kernels", value, oracle(x * eps[:, None]), floor)
         # Two mixed relabelings: pooled row 0 leaves the first group and
         # rows 1 and m are in it, so neither is the identity nor its swap.
@@ -93,7 +93,7 @@ def run_selftest(trials: int = 100, seed: int = 0) -> dict:
         # Two mixed flip patterns: a constant one only reproduces t_sr.
         flips = flip_rng.integers(0, 2, size=(2, mb)) * 2.0 - 1.0
         flips[:, :2] = (1.0, -1.0)
-        for value, eps in zip(_OneSampleGram(xb).sr(flips), flips):
+        for value, eps in zip(_OneSampleGram([xb]).sr(flips)[0], flips):
             record("t_sr_flips", value, naive.naive_t_sr(xb * eps[:, None]),
                    BOUNDED_FLOOR)
         record("tr_sigma_sq", tr_sigma_sq_hat(xb), naive.naive_tr_sigma_sq(xb))

@@ -7,21 +7,21 @@ against the null.  One evaluator per sample count, ``evaluate_two_sample``
 and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
 one dataset and builds each shared input once; the ``asymptotic_*``,
 ``randomization_*`` and ``rsrm_oracle_*`` functions and the command line
-call it.  ``evaluate_two_sample`` is the block of one of the batched core
+call it.  Each runs on a block of one of its Gram object
+(``_TwoSampleGram``, ``_OneSampleGram``), whose arrays and kernels take a
+leading batch axis.  ``evaluate_two_sample`` is the block of one of
 ``_evaluate_two_sample_block``, which the study harness calls on blocks of
-datasets of one shape: one Gram object for the block, whose Gram products,
-``cq2`` kernel, closed-form ``wmw`` and nuisance sums take a leading batch
-axis, and a dataset's bits do not depend on its block.  Both evaluators
-share one report loop and one randomization core over the Gram object,
-whose draws come from each dataset's own generator.  Every report of a
-statistic shows one observed value, whatever its method.  Randomization
-p-values use the add-one estimator (1 + #{resampled >= observed}) /
-(n_resamples + 1), which is valid at any finite resample count and never
-exactly zero.  The core counts ties against the statistic on its own
-resampling path, the identity relabeling or the all-plus flip pattern,
-so draws that reproduce it tie exactly.  With m = n a relabeling and its
-swap give the same two-sample statistic; both are oriented to one mask,
-so a draw of the swapped split ties too.
+datasets of one shape, and a dataset's bits do not depend on its block.  Both evaluators share one report loop and one randomization
+core over the Gram object, whose draws come from each dataset's own
+generator in blocks of 1024 resamples.  Every report of a statistic shows
+one observed value, whatever its method.  Randomization p-values use the
+add-one estimator (1 + #{resampled >= observed}) / (n_resamples + 1),
+which is valid at any finite resample count and never exactly zero.  The
+core counts ties against the statistic on its own resampling path, the
+identity relabeling or the all-plus flip pattern, so draws that reproduce
+it tie exactly.  With m = n a relabeling and its swap give the same
+two-sample statistic; both are oriented to one mask, so a draw of the
+swapped split ties too.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .statistics import (
     TWO_SAMPLE_STATS,
     _OneSampleGram,
     _TwoSampleGram,
+    _draw_blocks,
     _observed,
 )
 
@@ -121,13 +122,13 @@ def two_sample_z(
 # ---------------------------------------------------------------------------
 # Randomization backends.
 #
-# One core serves both sample counts.  The Gram object draws each
-# dataset's resamples from the dataset's own generator (``draws``): blocks
-# of relabeling masks of the pooled rows, with a leading axis over the
-# datasets, for ``_TwoSampleGram``, one block of flip patterns for
-# ``_OneSampleGram``, each led by the identity relabeling or the all-plus
-# flip pattern.  Each
-# statistic is the Gram object's batch kernel of that name on each block.
+# One core serves both sample counts.  The Gram object's ``draws`` draws
+# each dataset's resamples from the dataset's own generator: relabeling
+# masks of the pooled rows for ``_TwoSampleGram``, flip patterns for
+# ``_OneSampleGram``.  ``statistics._draw_blocks`` cuts them into blocks
+# with a leading axis over the datasets, the first led by the identity
+# relabeling or the all-plus flip pattern.  Each statistic is the Gram
+# object's batch kernel of that name on each block.
 # The core returns only p-values: it counts ties against the identity row
 # of its first block, so a draw that reproduces the data ties exactly,
 # while the reports show the one observed value of ``_observed``.  With
@@ -148,14 +149,14 @@ def _randomization_pvalues(gram, stats, n_resamples, rngs) -> dict:
         raise InvalidInputError(
             f"seed must be one that np.random.default_rng takes: {exc}") from exc
     values = {stat: [] for stat in stats}
-    for block in gram.draws(n_resamples, rngs):
+    for block in _draw_blocks(gram, n_resamples, rngs):
         for stat in stats:
             values[stat].append(getattr(gram, stat)(block))
     p_values = {}
     for stat, parts in values.items():
         drawn = np.concatenate(parts, axis=-1)
         ties = np.sum(drawn[..., 1:] >= drawn[..., :1], axis=-1)
-        p_values[stat] = ((1.0 + ties) / drawn.shape[-1]).reshape(-1).tolist()
+        p_values[stat] = ((1.0 + ties) / drawn.shape[-1]).tolist()
     return p_values
 
 
@@ -346,7 +347,7 @@ def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, sn
 
     out = []
     for b, rng in enumerate(rngs):
-        seed = rng if isinstance(rng, (int, np.integer)) else None
+        seed = int(rng) if isinstance(rng, (int, np.integer)) else None
         reports = {}
         for stat, method in tests:
             value = values[stat][b]
@@ -414,7 +415,7 @@ def evaluate_one_sample(
     _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, [rng], [aux])
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
-    gram = _OneSampleGram(x)
+    gram = _OneSampleGram([x])
 
     def z(stat, value, snap, gamma):
         # The oracle's plug-in z is at sigma^2 = 1.
@@ -427,7 +428,7 @@ def evaluate_one_sample(
         return [{"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}]
 
     return _evaluate(gram, tests, alpha, n_resamples, [rng], METHOD_SIGNFLIP,
-                     z, oracle_var, lambda g: [_one_sample_snapshot(g)])[0]
+                     z, oracle_var, _one_sample_snapshot)[0]
 
 
 def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:

@@ -101,9 +101,9 @@ def _tr_cross_from_gram(h: np.ndarray) -> np.ndarray:
 def tr_sigma_sq_hat(x) -> float:
     """Unbiased estimator of tr(Sigma^2) from one sample: the centred
     block Gc of its ``_OneSampleGram``; see ``_tr_sq_from_gram``."""
-    gram = _OneSampleGram(x)
-    _require_rows(gram.x, 4, "x")
-    return float(_tr_sq_from_gram(gram.gc))
+    gram = _OneSampleGram([x])
+    _require_rows(gram.xs[0], 4, "x")
+    return float(_tr_sq_from_gram(gram.gc)[0])
 
 
 def tr_sigma_cross_hat(x, y) -> float:
@@ -122,9 +122,9 @@ def sigma_sq_hat(x) -> float:
     ``sigma1_sq`` can differ from this value by a few ulps (up to 3 on 300
     random shapes, where 24 differed).
     """
-    gram = _OneSampleGram(x)
-    _require_rows(gram.x, 2, "x")
-    return float(np.trace(gram.gc) / (gram.d * (gram.n - 1)))
+    gram = _OneSampleGram([x])
+    _require_rows(gram.xs[0], 2, "x")
+    return float(np.trace(gram.gc[0]) / (gram.d * (gram.n - 1)))
 
 
 def _check_gamma(gamma: float, spread: float) -> float:
@@ -195,15 +195,17 @@ def _two_sample_snapshot(gram: _TwoSampleGram) -> list:
 def gamma2_hat(x) -> VarianceSnapshot:
     """One-sample variance functional estimate: 2 tr(Sigma^2)hat / (n)_2,
     with every field read from one ``_OneSampleGram``."""
-    return _one_sample_snapshot(_OneSampleGram(x))
+    return _one_sample_snapshot(_OneSampleGram([x]))[0]
 
 
-def _one_sample_snapshot(gram: _OneSampleGram) -> VarianceSnapshot:
-    """``gamma2_hat`` from the sample's ``_OneSampleGram``."""
+def _one_sample_snapshot(gram: _OneSampleGram) -> list:
+    """``gamma2_hat`` of each sample of a ``_OneSampleGram`` block."""
     n, d = gram.n, gram.d
-    _require_rows(gram.x, 4, "x")
-    tr1 = float(_tr_sq_from_gram(gram.gc))
-    sigma1_sq = float(np.trace(gram.gc) / (d * (n - 1)))
-    s1 = d * sigma1_sq
-    gamma = _check_gamma(2.0 * tr1 / (n * (n - 1)), 2.0 * s1 * s1 / (n * (n - 1)))
-    return VarianceSnapshot(tr_sigma1_sq=tr1, gamma=gamma, sigma1_sq=sigma1_sq)
+    _require_rows(gram.xs[0], 4, "x")
+    snaps = []
+    for tr1, sigma1_sq in zip(_tr_sq_from_gram(gram.gc).tolist(),
+                              (np.trace(gram.gc, axis1=1, axis2=2) / (d * (n - 1))).tolist()):
+        s1 = d * sigma1_sq
+        gamma = _check_gamma(2.0 * tr1 / (n * (n - 1)), 2.0 * s1 * s1 / (n * (n - 1)))
+        snaps.append(VarianceSnapshot(tr_sigma1_sq=tr1, gamma=gamma, sigma1_sq=sigma1_sq))
+    return snaps

@@ -2,12 +2,12 @@
 
 All five statistics are U-statistics: averages of a kernel over ordered
 tuples of distinct observation indices.  Each function here evaluates the
-closed-form reduction of that sum on one Gram matrix per dataset
-(``_OneSampleGram``, and ``_TwoSampleGram`` for a block of two-sample
-datasets), which also draws the dataset's resamples and evaluates each
-statistic on a batch of them; the matching
-naive index-loop versions live in ``_naive`` and are compared against
-these in the test suite and in the ``selftest`` CLI command.
+closed-form reduction of that sum on one Gram matrix per dataset, for a
+block of datasets of one shape (``_OneSampleGram``, ``_TwoSampleGram``),
+which also draws each dataset's resamples, in blocks (``_draw_blocks``),
+and evaluates each statistic on a batch of them.  The matching naive
+index-loop versions live in ``_naive`` and are compared against these in
+the test suite and in the ``selftest`` CLI command.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def t_cq1(x) -> float:
     1e6 on 8 x 30 data), while the part of the value that is not the
     offset's loses digits as ||mu||^2 grows.
     """
-    return float(_observed(_OneSampleGram(x), "cq1")[0])
+    return float(_observed(_OneSampleGram([x]), "cq1")[0])
 
 
 def t_s(x) -> float:
@@ -107,7 +107,7 @@ def t_s(x) -> float:
     spread of the data, keeps a relative accuracy of only about
     eps / (1 - T_S).
     """
-    return float(_observed(_OneSampleGram(x), "s")[0])
+    return float(_observed(_OneSampleGram([x]), "s")[0])
 
 
 def t_sr(x) -> float:
@@ -121,7 +121,7 @@ def t_sr(x) -> float:
     up to 1e6 on 8 x 30 data, and 2.7e-16 for mixed flip patterns).
     1 - T_SR keeps a relative accuracy of about eps / (1 - T_SR).
     """
-    return float(_observed(_OneSampleGram(x), "sr")[0])
+    return float(_observed(_OneSampleGram([x]), "sr")[0])
 
 
 # A row, pair sum or pair difference whose squared norm, taken from a Gram
@@ -130,8 +130,8 @@ def t_sr(x) -> float:
 _NEAR_PAIR = 1e-2
 # Flip patterns per batch: at most about this many coefficients at a time.
 _FLIP_BATCH = 1 << 20
-# Relabelings per block of ``_TwoSampleGram.draws``, so memory does not
-# grow with the number of resamples.
+# Resamples per block of ``_draw_blocks``, so memory does not grow with the
+# number of resamples.
 _PERM_BATCH = 1024
 # Pair coefficients per column block of the pooled pairwise differences in
 # ``_TwoSampleGram.wmw``, so memory does not grow as N^2 d.
@@ -143,7 +143,7 @@ def _observed(gram, stat: str) -> np.ndarray:
     its batch kernel, or for wmw the closed form ``gram.wmw_closed()``."""
     if stat == "wmw":
         return gram.wmw_closed()
-    return getattr(gram, stat)(gram.identity).reshape(-1)
+    return getattr(gram, stat)(gram.identity)[:, 0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,6 +168,16 @@ def _spans(total: int, cap: int) -> list:
     return list(zip([0] + stops, stops + [total]))
 
 
+def _draw_blocks(gram, n_resamples: int, rngs):
+    """The resamples of a randomization test on the datasets of ``gram``:
+    ``gram.identity``, then ``n_resamples`` of ``gram.draws(rngs, count)``,
+    in (B, count, .) blocks of ``_PERM_BATCH`` as ``_spans`` cuts them."""
+    for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
+        block = gram.draws(rngs, stop - max(start, 1))
+        yield block if start else np.concatenate(
+            [np.broadcast_to(gram.identity, block[:, :1].shape), block], axis=1)
+
+
 def _centred(x: np.ndarray, out: np.ndarray):
     """(mean, rest), with x less its column means written into ``out`` in
     two passes.  The first subtracts the rounded mean, which under a large
@@ -181,73 +191,80 @@ def _centred(x: np.ndarray, out: np.ndarray):
     return mean, rest
 
 
-def _near_pairs(sq, scale, vectors, gram, rows):
+def _near_pairs(sq, scale, vectors):
     """The near-pair rule: where the squared norm ``sq`` of a pair vector,
-    read from ``gram`` (inf where an entry is no pair), is at most
+    read from a Gram matrix (inf where an entry is no pair), is at most
     ``_NEAR_PAIR`` of the squared norms ``scale`` of its summands, the
     vector is formed from the rows, as ``vectors(*np.nonzero(near))``.
 
     Returns the near mask, the norms of the near vectors, which of them
-    are exactly zero, and ``gram`` with their unit vectors (0 if zero) as
-    extra rows and columns, on the basis ``rows()`` behind ``gram``."""
+    are exactly zero, and their unit vectors (0 if zero)."""
     near = sq <= _NEAR_PAIR * scale
     vecs = vectors(*np.nonzero(near))
     norms = np.linalg.norm(vecs, axis=1)
     zero = norms == 0.0
-    if norms.size:
-        units = vecs / np.where(zero, 1.0, norms)[:, None]
+    return near, norms, zero, vecs / np.where(zero, 1.0, norms)[:, None]
+
+
+def _with_units(gram, units, rows):
+    """``gram`` with the unit vectors ``units``, if any, as extra rows and
+    columns, on the basis ``rows()`` behind ``gram``."""
+    if len(units):
         extra = units @ rows().T
         gram = np.block([[gram, extra.T], [extra, units @ units.T]])
-    return near, norms, zero, gram
+    return gram
 
 
 class _OneSampleGram:
     """Every inner product that the one-sample statistics, their sign-flip
-    kernels and the nuisance estimator read, from one GEMM over d, and the
-    flip patterns of a sign-flip test (``draws``).
+    kernels and the nuisance estimator read, for a block of B samples ``xs``
+    of one shape, from one batched GEMM over d, and the flip patterns of a
+    sign-flip test (``draws``).  The block has the shape of
+    ``_TwoSampleGram``'s: each kernel evaluates its statistic on sample b
+    with row i multiplied by flips[b, r, i] = +-1, for every r, and
+    ``identity`` is the all-plus pattern.  ``raw``'s short rows and ``sr``
+    run per sample, by its index.
 
-    The centred rows Xc (``_centred``) are stacked with mu = mean + rest
-    as row n, and ``gram = rows rows'``.  Its block ``gc`` = Xc Xc' is
-    location-free and is all that the nuisance estimator reads.
-
-    Each kernel evaluates its statistic on the sample with row i
-    multiplied by flips[r, i] = +-1, for every row r of ``flips``;
-    ``identity`` is the all-plus pattern.
+    Each sample's centred rows Xc (``_centred``) are stacked with
+    mu = mean + rest as row n (``_rows``), and ``gram = rows rows'``.  Its
+    block ``gc`` = Xc Xc' is location-free and is all that the nuisance
+    estimator reads.
     """
 
-    def __init__(self, x):
-        self.x = x = as_matrix(x)
-        self.n, self.d = x.shape
+    def __init__(self, xs):
+        self.xs = [as_matrix(x) for x in xs]
+        self.n, self.d = self.xs[0].shape
         self.identity = np.ones((1, self.n))
-        rows = self._rows()
-        self.gram = rows @ rows.T
-        self.gc = self.gram[:-1, :-1]
+        rows = np.empty((len(self.xs), self.n + 1, self.d))
+        for b, out in enumerate(rows):
+            self._rows(b, out)
+        self.gram = rows @ rows.transpose(0, 2, 1)
+        self.gc = self.gram[:, :-1, :-1]
 
-    def _rows(self) -> np.ndarray:
-        rows = np.empty((self.n + 1, self.d))
-        mean, rest = _centred(self.x, rows[:-1])
-        rows[-1] = mean + rest
-        return rows
+    def _rows(self, b: int, out=None) -> np.ndarray:
+        """The rows Xc and mu of sample ``b``, written into ``out`` if given."""
+        out = np.empty((self.n + 1, self.d)) if out is None else out
+        mean, rest = _centred(self.xs[b], out[:-1])
+        out[-1] = mean + rest
+        return out
 
-    def draws(self, n_resamples: int, rngs):
-        """The flip patterns of a sign-flip test, as one block: the
-        all-plus ``identity``, then ``n_resamples`` patterns of fair +-1
-        from one ``rng.integers`` call of the one generator in ``rngs``."""
-        (rng,) = rngs
-        flips = rng.integers(0, 2, size=(n_resamples, self.n)) * 2.0 - 1.0
-        yield np.vstack([self.identity, flips])
+    def draws(self, rngs, count: int) -> np.ndarray:
+        """(B, count, n) flip patterns of fair +-1, each sample's from one
+        ``rng.integers`` call of its own generator in ``rngs``."""
+        return np.stack([rng.integers(0, 2, size=(count, self.n)) * 2.0 - 1.0 for rng in rngs])
 
     @cached_property
     def raw(self) -> np.ndarray:
         """X X' = Gc + a 1' + 1 a' + ||mu||^2 with a = Xc mu, except for a
         row whose squared norm there is at most ``_NEAR_PAIR`` of those of
         its summands Xc_a and mu: its inner products come from the rows."""
-        a, mu_sq = self.gram[:-1, -1], self.gram[-1, -1]
-        raw = self.gc + (a[:, None] + a) + mu_sq
-        short = np.diagonal(raw) <= _NEAR_PAIR * (np.diagonal(self.gc) + mu_sq)
-        prods = self.x[short] @ self.x.T
-        raw[short] = prods
-        raw[:, short] = prods.T
+        a, mu_sq = self.gram[:, :-1, -1], self.gram[:, -1, -1, None]
+        raw = self.gc + (a[:, :, None] + a[:, None]) + mu_sq[:, None]
+        short = np.diagonal(raw, 0, 1, 2) <= _NEAR_PAIR * (np.diagonal(self.gc, 0, 1, 2) + mu_sq)
+        for r, x, is_short in zip(raw, self.xs, short):
+            prods = x[is_short] @ x.T
+            r[is_short] = prods
+            r[:, is_short] = prods.T
         return raw
 
     def cq1(self, flips: np.ndarray) -> np.ndarray:
@@ -257,21 +274,21 @@ class _OneSampleGram:
     def s(self, flips: np.ndarray) -> np.ndarray:
         """T_S: the form of ``cq1`` on S(X_a)'S(X_b) = R_ab / (||X_a|| ||X_b||),
         with the row norms taken from the rows."""
-        norms = np.linalg.norm(self.x, axis=1)
+        norms = np.stack([np.linalg.norm(x, axis=1) for x in self.xs])
         if (norms == 0.0).any():
-            idx = int(np.flatnonzero(norms == 0.0)[0])
-            raise ZeroVectorError(f"observation {idx} is the zero vector")
-        cosines = self.raw / (norms[:, None] * norms)
+            raise ZeroVectorError(
+                f"observation {np.argwhere(norms == 0.0)[0, 1]} is the zero vector")
+        cosines = self.raw / (norms[:, :, None] * norms[:, None])
         return np.clip(self._pair_forms(cosines, flips), -1.0, 1.0)
 
     def _pair_forms(self, k: np.ndarray, flips: np.ndarray) -> np.ndarray:
-        _require_rows(self.x, 2, "x")
+        _require_rows(self.xs[0], 2, "x")
         n = self.n
-        off = k - np.diag(np.diagonal(k))
-        return np.einsum("ri,ri->r", flips @ off, flips) / (n * (n - 1))
+        off = np.where(np.eye(n, dtype=bool), 0.0, k)
+        return np.einsum("...ri,...ri->...r", flips @ off, flips) / (n * (n - 1))
 
     def sr(self, flips: np.ndarray) -> np.ndarray:
-        """T_SR.
+        """T_SR, one sample at a time.
 
         Reduction: with W_ab = S(X_a + X_b) (symmetric, diagonal unused),
         A = sum_{a != b} W_ab and B_a = sum_{b != a} W_ab, the quadruple
@@ -301,10 +318,15 @@ class _OneSampleGram:
         zero pair sum, checked on the rows, raises ZeroVectorError for the
         patterns that use it.
         """
-        x = self.x
+        flips = np.broadcast_to(flips, (len(self.xs),) + flips.shape[-2:])
+        return np.stack([self._sr(b, part) for b, part in enumerate(flips)])
+
+    def _sr(self, b: int, flips: np.ndarray) -> np.ndarray:
+        """``sr`` of sample ``b`` on its (R, n) flips."""
+        x = self.xs[b]
         _require_rows(x, 4, "x")
         n = self.n
-        g, gc, raw = self.gram, self.gc, self.raw
+        g, gc, raw = self.gram[b], self.gc[b], self.raw[b]
         dc, dr = np.diagonal(gc), np.diagonal(raw)
         # Squared norms of X_a + X_b (kind 0) and X_a - X_b (kind 1), and
         # of their summands; the pairs are a < b.
@@ -312,10 +334,10 @@ class _OneSampleGram:
         scale = dc[:, None] + dc
         scale = np.stack([scale + 4.0 * g[n, n], scale])
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        near, _, zero, g = _near_pairs(
+        near, _, zero, units = _near_pairs(
             np.where(upper, sq, np.inf), scale,
-            lambda kind, ia, ib: x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib], g, self._rows,
-        )
+            lambda kind, ia, ib: x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib])
+        g = _with_units(g, units, lambda: self._rows(b))
         kind, ia, ib = np.nonzero(near)
         use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
         inv = np.zeros_like(sq)
@@ -457,33 +479,22 @@ class _TwoSampleGram:
         vk *= v
         return vk.sum(axis=2) - norms.sum(axis=1)[:, None] / nn
 
-    def draws(self, n_resamples: int, rngs):
-        """(B, R, N) boolean relabeling masks of the N pooled rows (True =
-        first group), in blocks of ``_PERM_BATCH`` relabelings as
-        ``_spans`` cuts them: the identity, then ``n_resamples`` draws, each
-        dataset's from its own generator in ``rngs``.
-
-        The draws consume each generator exactly as ``n_resamples`` calls
-        of ``rng.permutation(N)[:m]`` would, and give the same masks.  With
-        m = n each mask is oriented to hold pooled row 0.
-        """
+    def draws(self, rngs, count: int) -> np.ndarray:
+        """(B, count, N) boolean relabeling masks of the N pooled rows
+        (True = first group), each dataset's from its own generator in
+        ``rngs``, which they consume exactly as ``count`` calls of
+        ``rng.permutation(N)[:m]`` would, with the same masks.  With m = n
+        each mask is oriented to hold pooled row 0."""
         m, big = self.m, self.m + self.n
-        for start, stop in _spans(n_resamples + 1, _PERM_BATCH):
-            lead = int(start == 0)
-            masks = np.zeros((len(rngs), stop - start, big), dtype=bool)
-            masks[:, :lead] = self.identity
-            labels = np.tile(np.arange(big), (stop - start - lead, 1))
-            picks = np.empty((len(rngs),) + labels.shape, dtype=labels.dtype)
-            for b, rng in enumerate(rngs):
-                rng.permuted(labels, axis=1, out=picks[b])
-            # Each draw's first m labels, as flat indices into ``masks``.
-            rows = np.arange(0, masks.size, big).reshape(masks.shape[:2])
-            masks.reshape(-1)[picks[..., :m] + rows[:, lead:, None]] = True
-            # Hold no work array while the caller's kernels run on the block.
-            del labels, picks, rows
-            if m == self.n:
-                masks ^= ~masks[..., :1]
-            yield masks
+        labels = np.tile(np.arange(big), (count, 1))
+        picks = np.empty((len(rngs),) + labels.shape, dtype=labels.dtype)
+        for b, rng in enumerate(rngs):
+            rng.permuted(labels, axis=1, out=picks[b])
+        masks = np.zeros(picks.shape, dtype=bool)
+        np.put_along_axis(masks, picks[..., :m], True, axis=-1)
+        if m == self.n:
+            masks ^= ~masks[..., :1]
+        return masks
 
     @cached_property
     def pair_norms(self) -> list:
@@ -499,18 +510,16 @@ class _TwoSampleGram:
         s = e[:, None] - e
         upper = np.triu(np.ones((big, big), dtype=bool), 1)
         out = []
-        for b, (x, y, g) in enumerate(zip(self.xs, self.ys, self.gram)):
+        for x, y, g in zip(self.xs, self.ys, self.gram):
             diag, a, dd = np.diagonal(g)[:big], g[:big, big], g[big, big]
             sq = diag[:, None] + diag - 2.0 * g[:big, :big] + s * (2.0 * (a[:, None] - a) + s * dd)
 
             def pooled(i):
                 return np.where((i < m)[:, None], x[np.minimum(i, m - 1)], y[np.maximum(i - m, 0)])
 
-            # The kernel reads the rows, so it has no use for the extended Gram.
             near, near_norms, zero, _ = _near_pairs(
                 np.where(upper, sq, np.inf), diag[:, None] + diag + s * s * dd,
-                lambda i, j: pooled(i) - pooled(j), g, lambda: self._rows(b),
-            )
+                lambda i, j: pooled(i) - pooled(j))
             norms = np.sqrt(np.where(upper & ~near, sq, 1.0))
             norms[near] = np.where(zero, 1.0, near_norms)
             dup = np.zeros_like(near)
@@ -607,9 +616,8 @@ class _TwoSampleGram:
         else:
             # The unit vectors of near pairs join the basis (Xc, Yc, delta).
             (x,), (y,) = self.xs, self.ys
-            near, _, zero, g = _near_pairs(
-                sq[0], scale[0], lambda i, j: y[j] - x[i], g[0], lambda: self._rows(0)
-            )
+            near, _, zero, units = _near_pairs(sq[0], scale[0], lambda i, j: y[j] - x[i])
+            g = _with_units(g[0], units, lambda: self._rows(0))[None]
             ia, ib = np.nonzero(near)
             if zero.any():
                 p = int(np.flatnonzero(zero)[0])
@@ -619,7 +627,6 @@ class _TwoSampleGram:
                 )
             w = np.zeros(sq.shape)
             w[0, ~near] = 1.0 / np.sqrt(sq[0, ~near])
-            g = g[None]
 
         # Coefficients of R_i (rows :m) and C_j (rows m:) on the basis.
         r_sum = w.sum(axis=2)

@@ -1,6 +1,7 @@
 """Tests for the asymptotic, randomization and latent-scale-oracle backends."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from hdsigntest.inference import (
     evaluate_two_sample,
     gaussian_sf,
 )
-from hdsigntest.statistics import _TwoSampleGram
+from hdsigntest.statistics import _OneSampleGram, _TwoSampleGram
 from hdsigntest._naive import (
     naive_one_sample_scale_terms,
     naive_t_wmw,
@@ -233,7 +234,7 @@ class TestPermutationBackend:
         for big, m in ((40, 20), (26, 13), (19, 13), (8, 4)):
             rng = np.random.default_rng(big)
             gram = _TwoSampleGram([np.zeros((m, 1))], [np.zeros((big - m, 1))])
-            blocks = [block[0] for block in gram.draws(98, [rng])]
+            blocks = [block[0] for block in statistics._draw_blocks(gram, 98, [rng])]
             masks = np.vstack(blocks)
             assert min(len(block) for block in blocks) >= 2
             check_rng = np.random.default_rng(big)
@@ -258,7 +259,8 @@ class TestPermutationBackend:
             x = rng.standard_normal((m, 20))
             y = rng.standard_normal((n, 20)) + 0.3
             gram = _TwoSampleGram([x], [y])
-            masks = np.hstack(list(gram.draws(300, [np.random.default_rng(seed)])))[0]
+            masks = np.hstack(list(statistics._draw_blocks(
+                gram, 300, [np.random.default_rng(seed)])))[0]
             results = []
             for block in (1 << 20, (m + n) ** 2 * cols):
                 monkeypatch.setattr(statistics, "_SIGN_BLOCK", block)
@@ -291,7 +293,7 @@ class TestPermutationBackend:
         y = rng.standard_t(5, size=(n, d)) + 0.3
         pool = np.vstack([x, y])
         gram = _TwoSampleGram([x], [y])
-        masks = np.hstack(list(gram.draws(200, [rng])))[0]
+        masks = np.hstack(list(statistics._draw_blocks(gram, 200, [rng])))[0]
         assert len(statistics._spans(len(masks), 64)) == 4
         values = gram.wmw(masks)[0]
         for r in np.linspace(0, len(masks) - 1, picks).astype(int):
@@ -315,11 +317,32 @@ class TestPermutationBackend:
         assert abs(res[key].statistic - naive_t_wmw(x, y)) < 1e-10
         pool = np.vstack([x, y])
         gram = _TwoSampleGram([x], [y])
-        masks = np.hstack(list(gram.draws(30, [np.random.default_rng(1)])))[0]
+        masks = np.hstack(list(statistics._draw_blocks(gram, 30, [np.random.default_rng(1)])))[0]
         assert (masks[:, 1] != masks[:, 7]).any() and (masks[:, 1] == masks[:, 7]).any()
         values = gram.wmw(masks)[0]
         for value, mask in zip(values, masks):
             assert abs(value - naive_t_wmw(pool[mask], pool[~mask])) < 1e-10
+
+    def test_pair_norms_read_no_centred_rows(self, monkeypatch):
+        # Near pairs are formed from the samples' own rows, so the pair
+        # norms never need the centred rows behind the Gram matrix: here
+        # x rows 1 and 3 coincide and y row 2 lies at relative distance
+        # 1e-7 from x row 0.
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((5, 20)) + 0.3
+        y = rng.standard_normal((6, 20))
+        x[3] = x[1]
+        u = rng.standard_normal(20)
+        y[2] = x[0] + 1e-7 * np.linalg.norm(x[0]) * u / np.linalg.norm(u)
+        gram = _TwoSampleGram([x], [y])
+
+        def refuse(*args):
+            raise AssertionError("the centred rows were formed again")
+
+        monkeypatch.setattr(_TwoSampleGram, "_rows", refuse)
+        norms, dup = gram.pair_norms[0]
+        assert dup[1, 3] and dup.sum() == 2
+        assert abs(norms[0, 7] - np.linalg.norm(y[2] - x[0])) <= 1e-12 * norms[0, 7]
 
     @pytest.mark.parametrize("cols", [None, 1])
     def test_split_duplicate_pair(self, cols, monkeypatch):
@@ -505,6 +528,38 @@ class TestSignflipBackend:
         bound = 2.5 * 8 * statistics._FLIP_BATCH + 2 * x.nbytes if stat == "sr" else 20e6
         assert peak < bound, (peak, bound)
 
+    @pytest.mark.parametrize("batch", [statistics._PERM_BATCH, 7])
+    def test_draw_follows_integers_stream(self, batch, monkeypatch):
+        # One rng.integers call per block must give the flip patterns, and
+        # leave the generator state, of one call for all of them.  The 99
+        # rows are 14 blocks of 7 and one row over, which joins the last
+        # block.
+        monkeypatch.setattr(statistics, "_PERM_BATCH", batch)
+        for n in (5, 7, 40):
+            rng = np.random.default_rng(n)
+            gram = _OneSampleGram([np.zeros((n, 1))])
+            blocks = [block[0] for block in statistics._draw_blocks(gram, 98, [rng])]
+            assert min(len(block) for block in blocks) >= 2
+            check_rng = np.random.default_rng(n)
+            expected = check_rng.integers(0, 2, (98, n)) * 2.0 - 1.0
+            flips = np.vstack(blocks)
+            assert np.array_equal(flips[0], np.ones(n))
+            assert flips[1:].tobytes() == expected.tobytes(), n
+            assert rng.bit_generator.state == check_rng.bit_generator.state
+
+    def test_memory_does_not_grow_with_resamples(self):
+        # 80,000 patterns of 40 flips, drawn as one block, took 78 MB at
+        # their peak; drawn in blocks of ``_PERM_BATCH`` patterns, the
+        # drawn values, 8 bytes per pattern and test, are most of it.
+        x = np.random.default_rng(59).standard_normal((40, 50))
+        tracemalloc.start()
+        try:
+            evaluate_one_sample(x, [("cq1", "signflip"), ("s", "signflip")], 0.05, 80000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
     def test_pvalue_floor_large_shift(self):
         # n = 20 rows: the chance of drawing a constant flip pattern, which
         # would reproduce the observed statistic exactly, is negligible.
@@ -530,6 +585,22 @@ class TestSignflipBackend:
 
 
 class TestReportContract:
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_seed(self, seed):
+        # A NumPy integer seed is recorded as a Python int, so the report
+        # serialises and equals the report of the same plain seed.
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((6, 8))
+        y = rng.standard_normal((5, 8))
+        pairs = [(randomization_one_sample(x, "s", n_resamples=20, seed=seed),
+                  randomization_one_sample(x, "s", n_resamples=20, seed=3)),
+                 (randomization_two_sample(x, y, "wmw", n_resamples=20, seed=seed),
+                  randomization_two_sample(x, y, "wmw", n_resamples=20, seed=3))]
+        for report, want in pairs:
+            assert type(report.seed) is int
+            assert report == want
+            assert json.loads(json.dumps(report.to_dict())) == want.to_dict()
+
     @pytest.mark.parametrize("variant", ["plain", "offset", "near-pair"])
     def test_one_statistic_per_evaluation(self, variant):
         # Every report of a statistic shows one observed value, bit for bit

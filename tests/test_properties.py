@@ -219,9 +219,9 @@ def _one_sample_snapshot(x):
 
 
 def _flip_values(x, flips):
-    """``_OneSampleGram(x).sr(flips)`` as a tuple, or the type of the
+    """``_OneSampleGram([x]).sr(flips)`` as a tuple, or the type of the
     package error it raised."""
-    values = _outcome(lambda: _OneSampleGram(x).sr(flips))
+    values = _outcome(lambda: _OneSampleGram([x]).sr(flips)[0])
     return values if isinstance(values, type) else tuple(values)
 
 
@@ -388,14 +388,14 @@ def test_signflip_kernels_match_naive(sample, shifted, data):
     x, flips = sample
     if shifted:
         x = x + data.draw(shifts(x.shape[1]))
-    gram = _OneSampleGram(x)
+    gram = _OneSampleGram([x])
     flipped = [x * eps[:, None] for eps in flips]
-    for value, rows in zip(gram.cq1(flips), flipped):
+    for value, rows in zip(gram.cq1(flips)[0], flipped):
         assert abs(value - naive_t_cq1(rows)) <= REL_TOL * _raw_size(x)
     kernels = [(gram.s, naive_t_s)] + [(gram.sr, naive_t_sr)] * (len(x) >= 4)
     for kernel, oracle in kernels:
         want = [_outcome(oracle, rows) for rows in flipped]
-        got = _outcome(lambda: tuple(kernel(flips)))
+        got = _outcome(lambda: tuple(kernel(flips)[0]))
         if ZeroVectorError in want:
             # A batch that uses a zero sign anywhere is refused as a whole.
             assert got == ZeroVectorError

@@ -18,7 +18,8 @@ from hdsigntest import (
     t_wmw,
 )
 from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
-from hdsigntest.statistics import _OneSampleGram
+from hdsigntest.nuisance import _one_sample_snapshot
+from hdsigntest.statistics import _OneSampleGram, _observed
 from hdsigntest._naive import (
     naive_t_cq1,
     naive_t_cq2,
@@ -154,7 +155,7 @@ class TestSpatialSignStat:
         key = ("s", "signflip")
         res = evaluate_one_sample(x, [key], n_resamples=4, rng=np.random.default_rng(0))
         assert abs(res[key].statistic - naive_t_s(x)) < 1e-12
-        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
+        for value, eps in zip(_OneSampleGram([x]).sr(flips)[0], flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
 
 
@@ -191,7 +192,7 @@ class TestSignedRankStat:
     def test_every_flip_matches_naive(self):
         x = np.random.default_rng(60).standard_normal((6, 5)) + 0.3
         flips = np.array(list(itertools.product((1.0, -1.0), repeat=6)))
-        values = _OneSampleGram(x).sr(flips)
+        values = _OneSampleGram([x]).sr(flips)[0]
         for value, eps in zip(values, flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-12
         assert values[0] == t_sr(x)
@@ -213,7 +214,7 @@ class TestSignedRankStat:
         flips[:, 0] = 1.0
         flips[:, 1] = np.tile((1.0, -1.0), 8)
         assert abs(t_sr(x) - naive_t_sr(x)) < 1e-10
-        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
+        for value, eps in zip(_OneSampleGram([x]).sr(flips)[0], flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-10
 
     @pytest.mark.parametrize("offset", (1e2, 1e6))
@@ -224,7 +225,7 @@ class TestSignedRankStat:
         rng = np.random.default_rng(68)
         flips = rng.integers(0, 2, size=(4, 12)) * 2.0 - 1.0
         x = rng.standard_normal((12, 500)) + offset
-        for value, eps in zip(_OneSampleGram(x).sr(flips), flips):
+        for value, eps in zip(_OneSampleGram([x]).sr(flips)[0], flips):
             assert abs(value - naive_t_sr(x * eps[:, None])) < 1e-13
 
     def test_offset_difference_pairs_memory(self):
@@ -236,7 +237,7 @@ class TestSignedRankStat:
         flips = rng.integers(0, 2, size=(501, 40)) * 2.0 - 1.0
         tracemalloc.start()
         try:
-            _OneSampleGram(x).sr(flips)
+            _OneSampleGram([x]).sr(flips)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,9 +247,9 @@ class TestSignedRankStat:
         x = np.random.default_rng(62).standard_normal((5, 3))
         x[3] = x[1]
         kept, split = np.ones((1, 5)), np.array([[1.0, 1.0, 1.0, -1.0, 1.0]])
-        assert _OneSampleGram(x).sr(kept)[0] == t_sr(x)
+        assert _OneSampleGram([x]).sr(kept)[0, 0] == t_sr(x)
         with pytest.raises(ZeroVectorError):
-            _OneSampleGram(x).sr(split)
+            _OneSampleGram([x]).sr(split)
 
 
 class TestWmw:
@@ -346,3 +347,50 @@ class TestInvariances:
             assert rel_err(t_s(xp), t_s(x)) < 1e-13
             assert rel_err(t_sr(xp), t_sr(x)) < 1e-13
             assert rel_err(t_wmw(xp, yp), t_wmw(x, y)) < 1e-13
+
+
+class TestOneSampleBlocks:
+    @staticmethod
+    def _samples():
+        # Sample 1 holds a short row under an offset, whose inner products
+        # come from the rows, and sample 2 a pair sum at relative distance
+        # 1e-7, whose unit vector joins that sample's basis.
+        rng = np.random.default_rng(87)
+        n, d = 7, 30
+        xs = [rng.standard_normal((n, d)) + 0.3 for _ in range(3)]
+        xs[1] += 1e3
+        xs[1][0] = rng.standard_normal(d) * 1e-3
+        u = rng.standard_normal(d)
+        xs[2][1] = -xs[2][0] + 1e-7 * np.linalg.norm(xs[2][0]) * u / np.linalg.norm(u)
+        flips = rng.integers(0, 2, size=(3, 20, n)) * 2.0 - 1.0
+        return xs, flips
+
+    def test_samples_by_index(self):
+        # In a block of 3, every per-sample result has the bits of the
+        # sample's block of one.
+        xs, flips = self._samples()
+        block = _OneSampleGram(xs)
+        assert block.raw.shape == (3, 7, 7)
+        snaps = _one_sample_snapshot(block)
+        for b, x in enumerate(xs):
+            one = _OneSampleGram([x])
+            assert block.raw[b].tobytes() == one.raw[0].tobytes(), b
+            for stat in ("cq1", "s", "sr"):
+                got = getattr(block, stat)(flips)[b]
+                assert got.tobytes() == getattr(one, stat)(flips[b])[0].tobytes(), (b, stat)
+                want = _observed(one, stat)
+                assert _observed(block, stat)[b : b + 1].tobytes() == want.tobytes(), (b, stat)
+            assert snaps[b] == _one_sample_snapshot(one)[0], b
+        # Sample 2's flips keep and split its near pair sum.
+        assert (flips[2, :, 0] == flips[2, :, 1]).any() and (flips[2, :, 0] != flips[2, :, 1]).any()
+
+    def test_zero_pair_sum_names_its_sample(self):
+        # The error of a zero pair sum names the observations of the sample
+        # that holds it, wherever that sample sits in the block.
+        xs, _ = self._samples()
+        zero = xs[0].copy()
+        zero[4] = -zero[2]
+        want = "^the sum of observations 2 and 4 is the zero vector$"
+        for block in ([zero], [xs[1], zero, xs[2]], [xs[2], xs[1], zero]):
+            with pytest.raises(ZeroVectorError, match=want):
+                _observed(_OneSampleGram(block), "sr")
