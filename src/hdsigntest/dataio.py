@@ -1,9 +1,9 @@
 """Reading and writing observation matrices as CSV.
 
-One observation per row, comma-separated decimals.  A single header line
-is tolerated on input and detected by a non-numeric first row.  Output
-uses repr serialization (17 significant digits), so a written matrix
-reads back bit-exactly.
+One observation per row, comma-separated decimals, in UTF-8 with an
+optional byte-order mark.  A single header line is tolerated on input and
+detected by a non-numeric first row.  Output uses repr serialization (17
+significant digits), so a written matrix reads back bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from .statistics import as_matrix
 def parse_matrix_csv(text: str, source: str = "input") -> np.ndarray:
     """Parse CSV text into an observation matrix.
 
-    Errors carry 1-based row/column context, counted after any header.
+    A leading byte-order mark is dropped, so it cannot make the first row
+    look like a header.  Errors carry 1-based row/column context, counted
+    after any header.
     """
-    lines = [line for line in text.splitlines() if line.strip() != ""]
+    lines = [line for line in text.removeprefix("\ufeff").splitlines() if line.strip() != ""]
     if not lines:
         raise DataFileError(f"{source}: file contains no data rows")
 
@@ -79,11 +81,22 @@ def _cell_value(cell: str, source: str, rownum: int, colnum: int) -> float:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """The observation matrix of the CSV file at ``path``.  The bytes are
+    decoded as UTF-8 in one piece, so an undecodable byte is named by its
+    offset from the start of the file; a byte-order mark is left to
+    ``parse_matrix_csv``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFileError(
+            f"{path}: byte offset {exc.start}: not UTF-8 text ({exc.reason})"
+        ) from None
+    del data  # so that parsing holds the text alone
     return parse_matrix_csv(text, source=str(path))
 
 

@@ -128,12 +128,13 @@ def _rejections(replicates, tests, alpha, n_resamples) -> dict:
     Each replicate is (where, key, draw): ``key`` seeds one stream for its
     data and one for its resamples, ``draw(rng)`` returns its dataset
     (x, y, aux) from the data stream, and ``where`` names it in the
-    message of any failure.  Consecutive replicates of one shape are
-    evaluated in blocks of up to ``_BLOCK``, fewer where their samples
-    and centred rows would pass ``_BLOCK_COEFS`` coefficients; a
-    dataset's reports do not depend on its block.  A failed replicate
-    aborts the study, with the error of the first replicate that fails;
-    silently skipping it would bias the rates.
+    message of any failure.  All datasets share one shape, as a grid
+    point or a subsample phase fixes it; a Gram constructor refuses a
+    mixed block.  Consecutive replicates are evaluated in blocks of up to
+    ``_BLOCK``, fewer where their samples and centred rows would pass
+    ``_BLOCK_COEFS`` coefficients; a dataset's reports do not depend on
+    its block.  A failed replicate aborts the study, with the error of the
+    first replicate that fails; silently skipping it would bias the rates.
     """
     counts = {(stat, method): 0 for stat, method in tests}
     block = []
@@ -145,8 +146,6 @@ def _rejections(replicates, tests, alpha, n_resamples) -> dict:
             # The replicates drawn before it come first.
             _count_block(block, counts, tests, alpha, n_resamples)
             raise type(exc)(f"{where}: {exc}") from exc
-        if block and (np.shape(x), np.shape(y)) != (np.shape(block[0][1]), np.shape(block[0][2])):
-            _count_block(block, counts, tests, alpha, n_resamples)
         block.append((where, x, y, resample_seq, aux))
         if len(block) >= _block_size(x, y):
             _count_block(block, counts, tests, alpha, n_resamples)

@@ -3,9 +3,10 @@
 All five statistics are U-statistics: averages of a kernel over ordered
 tuples of distinct observation indices.  Each function here evaluates the
 closed-form reduction of that sum on one Gram matrix per dataset, for a
-block of datasets of one shape (``_OneSampleGram``, ``_TwoSampleGram``),
-which also draws each dataset's resamples, in blocks (``_draw_blocks``),
-and evaluates each statistic on a batch of them.  The matching naive
+block of datasets of one shape (``_OneSampleGram``, ``_TwoSampleGram``,
+each centring the whole block's rows at once), which also draws each
+dataset's resamples, in blocks (``_draw_blocks``), and evaluates each
+statistic on a batch of them.  The matching naive
 index-loop versions live in ``_naive`` and are compared against these in
 the test suite and in the ``selftest`` CLI command.
 """
@@ -178,16 +179,18 @@ def _draw_blocks(gram, n_resamples: int, rngs):
             [np.broadcast_to(gram.identity, block[:, :1].shape), block], axis=1)
 
 
-def _centred(x: np.ndarray, out: np.ndarray):
-    """(mean, rest), with x less its column means written into ``out`` in
-    two passes.  The first subtracts the rounded mean, which under a large
-    offset is exact (the rows and their mean agree to within a factor of
-    2); the second subtracts the mean ``rest`` of what is left, so the rows
-    sum to zero to rounding.  The sample's mean is mean + rest."""
-    mean = x.mean(axis=0)
-    np.subtract(x, mean, out=out)
-    rest = out.mean(axis=0)
-    out -= rest
+def _centred(samples, out: np.ndarray):
+    """(mean, rest), each (B, d), with the samples (of one shape, or
+    ``np.stack`` refuses them) less their column means written into ``out``
+    in two passes.  The first subtracts the rounded mean, which under a
+    large offset is exact (the rows and their mean agree to within a factor
+    of 2); the second subtracts the mean ``rest`` of what is left, so the
+    rows sum to zero to rounding.  A sample's mean is mean + rest."""
+    np.stack(samples, out=out)
+    mean = out.mean(axis=1)
+    out -= mean[:, None]
+    rest = out.mean(axis=1)
+    out -= rest[:, None]
     return mean, rest
 
 
@@ -225,28 +228,26 @@ class _OneSampleGram:
     ``identity`` is the all-plus pattern.  ``raw``'s short rows and ``sr``
     run per sample, by its index.
 
-    Each sample's centred rows Xc (``_centred``) are stacked with
-    mu = mean + rest as row n (``_rows``), and ``gram = rows rows'``.  Its
-    block ``gc`` = Xc Xc' is location-free and is all that the nuisance
-    estimator reads.
+    ``_rows`` centres the whole block in one pass (``_centred``), with each
+    sample's rows Xc and mu = mean + rest as row n, and ``gram = rows
+    rows'``.  Its block ``gc`` = Xc Xc' is location-free and is all that
+    the nuisance estimator reads.
     """
 
     def __init__(self, xs):
         self.xs = [as_matrix(x) for x in xs]
         self.n, self.d = self.xs[0].shape
         self.identity = np.ones((1, self.n))
-        rows = np.empty((len(self.xs), self.n + 1, self.d))
-        for b, out in enumerate(rows):
-            self._rows(b, out)
+        rows = self._rows(self.xs)
         self.gram = rows @ rows.transpose(0, 2, 1)
         self.gc = self.gram[:, :-1, :-1]
 
-    def _rows(self, b: int, out=None) -> np.ndarray:
-        """The rows Xc and mu of sample ``b``, written into ``out`` if given."""
-        out = np.empty((self.n + 1, self.d)) if out is None else out
-        mean, rest = _centred(self.xs[b], out[:-1])
-        out[-1] = mean + rest
-        return out
+    def _rows(self, xs) -> np.ndarray:
+        """The (B, n + 1, d) rows Xc and mu of the samples ``xs``."""
+        rows = np.empty((len(xs), self.n + 1, self.d))
+        mean, rest = _centred(xs, rows[:, :-1])
+        rows[:, -1] = mean + rest
+        return rows
 
     def draws(self, rngs, count: int) -> np.ndarray:
         """(B, count, n) flip patterns of fair +-1, each sample's from one
@@ -337,7 +338,7 @@ class _OneSampleGram:
         near, _, zero, units = _near_pairs(
             np.where(upper, sq, np.inf), scale,
             lambda kind, ia, ib: x[ia] + (1.0 - 2.0 * kind)[:, None] * x[ib])
-        g = _with_units(g, units, lambda: self._rows(b))
+        g = _with_units(g, units, lambda: self._rows([x])[0])
         kind, ia, ib = np.nonzero(near)
         use = (upper | upper.T) & ~(near | near.transpose(0, 2, 1))
         inv = np.zeros_like(sq)
@@ -393,14 +394,14 @@ class _TwoSampleGram:
     BLAS call that the same product of one dataset runs, and the sums and
     contractions run over the same axes in the same order.
 
-    Each sample is centred on its own mean (``_centred``), and the centred
-    rows are stacked x first, then y, then delta = Ybar - Xbar as row N
-    (N = m + n), (N + 1, d) per dataset (``_rows``), and ``gram = rows
-    rows'`` is formed in the constructor.  Its blocks ``gxx``, ``gyy`` and
-    ``gxy`` are the Gram matrices of the centred samples and their cross
-    products, its last row and column hold a = rows delta, and its corner
-    ||delta||^2.  The rows are dropped once ``gram`` is formed: the rare
-    near pair that needs them forms them anew.  ``identity`` is the mask of
+    ``_rows`` centres every sample of the block on its own mean at once
+    (``_centred``), stacking x rows, y rows and delta = Ybar - Xbar as row
+    N (N = m + n), (N + 1, d) per dataset; ``gram = rows rows'``.  Its
+    blocks ``gxx``, ``gyy`` and ``gxy`` are the Gram matrices of the
+    centred samples and their cross products, its last row and column hold
+    a = rows delta, and its corner ||delta||^2.  The rows are dropped once
+    ``gram`` is formed: the rare near pair that needs them forms its
+    dataset's anew.  ``identity`` is the mask of
     the samples' own labels.  ``pair_norms`` and the permutation ``wmw``
     kernel run per dataset, by its index; so does ``wmw_closed`` on a block
     with a near pair, through each dataset's block of one.
@@ -427,21 +428,18 @@ class _TwoSampleGram:
         (self.m, self.d), self.n = self.xs[0].shape, self.ys[0].shape[0]
         m, big = self.m, self.m + self.n
         self.identity = np.arange(big)[None, :] < m
-        rows = np.empty((len(self.xs), big + 1, self.d))
-        for b, out in enumerate(rows):
-            self._rows(b, out)
+        rows = self._rows(self.xs, self.ys)
         self.gram = g = rows @ rows.transpose(0, 2, 1)
         self.gxx, self.gyy, self.gxy = g[:, :m, :m], g[:, m:big, m:big], g[:, :m, m:big]
 
-    def _rows(self, b: int, out=None) -> np.ndarray:
-        """The (N + 1, d) rows Xc, Yc and delta of dataset ``b``, written
-        into ``out`` if given."""
+    def _rows(self, xs, ys) -> np.ndarray:
+        """The (B, N + 1, d) rows Xc, Yc and delta of the datasets (xs, ys)."""
         m, big = self.m, self.m + self.n
-        out = np.empty((big + 1, self.d)) if out is None else out
-        x_mean, x_rest = _centred(self.xs[b], out[:m])
-        y_mean, y_rest = _centred(self.ys[b], out[m:big])
-        out[big] = (y_mean - x_mean) + (y_rest - x_rest)
-        return out
+        rows = np.empty((len(xs), big + 1, self.d))
+        x_mean, x_rest = _centred(xs, rows[:, :m])
+        y_mean, y_rest = _centred(ys, rows[:, m:big])
+        rows[:, big] = (y_mean - x_mean) + (y_rest - x_rest)
+        return rows
 
     def cq2(self, masks: np.ndarray) -> np.ndarray:
         """T_CQ2 for each relabeling in ``masks`` (True = first group):
@@ -617,7 +615,7 @@ class _TwoSampleGram:
             # The unit vectors of near pairs join the basis (Xc, Yc, delta).
             (x,), (y,) = self.xs, self.ys
             near, _, zero, units = _near_pairs(sq[0], scale[0], lambda i, j: y[j] - x[i])
-            g = _with_units(g[0], units, lambda: self._rows(0))[None]
+            g = _with_units(g[0], units, lambda: self._rows([x], [y])[0])[None]
             ia, ib = np.nonzero(near)
             if zero.any():
                 p = int(np.flatnonzero(zero)[0])

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hdsigntest import (
     DataFileError,
     ExperimentPlan,
     InvalidSpecError,
+    matrix_to_csv,
     parse_matrix_csv,
     read_matrix_csv,
     write_matrix_csv,
@@ -73,6 +75,28 @@ class TestCsvIo:
     def test_header_only(self):
         with pytest.raises(DataFileError, match="only a header line, no data rows$"):
             parse_matrix_csv("a,b,c\n")
+
+    def test_byte_order_mark(self, tmp_path):
+        # A UTF-8 byte-order mark does not make the first row a header, and
+        # a header after one is still the only line skipped.
+        rows = np.arange(10.0).reshape(5, 2)
+        path = tmp_path / "bom.csv"
+        for text, want in (("\ufeff" + matrix_to_csv(rows), rows),
+                           ("\ufeffa,b\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]])):
+            path.write_bytes(text.encode("utf-8"))
+            assert np.array_equal(parse_matrix_csv(text), want)
+            assert np.array_equal(read_matrix_csv(path), want)
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,4.\xe9\n")
+        want = f"^{re.escape(str(path))}: byte offset 14: not UTF-8 text"
+        with pytest.raises(DataFileError, match=want):
+            read_matrix_csv(path)
+        code, _, err = run_cli(["one-sample", "--x", str(path), "--stat", "cq1",
+                                "--method", "asymptotic"])
+        assert code == 3
+        assert err.startswith(f"data error: {path}: byte offset 14")
 
 
 class TestTwoSampleCommand:

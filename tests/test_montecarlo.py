@@ -478,6 +478,7 @@ class TestBlocks:
         values, closed = block.wmw(masks), block.wmw_closed()
         for b, (x, y) in enumerate(zip(xs, ys)):
             one = _TwoSampleGram([x], [y])
+            assert block.gram[b].tobytes() == one.gram[0].tobytes(), b
             for got, want in zip(block.pair_norms[b], one.pair_norms[0]):
                 assert got.tobytes() == want.tobytes(), b
             assert values[b].tobytes() == one.wmw(masks[b][None])[0].tobytes(), b

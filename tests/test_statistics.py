@@ -367,13 +367,19 @@ class TestOneSampleBlocks:
 
     def test_samples_by_index(self):
         # In a block of 3, every per-sample result has the bits of the
-        # sample's block of one.
+        # sample's block of one; so has the Gram matrix of samples of 130
+        # rows at d = 1, whose column means NumPy sums pairwise.
+        thin = list(np.random.default_rng(88).standard_normal((3, 130, 1)) + 1e3)
+        block = _OneSampleGram(thin)
+        for b, x in enumerate(thin):
+            assert block.gram[b].tobytes() == _OneSampleGram([x]).gram[0].tobytes(), b
         xs, flips = self._samples()
         block = _OneSampleGram(xs)
         assert block.raw.shape == (3, 7, 7)
         snaps = _one_sample_snapshot(block)
         for b, x in enumerate(xs):
             one = _OneSampleGram([x])
+            assert block.gram[b].tobytes() == one.gram[0].tobytes(), b
             assert block.raw[b].tobytes() == one.raw[0].tobytes(), b
             for stat in ("cq1", "s", "sr"):
                 got = getattr(block, stat)(flips)[b]
