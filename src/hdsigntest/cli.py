@@ -6,9 +6,10 @@ JSON run manifest, ``selftest`` validates the fast paths against the
 naive oracles.
 
 Exit codes: 0 success, 2 usage error, 3 data error.  A ``simulate``
-study that its ``ExperimentPlan`` refuses is a usage error; a failure
-while it runs is a data error.  All outputs are deterministic given the
-flags; only the manifest timestamp varies.
+study that its ``ExperimentPlan`` refuses, or an ``--out`` whose file or
+manifest path is a directory or lies in a missing one, is a usage error
+before the study runs; a failure while it runs is a data error.  All outputs are
+deterministic given the flags; only the manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 from . import __version__
@@ -219,6 +221,11 @@ def _cmd_simulate(args, out) -> int:
         )
     except InvalidSpecError as exc:
         raise _UsageError(exc) from exc
+    manifest_path = args.out + ".manifest.json"
+    if (not os.path.isdir(os.path.dirname(args.out) or ".")
+            or os.path.isdir(args.out) or os.path.isdir(manifest_path)):
+        raise _UsageError(f"--out {args.out!r} cannot be written: it or {manifest_path!r} "
+                          "is a directory, or its directory does not exist")
     points = run_power_study(plan)
     csv_text = summarize_to_plot_data(points)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -243,7 +250,7 @@ def _cmd_simulate(args, out) -> int:
         ],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as handle:
+    with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
     out.write(f"wrote {len(points)} curve points to {args.out}\n")

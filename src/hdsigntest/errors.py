@@ -75,6 +75,33 @@ def require_counts(error, **values) -> None:
             raise error(f"{name} must be at least 1, got {value}")
 
 
+def require_pairs(error, items, noun: str, fields: str, label: str, check) -> None:
+    """Raise ``error`` unless ``items`` is a nonempty list or tuple of
+    distinct pairs (two-element lists or tuples), each accepted by
+    ``check(first, second)``.
+
+    ``noun`` names one pair and ``fields`` its two parts, and
+    ``label.format(first, second)`` names a repeated pair: "test",
+    "(stat, method)" and "the {} {} test" for a test list.  ``check`` runs
+    before the repeat lookup, which needs it to refuse every pair that
+    cannot be hashed.  A one-shot iterator is refused, as a check would use
+    it up.
+    """
+    if not isinstance(items, (list, tuple)):
+        raise error(f"{noun}s must be a list or tuple of {fields} pairs, "
+                    f"not {type(items).__name__}")
+    if not items:
+        raise error(f"{noun} list is empty")
+    seen = set()
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise error(f"each {noun} must be a {fields} pair, not {item!r}")
+        check(*item)
+        if tuple(item) in seen:
+            raise error(f"{label.format(*item)} is listed twice")
+        seen.add(tuple(item))
+
+
 def require_reals(error, **values) -> None:
     """Raise ``error`` naming the first of ``values`` that is not a real
     number (a Python or NumPy integer or float)."""

@@ -23,7 +23,6 @@ MODEL_NAMES = (AR1_GAUSS, AR1_T5, SPHERICAL_T5, EQUICORR_GAUSS)
 
 SHIFT_FIRST = "first-coordinate"
 SHIFT_SPREAD = "spread-equally"
-SHIFT_ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,15 @@ class MeanShift:
 
     first-coordinate puts the whole magnitude c on coordinate 1;
     spread-equally uses c/sqrt(d) on every coordinate so that the norm of
-    the mean is c in both styles and power points stay comparable.
+    the mean is c in both styles and power points stay comparable.  Either
+    style at magnitude 0, as in the default, is no shift.
     """
 
-    style: str = SHIFT_ZERO
+    style: str = SHIFT_FIRST
     magnitude: float = 0.0
 
     def __post_init__(self):
-        if self.style not in (SHIFT_FIRST, SHIFT_SPREAD, SHIFT_ZERO):
+        if self.style not in (SHIFT_FIRST, SHIFT_SPREAD):
             raise InvalidSpecError(f"unknown shift style {self.style!r}")
         require_reals(InvalidSpecError, magnitude=self.magnitude)
         if not 0.0 <= self.magnitude < math.inf:
@@ -68,7 +68,7 @@ class MeanShift:
         mu = np.zeros(d)
         if self.style == SHIFT_FIRST:
             mu[0] = self.magnitude
-        elif self.style == SHIFT_SPREAD:
+        else:
             mu[:] = self.magnitude / math.sqrt(d)
         return mu
 

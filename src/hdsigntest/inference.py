@@ -11,15 +11,19 @@ call it.  Each runs on a block of one of its Gram object
 (``_TwoSampleGram``, ``_OneSampleGram``), whose arrays and kernels take a
 leading batch axis.  ``evaluate_two_sample`` is the block of one of
 ``_evaluate_two_sample_block``, which the study harness calls on blocks of
-datasets of one shape, and a dataset's bits do not depend on its block.  Both evaluators share one report loop and one randomization
-core over the Gram object, whose draws come from each dataset's own
-generator in blocks of 1024 resamples.  Every report of a statistic shows
-one observed value, whatever its method.  Randomization p-values use the
-add-one estimator (1 + #{resampled >= observed}) / (n_resamples + 1),
-which is valid at any finite resample count and never exactly zero.  The
-core counts ties against the statistic on its own resampling path, the
-identity relabeling or the all-plus flip pattern, so draws that reproduce
-it tie exactly.  With m = n a relabeling and its swap give the same
+datasets of one shape, and a dataset's bits do not depend on its block.
+The evaluators check the test list, level, count, seed and latent scales
+once, at entry; the block core trusts their checks, or the study's, and
+the Gram object checks the samples.  Both evaluators share one report
+loop and one randomization core over the Gram object, whose draws come
+from each dataset's own generator in blocks of 1024 resamples.  Every
+report of a statistic shows one observed value, whatever its method.
+Randomization p-values use the add-one estimator
+(1 + #{resampled >= observed}) / (n_resamples + 1), which is valid at any
+finite resample count and never exactly zero.  The core counts ties
+against the statistic on its own resampling path, the identity
+relabeling or the all-plus flip pattern, so draws that reproduce it tie
+exactly.  With m = n a relabeling and its swap give the same
 two-sample statistic; both are oriented to one mask, so a draw of the
 swapped split ties too.
 """
@@ -38,6 +42,7 @@ from .errors import (
     NonpositiveScaleError,
     require_counts,
     require_level,
+    require_pairs,
     require_seed,
 )
 from .generators import RsrmAuxiliary
@@ -281,45 +286,34 @@ def one_sample_oracle_terms(aux: RsrmAuxiliary, n: int) -> OneSampleOracleTerms:
 def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
     """The one test-list rule of the evaluators and the studies: raise
     ``error`` unless ``tests`` is a nonempty list or tuple of distinct
-    (stat, method) pairs from ``stats`` and ``methods``, with a valid level
-    and count.  A one-shot iterator is refused, as a check would use it
-    up."""
+    (stat, method) pairs from ``stats`` and ``methods`` (``require_pairs``),
+    with a valid level and count."""
     require_level(error, "alpha", alpha)
     require_counts(error, n_resamples=n_resamples)
-    if not isinstance(tests, (list, tuple)):
-        raise error(f"tests must be a list or tuple of (stat, method) pairs, "
-                    f"not {type(tests).__name__}")
-    if not tests:
-        raise error("test list is empty")
-    seen = set()
-    for test in tests:
-        if not isinstance(test, (list, tuple)) or len(test) != 2:
-            raise error(f"each test must be a (stat, method) pair, not {test!r}")
-        stat, method = test
+
+    def check(stat, method):
         if stat not in stats:
             raise error(f"statistic must be one of {stats}, not {stat!r}")
         if method not in methods:
             raise error(f"method must be one of {methods}, not {method!r}")
-        if (stat, method) in seen:
-            raise error(f"the {stat} {method} test is listed twice")
-        seen.add((stat, method))
+
+    require_pairs(error, tests, "test", "(stat, method)", "the {} {} test", check)
 
 
-def _check_call(tests, stats, methods, alpha, n_resamples, rngs, auxes) -> None:
-    """An evaluator's checks: ``_check_tests``, then each integer seed in
-    ``rngs`` is non-negative and oracle tests have each dataset's latent
-    scales ``auxes``, an ``RsrmAuxiliary``.  A seed of a type that
+def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
+    """An evaluator's checks: ``_check_tests``, then an integer seed
+    ``rng`` is non-negative and oracle tests have the latent scales
+    ``aux``, an ``RsrmAuxiliary``.  A seed of a type that
     ``np.random.default_rng`` refuses is refused where the randomization
     core builds its generator."""
     _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
-    for rng, aux in zip(rngs, auxes, strict=True):
-        if isinstance(rng, numbers.Integral):
-            require_seed(InvalidInputError, "seed", rng)
-        for stat, method in tests:
-            if method == METHOD_RSRM_ORACLE and not isinstance(aux, RsrmAuxiliary):
-                raise MismatchedAuxiliaryError(
-                    f"the {stat} {method} test needs the latent scales (aux), got {aux!r}"
-                )
+    if isinstance(rng, numbers.Integral):
+        require_seed(InvalidInputError, "seed", rng)
+    for stat, method in tests:
+        if method == METHOD_RSRM_ORACLE and not isinstance(aux, RsrmAuxiliary):
+            raise MismatchedAuxiliaryError(
+                f"the {stat} {method} test needs the latent scales (aux), got {aux!r}"
+            )
 
 
 def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, snapshot):
@@ -377,6 +371,7 @@ def evaluate_two_sample(
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
+    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     return _evaluate_two_sample_block([x], [y], tests, alpha, n_resamples, [rng], [aux])[0]
 
 
@@ -385,8 +380,9 @@ def _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, rngs, auxes) -
     one shape, with its own ``rngs[b]`` and ``auxes[b]``: one report dict
     per dataset, in order, each with the bits that the dataset gives in a
     block of one.  A failure raises one dataset's error, not always the
-    first failing dataset's."""
-    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rngs, auxes)
+    first failing dataset's.  It trusts its callers' checks of the test
+    list, level, count, seeds and latent scales: ``evaluate_two_sample``
+    and the study plan or subsample protocol made them once."""
     # d enters the statistics, the nuisance estimates and the permutation
     # kernels through this object's batched Gram matrices.
     gram = _TwoSampleGram(xs, ys)
@@ -412,7 +408,7 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, [rng], [aux])
+    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
     # d enters the statistics, the nuisance estimates and the sign-flip
     # kernels through this object's one Gram matrix.
     gram = _OneSampleGram([x])

@@ -7,7 +7,9 @@ execution order and extending the replicate count leaves earlier
 replicates unchanged.  Both studies run one replicate loop
 (``_rejections``), which evaluates consecutive replicates in blocks
 through the batched two-sample core; a replicate's reports do not depend
-on its block, and a failure names the first replicate that fails.
+on its block, and a failure names the first replicate that fails.  The
+core trusts the study's checks: a plan or the subsample protocol checks
+its inputs once, at entry, before any replicate runs.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .errors import (
     require_counts,
     require_integers,
     require_level,
+    require_pairs,
     require_seed,
 )
-from .generators import SHIFT_FIRST, SHIFT_ZERO, SPHERICAL_T5, GeneratorSpec, generate
+from .generators import SHIFT_FIRST, SPHERICAL_T5, GeneratorSpec, generate
 from .inference import (
     METHOD_ASYMPTOTIC,
     METHOD_PERMUTATION,
@@ -38,16 +41,17 @@ from .inference import (
     _check_tests,
     _evaluate_two_sample_block,
 )
-from .statistics import TWO_SAMPLE_STATS, as_matrix
+from .statistics import TWO_SAMPLE_STATS, _require_same_dim, as_matrix
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A size/power study: one model, a (d, shift) grid, and a test list.
 
-    Every rule about a study's inputs is checked when the plan is built,
-    including every grid point's generator specs and the latent scales
-    that an oracle test needs, so an invalid plan raises
+    Every rule about a study's inputs is checked once, when the plan is
+    built: the grid and the test list by the pair rule
+    (``require_pairs``), every grid point's generator specs and the latent
+    scales that an oracle test needs.  So an invalid plan raises
     ``InvalidSpecError`` before any replicate runs.
     """
 
@@ -71,15 +75,13 @@ class ExperimentPlan:
         require_seed(InvalidSpecError, "base_seed", self.base_seed)
         if self.m < 2 or self.n < 2:
             raise InvalidSpecError("sample sizes m and n must be at least 2")
-        if not self.grid:
-            raise InvalidSpecError("grid must hold at least one (d, c) point")
         _check_tests(InvalidSpecError, self.tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS,
                      self.alpha, self.n_resamples)
         methods = {method for _, method in self.tests}
         if min(self.m, self.n) < 4 and METHOD_ASYMPTOTIC in methods:
             raise InvalidSpecError("an asymptotic test needs m and n of at least 4")
-        for d, c in self.grid:
-            _point_specs(self, d, c)
+        require_pairs(InvalidSpecError, self.grid, "grid point", "(d, c)",
+                      "grid point (d={}, c={})", lambda d, c: _point_specs(self, d, c))
         if self.model != SPHERICAL_T5 and METHOD_RSRM_ORACLE in methods:
             raise InvalidSpecError(
                 f"model {self.model!r} has no latent scales; the oracle backend "
@@ -190,7 +192,7 @@ def _point_specs(plan, d, c):
     """The generator specs (x, y) of the plan's grid point (d, c)."""
     try:
         base = GeneratorSpec(model=plan.model, d=d, rho=plan.rho, beta=plan.beta, df=plan.df)
-        return base.with_shift(SHIFT_ZERO, 0.0), base.with_shift(plan.shift_style, c)
+        return base, base.with_shift(plan.shift_style, c)
     except InvalidSpecError as exc:
         raise InvalidSpecError(f"grid point (d={d}, c={c}): {exc}") from exc
 
@@ -273,10 +275,13 @@ def run_subsample_protocol(
     subsample size into two disjoint groups and test them against each
     other; the reported size averages the two classes.  Power: repeatedly
     test a random subsample of one class against one of the other.
-    Subsample sizes are floor(fraction * class size).
+    Subsample sizes are floor(fraction * class size).  The classes'
+    widths, the fraction, count, seed and test list are checked before
+    any repetition runs.
     """
     class_a = as_matrix(class_a, "class_a")
     class_b = as_matrix(class_b, "class_b")
+    _require_same_dim(class_a, class_b)
     require_level(InvalidSpecError, "fraction", fraction)
     require_counts(InvalidSpecError, repetitions=repetitions)
     require_seed(InvalidSpecError, "seed", seed)

@@ -17,7 +17,7 @@ from hdsigntest import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from hdsigntest import cli
+from hdsigntest import cli, montecarlo
 from hdsigntest.cli import build_parser, main
 from hdsigntest.generators import MODEL_NAMES
 from hdsigntest.statistics import ONE_SAMPLE_STATS, TWO_SAMPLE_STATS
@@ -250,6 +250,46 @@ class TestSimulateCommand:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    def test_grid_tokens(self, tmp_path):
+        # An empty token is skipped; a point listed twice is refused by the
+        # plan's grid rule, naming the point, before any replicate runs.
+        out_path = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+             "--grid", "100:1,", "--tests", "cq2:asym", "--reps", "2",
+             "--out", str(out_path)]
+        )
+        assert (code, out) == (0, f"wrote 1 curve points to {out_path}\n"), err
+        assert len(out_path.read_text().splitlines()) == 2
+        code, _, err = run_cli(
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+             "--grid", "100:1,100:1", "--tests", "cq2:asym", "--reps", "2",
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert err.endswith("usage error: grid point (d=100, c=1.0) is listed twice\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing", "directory", "manifest"])
+    def test_unwritable_out_is_usage_error(self, monkeypatch, tmp_path, where):
+        # An --out whose plot CSV or manifest cannot be written is refused
+        # before the study runs.
+        calls = []
+        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block",
+                            lambda *args: calls.append(args))
+        out_path = {"missing": tmp_path / "missing" / "o.csv", "directory": tmp_path,
+                    "manifest": tmp_path / "o.csv"}[where]
+        if where == "manifest":
+            (tmp_path / "o.csv.manifest.json").mkdir()
+        code, _, err = run_cli(
+            ["simulate", "--model", "ar1-gauss", "--m", "8", "--n", "8",
+             "--grid", "20:1", "--tests", "cq2:asym", "--reps", "2",
+             "--out", str(out_path)]
+        )
+        assert code == 2
+        assert err.startswith(f"usage error: --out {str(out_path)!r} cannot be written")
+        assert calls == []
 
     @pytest.mark.parametrize("shift", ["inf", "nan", "1e400"])
     def test_nonfinite_grid_shift(self, shift, tmp_path):

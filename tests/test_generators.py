@@ -57,13 +57,18 @@ class TestMeanShift:
         spread = MeanShift("spread-equally", 2.0).mean_vector(4)
         assert np.allclose(spread, 1.0)
         assert abs(np.linalg.norm(spread) - 2.0) < 1e-12
-        assert np.array_equal(MeanShift().mean_vector(3), np.zeros(3))
+        # No shift is either style at magnitude 0; the default is the first.
+        assert MeanShift() == MeanShift("first-coordinate", 0.0)
+        for style in ("first-coordinate", "spread-equally"):
+            assert np.array_equal(MeanShift(style).mean_vector(3), np.zeros(3))
 
     def test_invalid(self):
         with pytest.raises(InvalidSpecError):
             MeanShift("diagonal", 1.0)
         with pytest.raises(InvalidSpecError):
-            MeanShift("zero", -1.0)
+            MeanShift("first-coordinate", -1.0)
+        with pytest.raises(InvalidSpecError, match="^unknown shift style 'zero'$"):
+            MeanShift("zero", 0.0)
 
 
 class TestSpecValidation:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdsigntest import (
+    DimensionMismatchError,
     EmptyInputError,
     ExperimentPlan,
     InvalidInputError,
@@ -20,13 +21,13 @@ from hdsigntest import (
     subsample_table_csv,
     summarize_to_plot_data,
 )
-from hdsigntest.generators import SHIFT_SPREAD, SHIFT_ZERO, GeneratorSpec, generate
+from hdsigntest.generators import SHIFT_SPREAD, GeneratorSpec, generate
 from hdsigntest.inference import (
     _evaluate_two_sample_block,
     evaluate_one_sample,
     evaluate_two_sample,
 )
-from hdsigntest import montecarlo, statistics
+from hdsigntest import inference, montecarlo, statistics
 from hdsigntest.montecarlo import _grid_replicates, _rejections
 from hdsigntest.statistics import _TwoSampleGram
 
@@ -43,6 +44,19 @@ def small_plan(**overrides):
     )
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The argument tuples of every call of the study loop's block core."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _evaluate_two_sample_block(*args)
+
+    monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
+    return calls
 
 
 class TestRunPowerStudy:
@@ -133,14 +147,7 @@ class TestRunPowerStudy:
         with pytest.raises(InvalidSpecError, match="^replicate 3: no such model$"):
             _rejections(replicates, tests, 0.05, 10)
 
-    def test_generator_parameters_checked_before_any_replicate(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _evaluate_two_sample_block(*args)
-
-        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
+    def test_generator_parameters_checked_before_any_replicate(self, evaluations):
         with pytest.raises(InvalidSpecError,
                            match=r"^grid point \(d=0, c=1.0\): dimension must be at least 1$"):
             small_plan(grid=((20, 1.0), (0, 1.0)), replications=5)
@@ -150,16 +157,9 @@ class TestRunPowerStudy:
         with pytest.raises(InvalidSpecError,
                            match=r"^model 'ar1-gauss' has no latent scales"):
             small_plan(tests=(("wmw", "rsrm-oracle"),))
-        assert calls == []
+        assert evaluations == []
 
-    def test_rejects_bad_plan_parameters(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _evaluate_two_sample_block(*args)
-
-        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
+    def test_rejects_bad_plan_parameters(self, evaluations):
         # Counts must be integers and the seed non-negative; a refused plan
         # runs no replicate.
         for bad, match in (({"replications": 1.5}, "^replications must be an integer"),
@@ -171,7 +171,7 @@ class TestRunPowerStudy:
                            ({"base_seed": -1}, "^base_seed must be non-negative")):
             with pytest.raises(InvalidSpecError, match=match):
                 run_power_study(small_plan(**bad))
-        assert calls == []
+        assert evaluations == []
         small_plan(m=np.int64(8), replications=np.int32(5), base_seed=np.uint8(1))
         for bad in ({"replications": 0}, {"n_resamples": 0}, {"alpha": 0.0}, {"alpha": 1.0},
                     {"alpha": math.nan}, {"alpha": "0.05"}):
@@ -316,6 +316,14 @@ class TestSubsampleProtocol:
             with pytest.raises(InvalidSpecError, match=r"^fraction must be in \(0, 1\)"):
                 run_subsample_protocol(data, data, fraction, 5, tests, seed=74)
 
+    def test_class_widths_checked_at_entry(self, evaluations):
+        # Classes of different widths are refused before any repetition.
+        with pytest.raises(DimensionMismatchError,
+                           match="^samples have different dimensions: 30 vs 31$"):
+            run_subsample_protocol(self._dataset(64), self._dataset(65, d=31), 0.2, 50,
+                                   (("wmw", "asymptotic"),), seed=66)
+        assert evaluations == []
+
     def test_empty_test_list_rejected(self):
         with pytest.raises(InvalidSpecError, match="test list is empty"):
             run_subsample_protocol(self._dataset(73), self._dataset(74), 0.2, 5, (), seed=74)
@@ -352,17 +360,10 @@ class TestSubsampleProtocol:
      r"^each test must be a \(stat, method\) pair, not 'wmw:asymptotic'$"),
 ], ids=["statistic", "method", "empty", "repeated", "alpha", "n_resamples", "generator",
         "one-element", "three-elements", "string"])
-def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
+def test_one_test_list_rule(evaluations, tests, alpha, n_resamples, message):
     # The evaluators, the study plans and the subsample protocol share one
     # test-list rule; both study entry points refuse a bad list before any
     # replicate runs.
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _evaluate_two_sample_block(*args)
-
-    monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
     data = np.random.default_rng(78).standard_normal((40, 10))
     with pytest.raises(InvalidInputError, match=message):
         evaluate_two_sample(data[:8], data[8:16], tests, alpha, n_resamples)
@@ -370,7 +371,49 @@ def test_one_test_list_rule(monkeypatch, tests, alpha, n_resamples, message):
         small_plan(tests=tests, alpha=alpha, n_resamples=n_resamples)
     with pytest.raises(InvalidSpecError, match=message):
         run_subsample_protocol(data[:20], data[20:], 0.2, 5, tests, alpha, n_resamples)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("grid, message", [
+    (((20, 1.0) for _ in range(1)),
+     r"^grid points must be a list or tuple of \(d, c\) pairs, not generator$"),
+    ("100:1", r"^grid points must be a list or tuple of \(d, c\) pairs, not str$"),
+    ((), "^grid point list is empty$"),
+    (((100, 1.0), (100, 1)), r"^grid point \(d=100, c=1\) is listed twice$"),
+    (((100,),), r"^each grid point must be a \(d, c\) pair, not \(100,\)$"),
+    ((100,), r"^each grid point must be a \(d, c\) pair, not 100$"),
+    (("100:1",), r"^each grid point must be a \(d, c\) pair, not '100:1'$"),
+    # The point's own check runs before the repeat lookup, which could not
+    # hash this point.
+    (((20, [1.0]),), r"^grid point \(d=20, c=\[1.0\]\): magnitude must be a real number"),
+], ids=["generator", "string", "empty", "repeated", "one-element", "number", "string-point",
+        "unhashable"])
+def test_one_grid_rule(evaluations, grid, message):
+    # The plan checks its grid by the pair rule of the test lists, before
+    # any replicate runs.
+    with pytest.raises(InvalidSpecError, match=message):
+        run_power_study(small_plan(grid=grid))
+    assert evaluations == []
+
+
+def test_study_inputs_checked_once(monkeypatch):
+    # A plan or the subsample protocol checks the study's inputs at entry;
+    # the replicate loop runs no evaluator check on any block.
+    calls = []
+    check_call = inference._check_call
+
+    def counting(*args):
+        calls.append(args)
+        return check_call(*args)
+
+    monkeypatch.setattr(inference, "_check_call", counting)
+    run_power_study(small_plan(replications=10, tests=(("wmw", "asymptotic"),
+                                                       ("cq2", "permutation"))))
+    data = np.random.default_rng(79).standard_normal((40, 10))
+    run_subsample_protocol(data[:20], data[20:], 0.2, 5, (("cq2", "asymptotic"),))
     assert calls == []
+    evaluate_two_sample(data[:8], data[8:16], [("cq2", "asymptotic")])
+    assert len(calls) == 1
 
 
 class TestBlocks:
@@ -578,7 +621,7 @@ class TestPinnedSeededOutputs:
         # Exact p-values at R = 50 on one null dataset of each kind:
         # p = (1 + count) / 51 with count the draws at least the observed
         # statistic, so a single draw that moves across it shows.
-        spec = GeneratorSpec(model="spherical-t5", d=60).with_shift(SHIFT_ZERO, 0.0)
+        spec = GeneratorSpec(model="spherical-t5", d=60)
         rng = np.random.default_rng(40)
         x, _ = generate(spec, 9, rng)
         y, _ = generate(spec, 8, rng)
@@ -586,7 +629,7 @@ class TestPinnedSeededOutputs:
         reports = evaluate_two_sample(x, y, tests, 0.05, 50, 37)
         assert {stat: r.p_value for (stat, _), r in reports.items()} == {
             "cq2": 10 / 51, "wmw": 20 / 51}
-        spec = GeneratorSpec(model="spherical-t5", d=30).with_shift(SHIFT_ZERO, 0.0)
+        spec = GeneratorSpec(model="spherical-t5", d=30)
         x, _ = generate(spec, 10, np.random.default_rng(38))
         tests = [(stat, "signflip") for stat in ("cq1", "s", "sr")]
         reports = evaluate_one_sample(x, tests, 0.05, 50, 39)
