@@ -163,32 +163,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_grid(text: str):
-    points = []
+def _parse_pairs(text: str, noun: str, expected: str, convert) -> tuple:
+    """The pairs of a comma-separated list flag: every nonempty token,
+    stripped, split on ":" and passed to ``convert(first, second)``.  A
+    token that does not split in two, or that ``convert`` refuses with a
+    ValueError or KeyError, is a usage error naming the token."""
+    pairs = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            continue
-        try:
-            d, c = token.split(":")
-            points.append((int(d), float(c)))
-        except ValueError:
-            raise _UsageError(f"bad grid token {token!r}, expected d:c") from None
-    return tuple(points)
+        if token:
+            try:
+                first, second = token.split(":")
+                pairs.append(convert(first, second))
+            except (ValueError, KeyError):
+                raise _UsageError(f"bad {noun} token {token!r}, expected {expected}") from None
+    return tuple(pairs)
+
+
+def _parse_grid(text: str):
+    return _parse_pairs(text, "grid", "d:c", lambda d, c: (int(d), float(c)))
 
 
 def _parse_tests(text: str):
-    tests = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) != 2 or parts[1] not in _METHOD_TOKENS:
-            raise _UsageError(f"bad test token {token!r}, expected stat:method with "
-                              f"method in {{{', '.join(_METHOD_TOKENS)}}}")
-        tests.append((parts[0], _METHOD_TOKENS[parts[1]]))
-    return tuple(tests)
+    expected = f"stat:method with method in {{{', '.join(_METHOD_TOKENS)}}}"
+    return _parse_pairs(text, "test", expected,
+                        lambda stat, method: (stat, _METHOD_TOKENS[method]))
 
 
 def _cmd_test(args, out) -> int:

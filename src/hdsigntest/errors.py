@@ -60,19 +60,21 @@ class DataFileError(HDTestError):
 
 def require_integers(error, **values) -> None:
     """Raise ``error`` naming the first of ``values`` that is not a Python
-    or NumPy integer."""
+    or NumPy integer; a bool is refused, although Python counts it as one."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise error(f"{name} must be an integer, got {value!r}")
 
 
-def require_counts(error, **values) -> None:
+def require_counts(error, **values) -> list:
     """Raise ``error`` naming the first of ``values`` that is not an
-    integer of at least 1."""
+    integer of at least 1; return them as Python ints, in order, so that
+    a NumPy integer count puts no NumPy scalar in a rate, report or file."""
     require_integers(error, **values)
     for name, value in values.items():
         if value < 1:
             raise error(f"{name} must be at least 1, got {value}")
+    return [int(value) for value in values.values()]
 
 
 def require_pairs(error, items, noun: str, fields: str, label: str, check) -> None:
@@ -104,9 +106,9 @@ def require_pairs(error, items, noun: str, fields: str, label: str, check) -> No
 
 def require_reals(error, **values) -> None:
     """Raise ``error`` naming the first of ``values`` that is not a real
-    number (a Python or NumPy integer or float)."""
+    number (a Python or NumPy integer or float, not a bool)."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise error(f"{name} must be a real number, got {value!r}")
 
 

@@ -7,25 +7,26 @@ against the null.  One evaluator per sample count, ``evaluate_two_sample``
 and ``evaluate_one_sample``, runs a list of (statistic, method) pairs on
 one dataset and builds each shared input once; the ``asymptotic_*``,
 ``randomization_*`` and ``rsrm_oracle_*`` functions and the command line
-call it.  Each runs on a block of one of its Gram object
-(``_TwoSampleGram``, ``_OneSampleGram``), whose arrays and kernels take a
-leading batch axis.  ``evaluate_two_sample`` is the block of one of
-``_evaluate_two_sample_block``, which the study harness calls on blocks of
-datasets of one shape, and a dataset's bits do not depend on its block.
-The evaluators check the test list, level, count, seed and latent scales
-once, at entry; the block core trusts their checks, or the study's, and
-the Gram object checks the samples.  Both evaluators share one report
-loop and one randomization core over the Gram object, whose draws come
-from each dataset's own generator in blocks of 1024 resamples.  Every
-report of a statistic shows one observed value, whatever its method.
-Randomization p-values use the add-one estimator
-(1 + #{resampled >= observed}) / (n_resamples + 1), which is valid at any
-finite resample count and never exactly zero.  The core counts ties
-against the statistic on its own resampling path, the identity
-relabeling or the all-plus flip pattern, so draws that reproduce it tie
-exactly.  With m = n a relabeling and its swap give the same
-two-sample statistic; both are oriented to one mask, so a draw of the
-swapped split ties too.
+call it.  Each evaluator checks its call and runs the block of one of
+``_evaluate``, the one block core of both sample counts, which the study
+harness calls on blocks of datasets of one shape; a dataset's bits do
+not depend on its block.  The core takes a Gram object (``_TwoSampleGram``
+or ``_OneSampleGram``), whose arrays and kernels take a leading batch
+axis, and reads the case from its class: the randomization method, the
+nuisance snapshots and the oracle variances.  One score rule, ``_z``,
+standardizes every statistic.  The evaluators check the test list,
+level, count, seed and latent scales once, at entry; the core trusts
+their checks, or the study's, and the Gram object checks the samples.
+The randomization core draws from each dataset's own generator in blocks
+of 1024 resamples.  Every report of a statistic shows one observed
+value, whatever its method.  Randomization p-values use the add-one
+estimator (1 + #{resampled >= observed}) / (n_resamples + 1), which is
+valid at any finite resample count and never exactly zero.  The core
+counts ties against the statistic on its own resampling path, the
+identity relabeling or the all-plus flip pattern, so draws that
+reproduce it tie exactly.  With m = n a relabeling and its swap give the
+same two-sample statistic; both are oriented to one mask, so a draw of
+the swapped split ties too.
 """
 
 from __future__ import annotations
@@ -100,28 +101,33 @@ def gaussian_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _z(stat: str, value: float, d: int, sigma_sq: float, gamma: float) -> float:
+    """The one score rule of every statistic: value / sqrt(gamma) for
+    ``cq1`` and ``cq2``, d sigma^2 value / sqrt(gamma) for ``s`` and
+    ``wmw``, and half that for ``sr``, with sigma^2 the summed sample
+    variances (1 for the oracle's unit scales)."""
+    root = math.sqrt(gamma)
+    if stat in ("cq1", "cq2"):
+        return value / root
+    if stat == "sr":
+        return d * sigma_sq * value / (2.0 * root)
+    return d * sigma_sq * value / root
+
+
 def one_sample_z(kind: str, value: float, d: int, sigma_sq: float, gamma: float) -> float:
     """Standardized score of a one-sample statistic under the null."""
-    root = math.sqrt(gamma)
-    if kind == "s":
-        return d * sigma_sq * value / root
-    if kind == "sr":
-        return d * sigma_sq * value / (2.0 * root)
-    if kind == "cq1":
-        return value / root
-    raise InvalidInputError(f"unknown one-sample statistic {kind!r}")
+    if kind not in ONE_SAMPLE_STATS:
+        raise InvalidInputError(f"unknown one-sample statistic {kind!r}")
+    return _z(kind, value, d, sigma_sq, gamma)
 
 
 def two_sample_z(
     kind: str, value: float, d: int, sigma1_sq: float, sigma2_sq: float, gamma: float
 ) -> float:
     """Standardized score of a two-sample statistic under the null."""
-    root = math.sqrt(gamma)
-    if kind == "wmw":
-        return d * (sigma1_sq + sigma2_sq) * value / root
-    if kind == "cq2":
-        return value / root
-    raise InvalidInputError(f"unknown two-sample statistic {kind!r}")
+    if kind not in TWO_SAMPLE_STATS:
+        raise InvalidInputError(f"unknown two-sample statistic {kind!r}")
+    return _z(kind, value, d, sigma1_sq + sigma2_sq, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +289,13 @@ def one_sample_oracle_terms(aux: RsrmAuxiliary, n: int) -> OneSampleOracleTerms:
 # ---------------------------------------------------------------------------
 
 
-def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
+def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> int:
     """The one test-list rule of the evaluators and the studies: raise
     ``error`` unless ``tests`` is a nonempty list or tuple of distinct
     (stat, method) pairs from ``stats`` and ``methods`` (``require_pairs``),
-    with a valid level and count."""
+    with a valid level and count.  Returns the count as a Python int."""
     require_level(error, "alpha", alpha)
-    require_counts(error, n_resamples=n_resamples)
+    [n_resamples] = require_counts(error, n_resamples=n_resamples)
 
     def check(stat, method):
         if stat not in stats:
@@ -298,15 +304,16 @@ def _check_tests(error, tests, stats, methods, alpha, n_resamples) -> None:
             raise error(f"method must be one of {methods}, not {method!r}")
 
     require_pairs(error, tests, "test", "(stat, method)", "the {} {} test", check)
+    return n_resamples
 
 
-def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
+def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> int:
     """An evaluator's checks: ``_check_tests``, then an integer seed
     ``rng`` is non-negative and oracle tests have the latent scales
     ``aux``, an ``RsrmAuxiliary``.  A seed of a type that
     ``np.random.default_rng`` refuses is refused where the randomization
-    core builds its generator."""
-    _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
+    core builds its generator.  Returns the count as a Python int."""
+    n_resamples = _check_tests(InvalidInputError, tests, stats, methods, alpha, n_resamples)
     if isinstance(rng, numbers.Integral):
         require_seed(InvalidInputError, "seed", rng)
     for stat, method in tests:
@@ -314,19 +321,38 @@ def _check_call(tests, stats, methods, alpha, n_resamples, rng, aux) -> None:
             raise MismatchedAuxiliaryError(
                 f"the {stat} {method} test needs the latent scales (aux), got {aux!r}"
             )
+    return n_resamples
 
 
-def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, snapshot):
-    """The report loop of both evaluators: one {(stat, method):
-    TestReport} per dataset of ``gram``, in order, with ``rngs`` the
-    datasets' generators or seeds.
+# Each Gram class's case: its randomization method, its plug-in nuisance
+# snapshots (one per dataset), a dataset's oracle terms from its latent
+# scales, and the term that is the oracle variance of each statistic
+# (of d * T for s, sr and wmw, of T for cq1 and cq2).
+_CASES = {
+    _TwoSampleGram: (METHOD_PERMUTATION, _two_sample_snapshot,
+                     lambda gram, aux: two_sample_oracle_terms(aux, gram.m, gram.n),
+                     {"wmw": "s2", "cq2": "s3"}),
+    _OneSampleGram: (METHOD_SIGNFLIP, _one_sample_snapshot,
+                     lambda gram, aux: one_sample_oracle_terms(aux, gram.n),
+                     {"s": "gamma3", "sr": "z3", "cq1": "z4"}),
+}
 
-    ``resample`` is the randomization method.  ``z(stat, value, snap,
-    gamma)`` standardizes a value by a plug-in nuisance snapshot ``snap``
-    (from ``snapshot(gram)``, one per dataset) or, for the oracle, by unit
-    scales (``snap`` None); ``oracle_var()`` gives each dataset's oracle
-    variance of each statistic.
+
+def _evaluate(gram, tests, alpha, n_resamples, rngs, auxes) -> list:
+    """The one block core of both evaluators and the studies: one
+    {(stat, method): TestReport} per dataset of ``gram``, a
+    ``_TwoSampleGram`` or ``_OneSampleGram`` block, in order, with
+    ``rngs`` the datasets' generators or seeds and ``auxes`` their latent
+    scales.  Each dataset's reports have the bits of its block of one.  A
+    failure raises one dataset's error, not always the first failing
+    dataset's.  It trusts its callers' checks of the test list, level,
+    count, seeds and latent scales: an evaluator, the study plan or the
+    subsample protocol made them once.
+
+    Asymptotic tests standardize by each dataset's plug-in snapshot,
+    oracle tests by unit scales (sigma^2 = 1) and the oracle variance.
     """
+    resample, snapshot, oracle_terms, variance = _CASES[type(gram)]
     methods = {method for _, method in tests}
     # The draws run first, so a randomization test meets its kernel's
     # error before any other.
@@ -337,7 +363,7 @@ def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, sn
               for stat in dict.fromkeys(s for s, _ in tests)}
     snaps = snapshot(gram) if METHOD_ASYMPTOTIC in methods else None
     if METHOD_RSRM_ORACLE in methods:
-        variances = oracle_var()
+        terms = [oracle_terms(gram, aux) for aux in auxes]
 
     out = []
     for b, rng in enumerate(rngs):
@@ -348,10 +374,13 @@ def _evaluate(gram, tests, alpha, n_resamples, rngs, resample, z, oracle_var, sn
             if method == resample:
                 p, fields = p_values[stat][b], {"n_resamples": n_resamples, "seed": seed}
             elif method == METHOD_ASYMPTOTIC:
-                score = z(stat, value, snaps[b], snaps[b].gamma)
-                p, fields = gaussian_sf(score), {"z": score, "nuisance": snaps[b]}
+                snap = snaps[b]
+                # A one-sample snapshot has no sigma2^2.
+                sigma_sq = snap.sigma1_sq + (snap.sigma2_sq or 0.0)
+                score = _z(stat, value, gram.d, sigma_sq, snap.gamma)
+                p, fields = gaussian_sf(score), {"z": score, "nuisance": snap}
             else:
-                score = z(stat, value, None, variances[b][stat])
+                score = _z(stat, value, gram.d, 1.0, getattr(terms[b], variance[stat]))
                 p, fields = gaussian_sf(score), {"z": score}
             reports[(stat, method)] = TestReport(
                 stat_kind=stat, statistic=value, p_value=p, alpha=alpha,
@@ -365,40 +394,17 @@ def evaluate_two_sample(
 ) -> dict:
     """{(stat, method): TestReport} for every pair in ``tests`` on the
     samples x and y, with stat in {cq2, wmw}: the block of one of
-    ``_evaluate_two_sample_block``.
+    ``_evaluate``.
 
     Only permutation tests draw from ``rng`` (a Generator, or a seed for
     one, which their reports record), all from one set of relabelings.
     ``aux`` holds the latent scales that oracle tests need.
     """
-    _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
-    return _evaluate_two_sample_block([x], [y], tests, alpha, n_resamples, [rng], [aux])[0]
-
-
-def _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, rngs, auxes) -> list:
-    """``evaluate_two_sample`` on each dataset (xs[b], ys[b]) of a block of
-    one shape, with its own ``rngs[b]`` and ``auxes[b]``: one report dict
-    per dataset, in order, each with the bits that the dataset gives in a
-    block of one.  A failure raises one dataset's error, not always the
-    first failing dataset's.  It trusts its callers' checks of the test
-    list, level, count, seeds and latent scales: ``evaluate_two_sample``
-    and the study plan or subsample protocol made them once."""
+    n_resamples = _check_call(tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS, alpha, n_resamples,
+                              rng, aux)
     # d enters the statistics, the nuisance estimates and the permutation
-    # kernels through this object's batched Gram matrices.
-    gram = _TwoSampleGram(xs, ys)
-
-    def z(stat, value, snap, gamma):
-        # The oracle's plug-in z is at sigma1^2 + sigma2^2 = 1.
-        s1, s2 = (0.5, 0.5) if snap is None else (snap.sigma1_sq, snap.sigma2_sq)
-        return two_sample_z(stat, value, gram.d, s1, s2, gamma)
-
-    def oracle_var():
-        # Variances of d * T_WMW and T_CQ2.
-        return [{"wmw": terms.s2, "cq2": terms.s3}
-                for terms in (two_sample_oracle_terms(aux, gram.m, gram.n) for aux in auxes)]
-
-    return _evaluate(gram, tests, alpha, n_resamples, rngs, METHOD_PERMUTATION,
-                     z, oracle_var, _two_sample_snapshot)
+    # kernels through this object's Gram matrix.
+    return _evaluate(_TwoSampleGram([x], [y]), tests, alpha, n_resamples, [rng], [aux])[0]
 
 
 def evaluate_one_sample(
@@ -408,23 +414,9 @@ def evaluate_one_sample(
     sample x, with stat in {cq1, s, sr}; ``rng`` and ``aux`` are as in
     ``evaluate_two_sample``, with one set of flip patterns.
     """
-    _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples, rng, aux)
-    # d enters the statistics, the nuisance estimates and the sign-flip
-    # kernels through this object's one Gram matrix.
-    gram = _OneSampleGram([x])
-
-    def z(stat, value, snap, gamma):
-        # The oracle's plug-in z is at sigma^2 = 1.
-        sigma_sq = 1.0 if snap is None else snap.sigma1_sq
-        return one_sample_z(stat, value, gram.d, sigma_sq, gamma)
-
-    def oracle_var():
-        terms = one_sample_oracle_terms(aux, gram.n)
-        # Variances of d * T_S, d * T_SR and T_CQ1.
-        return [{"s": terms.gamma3, "sr": terms.z3, "cq1": terms.z4}]
-
-    return _evaluate(gram, tests, alpha, n_resamples, [rng], METHOD_SIGNFLIP,
-                     z, oracle_var, _one_sample_snapshot)[0]
+    n_resamples = _check_call(tests, ONE_SAMPLE_STATS, ONE_SAMPLE_METHODS, alpha, n_resamples,
+                              rng, aux)
+    return _evaluate(_OneSampleGram([x]), tests, alpha, n_resamples, [rng], [aux])[0]
 
 
 def asymptotic_one_sample(x, stat: str, alpha: float = 0.05) -> TestReport:

@@ -5,11 +5,12 @@ Every replicate draws its randomness from a seed sequence derived from
 (base seed, grid index, replicate index), so results do not depend on
 execution order and extending the replicate count leaves earlier
 replicates unchanged.  Both studies run one replicate loop
-(``_rejections``), which evaluates consecutive replicates in blocks
-through the batched two-sample core; a replicate's reports do not depend
-on its block, and a failure names the first replicate that fails.  The
-core trusts the study's checks: a plan or the subsample protocol checks
-its inputs once, at entry, before any replicate runs.
+(``_rejections``), which evaluates consecutive replicates in blocks: each
+block is one ``_TwoSampleGram`` handed to ``inference._evaluate``, the
+evaluators' block core.  A replicate's reports do not depend on its
+block, and a failure names the first replicate that fails.  The core
+trusts the study's checks: a plan or the subsample protocol checks its
+inputs once, at entry, before any replicate runs.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .inference import (
     METHOD_RSRM_ORACLE,
     TWO_SAMPLE_METHODS,
     _check_tests,
-    _evaluate_two_sample_block,
+    _evaluate,
 )
-from .statistics import TWO_SAMPLE_STATS, _require_same_dim, as_matrix
+from .statistics import TWO_SAMPLE_STATS, _TwoSampleGram, _require_same_dim, as_matrix
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,10 @@ class ExperimentPlan:
             raise InvalidSpecError("sample sizes m and n must be at least 2")
         _check_tests(InvalidSpecError, self.tests, TWO_SAMPLE_STATS, TWO_SAMPLE_METHODS,
                      self.alpha, self.n_resamples)
+        # The checked integers as Python ints, so that no NumPy scalar
+        # reaches a rate or the manifest.
+        for name in ("m", "n", "replications", "n_resamples", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         methods = {method for _, method in self.tests}
         if min(self.m, self.n) < 4 and METHOD_ASYMPTOTIC in methods:
             raise InvalidSpecError("an asymptotic test needs m and n of at least 4")
@@ -174,13 +179,13 @@ def _count_block(block, counts, tests, alpha, n_resamples) -> None:
     wheres, xs, ys, seqs, auxes = zip(*block)
     block.clear()
     try:
-        reports = _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, seqs, auxes)
+        reports = _evaluate(_TwoSampleGram(xs, ys), tests, alpha, n_resamples, seqs, auxes)
     except HDTestError:
         reports = []
         for where, x, y, seq, aux in zip(wheres, xs, ys, seqs, auxes):
             try:
-                reports += _evaluate_two_sample_block([x], [y], tests, alpha, n_resamples,
-                                                      [seq], [aux])
+                reports += _evaluate(_TwoSampleGram([x], [y]), tests, alpha, n_resamples,
+                                     [seq], [aux])
             except HDTestError as exc:
                 raise type(exc)(f"{where}: {exc}") from exc
     for dataset in reports:
@@ -283,10 +288,10 @@ def run_subsample_protocol(
     class_b = as_matrix(class_b, "class_b")
     _require_same_dim(class_a, class_b)
     require_level(InvalidSpecError, "fraction", fraction)
-    require_counts(InvalidSpecError, repetitions=repetitions)
+    [repetitions] = require_counts(InvalidSpecError, repetitions=repetitions)
     require_seed(InvalidSpecError, "seed", seed)
-    _check_tests(InvalidSpecError, tests, TWO_SAMPLE_STATS,
-                 (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), alpha, n_resamples)
+    n_resamples = _check_tests(InvalidSpecError, tests, TWO_SAMPLE_STATS,
+                               (METHOD_ASYMPTOTIC, METHOD_PERMUTATION), alpha, n_resamples)
     rows_a, rows_b = class_a.shape[0], class_b.shape[0]
     k_a = int(fraction * rows_a)
     k_b = int(fraction * rows_b)

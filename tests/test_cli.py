@@ -276,7 +276,7 @@ class TestSimulateCommand:
         # An --out whose plot CSV or manifest cannot be written is refused
         # before the study runs.
         calls = []
-        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block",
+        monkeypatch.setattr(montecarlo, "_evaluate",
                             lambda *args: calls.append(args))
         out_path = {"missing": tmp_path / "missing" / "o.csv", "directory": tmp_path,
                     "manifest": tmp_path / "o.csv"}[where]

@@ -109,13 +109,21 @@ class TestAsMatrix:
     lambda: evaluate_one_sample(np.eye(4), [("s", "asymptotic")], rng=-1),
     lambda: evaluate_one_sample(np.eye(4), [("cq1", "rsrm-oracle")], n_resamples=2.5,
                                 aux=RsrmAuxiliary(np.ones(4), 1.0, 4.0)),
+    # A bool is not a count or a seed, although Python counts it as an int.
+    lambda: randomization_two_sample(np.eye(4), np.eye(4) + 1.0, "wmw", 0.05, True),
+    lambda: randomization_one_sample(np.eye(4) + 1.0, "sr", n_resamples=True),
+    lambda: randomization_two_sample(np.eye(4), np.eye(4) + 1.0, "wmw", seed=True),
+    lambda: randomization_one_sample(np.eye(4) + 1.0, "s", seed=False),
+    lambda: run_selftest(True),
 ], ids=["sign-empty", "sign-nonfinite", "complex-data", "string-data",
         "alpha", "alpha-string", "alpha-none",
         "one-sample-z", "two-sample-z", "statistic", "method", "trials",
         "trials-fraction", "selftest-seed",
         "perm-count-fraction", "perm-seed", "flip-count-fraction", "flip-seed",
         "perm-seed-float", "flip-seed-string", "perm-seed-sequence",
-        "asym-count", "asym-seed", "oracle-count-fraction"])
+        "asym-count", "asym-seed", "oracle-count-fraction",
+        "perm-count-bool", "flip-count-bool", "perm-seed-bool", "flip-seed-bool",
+        "trials-bool"])
 def test_invalid_values(call):
     with pytest.raises(InvalidInputError):
         call()

@@ -89,10 +89,20 @@ class TestSpecValidation:
             GeneratorSpec(model="ar1-gauss", d=10, rho="0.5")
         with pytest.raises(InvalidSpecError, match="^seed must be non-negative, got -1$"):
             GeneratorSpec(model="ar1-gauss", d=10, seed=-1)
+        # A bool is not a count, seed or real, although Python counts it
+        # as an int.
+        with pytest.raises(InvalidSpecError, match="^df must be a real number, got True$"):
+            GeneratorSpec(model="spherical-t5", d=5, df=True)
+        with pytest.raises(InvalidSpecError, match="^d must be an integer, got True$"):
+            GeneratorSpec(model="ar1-gauss", d=True)
+        with pytest.raises(InvalidSpecError, match="^seed must be an integer, got False$"):
+            GeneratorSpec(model="ar1-gauss", d=10, seed=False)
         for model in ("ar1-gauss", "ar1-t5", "spherical-t5", "equicorr-gauss"):
             spec = GeneratorSpec(model=model, d=6, seed=25)
             with pytest.raises(InvalidSpecError, match="^n must be an integer, got 2.5$"):
                 generate(spec, 2.5)
+            with pytest.raises(InvalidSpecError, match="^n must be an integer, got True$"):
+                generate(spec, True)
             with pytest.raises(InvalidSpecError, match="must be at least 1"):
                 generate(spec, 0)
             assert generate(spec, np.int64(3))[0].shape == (3, 6)

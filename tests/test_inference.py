@@ -601,6 +601,21 @@ class TestReportContract:
             assert report == want
             assert json.loads(json.dumps(report.to_dict())) == want.to_dict()
 
+    @pytest.mark.parametrize("count", [np.int64(20), np.uint8(20)])
+    def test_numpy_integer_count(self, count):
+        # A NumPy integer resample count is recorded as a Python int, so the
+        # report serialises as the report of the same plain count does.
+        rng = np.random.default_rng(74)
+        x = rng.standard_normal((6, 8))
+        y = rng.standard_normal((5, 8))
+        pairs = [(randomization_one_sample(x, "sr", n_resamples=count, seed=3),
+                  randomization_one_sample(x, "sr", n_resamples=20, seed=3)),
+                 (randomization_two_sample(x, y, "cq2", n_resamples=count, seed=3),
+                  randomization_two_sample(x, y, "cq2", n_resamples=20, seed=3))]
+        for report, want in pairs:
+            assert type(report.n_resamples) is int
+            assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+
     @pytest.mark.parametrize("variant", ["plain", "offset", "near-pair"])
     def test_one_statistic_per_evaluation(self, variant):
         # Every report of a statistic shows one observed value, bit for bit

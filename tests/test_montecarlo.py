@@ -1,5 +1,6 @@
 """Tests for the power-study harness and subsample protocol."""
 
+import json
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from hdsigntest import (
 )
 from hdsigntest.generators import SHIFT_SPREAD, GeneratorSpec, generate
 from hdsigntest.inference import (
-    _evaluate_two_sample_block,
+    _evaluate,
     evaluate_one_sample,
     evaluate_two_sample,
 )
@@ -53,9 +54,9 @@ def evaluations(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _evaluate_two_sample_block(*args)
+        return _evaluate(*args)
 
-    monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", counting)
+    monkeypatch.setattr(montecarlo, "_evaluate", counting)
     return calls
 
 
@@ -107,14 +108,14 @@ class TestRunPowerStudy:
         for bad in (2, 10):
             blocks = []
 
-            def failing(xs, ys, tests, alpha, n_resamples, rngs, auxes):
+            def failing(gram, tests, alpha, n_resamples, rngs, auxes):
                 replicates = [seq.entropy[2] for seq in rngs]
                 blocks.append(replicates)
                 if bad in replicates:
                     raise ZeroVectorError("a relabeling has no sign")
-                return _evaluate_two_sample_block(xs, ys, tests, alpha, n_resamples, rngs, auxes)
+                return _evaluate(gram, tests, alpha, n_resamples, rngs, auxes)
 
-            monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", failing)
+            monkeypatch.setattr(montecarlo, "_evaluate", failing)
             with pytest.raises(ZeroVectorError,
                                match=rf"^replicate {bad} at grid point \(d=20, c=1.0\): "
                                      "a relabeling has no sign$"):
@@ -168,7 +169,13 @@ class TestRunPowerStudy:
                            ({"grid": ((10.5, 1.0),)}, r"^grid point \(d=10.5, c=1.0\): d must"),
                            ({"grid": ((20, "1.0"),)},
                             r"^grid point \(d=20, c=1.0\): magnitude must be a real number"),
-                           ({"base_seed": -1}, "^base_seed must be non-negative")):
+                           ({"base_seed": -1}, "^base_seed must be non-negative"),
+                           ({"replications": True}, "^replications must be an integer"),
+                           ({"n_resamples": True}, "^n_resamples must be an integer"),
+                           ({"m": True}, "^m must be an integer"),
+                           ({"base_seed": False}, "^base_seed must be an integer"),
+                           ({"alpha": True}, "^alpha must be a real number"),
+                           ({"rho": True}, r"^grid point \(d=20, c=1.0\): rho must be a real")):
             with pytest.raises(InvalidSpecError, match=match):
                 run_power_study(small_plan(**bad))
         assert evaluations == []
@@ -416,6 +423,27 @@ def test_study_inputs_checked_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_numpy_integer_counts():
+    # A NumPy integer count gives the outputs of the same Python int: no
+    # NumPy scalar reaches a rate, the plot CSV, the plan's manifest entry
+    # or the subsample table.
+    tests = (("cq2", "asymptotic"), ("wmw", "permutation"))
+    plan = small_plan(replications=3, n_resamples=20, tests=tests)
+    numpy_plan = small_plan(m=np.int64(8), replications=np.int64(3), n_resamples=np.int32(20),
+                            base_seed=np.uint8(60), tests=tests)
+    assert json.dumps(numpy_plan.to_dict()) == json.dumps(plan.to_dict())
+    plain, numpy = run_power_study(plan), run_power_study(numpy_plan)
+    assert summarize_to_plot_data(numpy) == summarize_to_plot_data(plain)
+    assert parse_plot_data(summarize_to_plot_data(numpy)) == parse_plot_data(
+        summarize_to_plot_data(plain))
+    data = np.random.default_rng(81).standard_normal((40, 10))
+    plain = run_subsample_protocol(data[:20], data[20:], 0.2, 3, tests, n_resamples=20)
+    numpy = run_subsample_protocol(data[:20], data[20:], 0.2, np.int64(3), tests,
+                                   n_resamples=np.uint16(20))
+    assert subsample_table_csv(numpy) == subsample_table_csv(plain)
+    assert [type(row.repetitions) for row in numpy] == [int, int]
+
+
 class TestBlocks:
     # ``_rejections`` evaluates replicates in blocks; a dataset's reports
     # must not depend on its block.
@@ -427,13 +455,13 @@ class TestBlocks:
         reports, sizes = [], []
 
         def recording(*args):
-            out = _evaluate_two_sample_block(*args)
+            out = _evaluate(*args)
             reports.extend(repr(sorted(dataset.items())) for dataset in out)
             sizes.append(len(out))
             return out
 
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        monkeypatch.setattr(montecarlo, "_evaluate_two_sample_block", recording)
+        monkeypatch.setattr(montecarlo, "_evaluate", recording)
         return repr(study()), reports, max(sizes)
 
     @staticmethod

@@ -17,7 +17,13 @@ from hdsigntest import (
     t_sr,
     t_wmw,
 )
-from hdsigntest.inference import evaluate_one_sample, evaluate_two_sample
+from hdsigntest.generators import RsrmAuxiliary
+from hdsigntest.inference import (
+    ONE_SAMPLE_METHODS,
+    _evaluate,
+    evaluate_one_sample,
+    evaluate_two_sample,
+)
 from hdsigntest.nuisance import _one_sample_snapshot
 from hdsigntest.statistics import _OneSampleGram, _observed
 from hdsigntest._naive import (
@@ -389,6 +395,23 @@ class TestOneSampleBlocks:
             assert snaps[b] == _one_sample_snapshot(one)[0], b
         # Sample 2's flips keep and split its near pair sum.
         assert (flips[2, :, 0] == flips[2, :, 1]).any() and (flips[2, :, 0] != flips[2, :, 1]).any()
+
+    def test_reports_by_index(self):
+        # The evaluators' block core on a one-sample block: every sample's
+        # reports, with its own seed and latent scales, have the bits of its
+        # block of one, for every statistic and method.
+        xs, _ = self._samples()
+        tests = [(stat, method) for stat in ("cq1", "s", "sr") for method in ONE_SAMPLE_METHODS]
+        scales = np.random.default_rng(89).uniform(0.5, 2.0, size=(3, 7))
+        auxes = [RsrmAuxiliary(p, 1.0 + b, 30.0 + b) for b, p in enumerate(scales)]
+        seeds = [11, 12, 13]
+        block = _evaluate(_OneSampleGram(xs), tests, 0.05, 50, seeds, auxes)
+        assert len(block) == 3
+        for b, x in enumerate(xs):
+            one = _evaluate(_OneSampleGram([x]), tests, 0.05, 50, [seeds[b]], [auxes[b]])[0]
+            assert list(block[b]) == tests
+            assert repr(block[b]) == repr(one), b
+            assert block[b][("sr", "signflip")].seed == seeds[b]
 
     def test_zero_pair_sum_names_its_sample(self):
         # The error of a zero pair sum names the observations of the sample
